@@ -185,12 +185,21 @@ def _cmd_dict(args) -> int:
     return EXIT_OK
 
 
+def _inside(path: Path, root: Path) -> str | None:
+    """``path`` as a POSIX path relative to ``root``, or None when outside it.
+
+    None never equals a relative path, so it can sit in an exclusion set.
+    """
+    path, root = path.resolve(), root.resolve()
+    return path.relative_to(root).as_posix() if path.is_relative_to(root) else None
+
+
 def _cmd_checksum(args) -> int:
     root = Path(args.root)
     excluded = {CHECKSUMS_NAME}
     output = Path(args.output) if args.output else None
-    if output is not None and output.resolve().is_relative_to(root.resolve()):
-        excluded.add(output.resolve().relative_to(root.resolve()).as_posix())
+    if output is not None:
+        excluded.add(_inside(output, root))
     manifest = compute_manifest(root, include=lambda rel: rel not in excluded)
     text = serialize_manifest(manifest)
     if output is not None:
@@ -213,9 +222,7 @@ def _cmd_verify(args) -> int:
     root = Path(args.root)
     manifest_path = Path(args.manifest) if args.manifest else root / CHECKSUMS_NAME
     manifest = parse_manifest(manifest_path.read_bytes())
-    excluded = set()
-    if manifest_path.resolve().is_relative_to(root.resolve()):
-        excluded.add(manifest_path.resolve().relative_to(root.resolve()).as_posix())
+    excluded = {_inside(manifest_path, root)}
     report = verify_manifest(root, manifest, include=lambda rel: rel not in excluded)
     if args.format == "json":
         _emit_json(
@@ -280,11 +287,7 @@ def _cmd_pack(args) -> int:
         report = lint_package(scan_package(root))
         if not report.passed:
             message = f"lint found {report.counts['error']} error(s); fix them or drop --require-lint"
-            if args.format == "json":
-                _emit_json({"error": {"code": EXIT_FINDINGS, "message": message}})
-            else:
-                print(f"error: {message}", file=sys.stderr)
-            return EXIT_FINDINGS
+            return _fail(args.format == "json", EXIT_FINDINGS, message)
     manifest_path = Path(args.manifest) if args.manifest else root / CHECKSUMS_NAME
     manifest = parse_manifest(manifest_path.read_bytes())
     destination = Path(args.output) if args.output else Path(f"{root.resolve().name}.tar")

@@ -360,20 +360,13 @@ def pack(
             directories.add(parent)
             parent = PurePosixPath(parent).parent.as_posix()
 
-    def _dir_info(name: str) -> tarfile.TarInfo:
+    def _info(name: str, size: int | None) -> tarfile.TarInfo:
+        """A pinned header: a directory when ``size`` is None, else a file."""
         info = tarfile.TarInfo(name=name)
-        info.type = tarfile.DIRTYPE
-        info.mode = 0o755
-        info.mtime = 0
-        info.uid = info.gid = 0
-        info.uname = info.gname = ""
-        return info
-
-    def _file_info(name: str, size: int) -> tarfile.TarInfo:
-        info = tarfile.TarInfo(name=name)
-        info.type = tarfile.REGTYPE
-        info.mode = 0o644
-        info.size = size
+        if size is None:
+            info.type, info.mode = tarfile.DIRTYPE, 0o755
+        else:
+            info.type, info.mode, info.size = tarfile.REGTYPE, 0o644, size
         info.mtime = 0
         info.uid = info.gid = 0
         info.uname = info.gname = ""
@@ -389,14 +382,12 @@ def pack(
         with tarfile.open(destination, mode="w", format=tarfile.USTAR_FORMAT) as archive:
             for name, payload in members:
                 if payload is None:
-                    archive.addfile(_dir_info(name))
+                    archive.addfile(_info(name, None))
                 elif isinstance(payload, bytes):
-                    archive.addfile(_file_info(name, len(payload)), io.BytesIO(payload))
+                    archive.addfile(_info(name, len(payload)), io.BytesIO(payload))
                 else:
                     with open(payload, "rb") as handle:
-                        archive.addfile(
-                            _file_info(name, payload.stat().st_size), handle
-                        )
+                        archive.addfile(_info(name, payload.stat().st_size), handle)
     except ValueError as exc:
         destination.unlink(missing_ok=True)
         raise PackError(f"cannot archive: {exc}") from None

@@ -13,9 +13,11 @@ or deleted.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator
+from pathlib import Path
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import ConfigError, ManifestError, SchemaError, ToolError
 from .integrity import parse_manifest, verify_manifest
@@ -152,8 +154,6 @@ def parse_config(text: str) -> LintConfig:
 
 def load_config(path) -> LintConfig:
     """Read a configuration file; see ``parse_config`` for the format."""
-    from pathlib import Path
-
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
@@ -161,60 +161,51 @@ def load_config(path) -> LintConfig:
 # Evaluation context
 
 
+_READ_ERRORS = (ToolError, OSError)
+_SCHEMA_ERRORS = (SchemaError, OSError)
+
+
+def _load_table(path: Path) -> CsvTable:
+    # Looks up read_csvy at call time, so a wrapper installed on this
+    # module's global sees every table parse lint makes.
+    return read_csvy(path)[1]
+
+
+def _load_schema(path: Path) -> TableSchema:
+    return schema_from_json(path.read_bytes())
+
+
+def _load_dictionary(path: Path) -> DataDictionary:
+    return dictionary_from_csv(path.read_bytes())
+
+
 class _Context:
-    """Memoized file access shared by the rule evaluators."""
+    """Memoized file access shared by the rule evaluators.
+
+    ``load`` reads each package file at most once per loader, so every
+    rule after the first reuses a parsed table, schema, or dictionary, and
+    the same failure message.
+    """
 
     def __init__(self, pkg: DataPackage):
         self.pkg = pkg
-        self._tables: dict[str, tuple[CsvTable | None, str | None]] = {}
-        self._schemas: dict[str, tuple[TableSchema | None, str | None]] = {}
-        self._dictionaries: dict[str, tuple[DataDictionary | None, str | None]] = {}
+        self._loaded: dict[tuple[Callable, str], tuple[Any, str | None]] = {}
 
-    def _read(self, rel: str) -> bytes:
-        return (self.pkg.root / rel).read_bytes()
-
-    def _table_entry(self, rel: str) -> tuple[CsvTable | None, str | None]:
-        if rel not in self._tables:
+    def load(
+        self,
+        loader: Callable[[Path], Any],
+        rel: str,
+        errors: tuple[type[Exception], ...],
+    ) -> tuple[Any, str | None]:
+        """``(value, None)`` from ``loader(root / rel)``, or ``(None, message)``
+        when it raised one of ``errors``."""
+        key = (loader, rel)
+        if key not in self._loaded:
             try:
-                _, table = read_csvy(self.pkg.root / rel)
-                self._tables[rel] = (table, None)
-            except (ToolError, OSError) as exc:
-                self._tables[rel] = (None, str(exc))
-        return self._tables[rel]
-
-    def table(self, rel: str) -> CsvTable | None:
-        return self._table_entry(rel)[0]
-
-    def table_error(self, rel: str) -> str | None:
-        return self._table_entry(rel)[1]
-
-    def _schema_entry(self, rel: str) -> tuple[TableSchema | None, str | None]:
-        if rel not in self._schemas:
-            try:
-                self._schemas[rel] = (schema_from_json(self._read(rel)), None)
-            except (SchemaError, OSError) as exc:
-                self._schemas[rel] = (None, str(exc))
-        return self._schemas[rel]
-
-    def schema(self, rel: str) -> TableSchema | None:
-        return self._schema_entry(rel)[0]
-
-    def schema_error(self, rel: str) -> str | None:
-        return self._schema_entry(rel)[1]
-
-    def _dictionary_entry(self, rel: str) -> tuple[DataDictionary | None, str | None]:
-        if rel not in self._dictionaries:
-            try:
-                self._dictionaries[rel] = (dictionary_from_csv(self._read(rel)), None)
-            except (ToolError, OSError) as exc:
-                self._dictionaries[rel] = (None, str(exc))
-        return self._dictionaries[rel]
-
-    def dictionary(self, rel: str) -> DataDictionary | None:
-        return self._dictionary_entry(rel)[0]
-
-    def dictionary_error(self, rel: str) -> str | None:
-        return self._dictionary_entry(rel)[1]
+                self._loaded[key] = (loader(self.pkg.root / rel), None)
+            except errors as exc:
+                self._loaded[key] = (None, str(exc))
+        return self._loaded[key]
 
     # Shared derived views -------------------------------------------------
 
@@ -227,12 +218,11 @@ class _Context:
         return sorted(refs, key=lambda ref: ref.path)
 
     def all_dictionary_refs(self) -> list[FileRef]:
-        by_path: dict[str, FileRef] = {}
-        for ds in self.pkg.datasets:
-            for ref in ds.dictionary_files:
-                by_path[ref.path] = ref
-        for ref in self.pkg.pool.dictionary_files:
-            by_path[ref.path] = ref
+        by_path = {
+            ref.path: ref
+            for owner in (*self.pkg.datasets, self.pkg.pool)
+            for ref in owner.dictionary_files
+        }
         return [
             by_path[path]
             for path in sorted(by_path)
@@ -250,11 +240,11 @@ class _Context:
         dictionaries.  Nothing declared means an empty set, not a default."""
         declared: set[str] = set()
         for ref in self.json_metadata_refs(ds):
-            schema = self.schema(ref.path)
+            schema, _ = self.load(_load_schema, ref.path, _SCHEMA_ERRORS)
             if schema is not None:
                 declared |= schema.missing_values
         for ref in self.dataset_dictionary_refs(ds):
-            dictionary = self.dictionary(ref.path)
+            dictionary, _ = self.load(_load_dictionary, ref.path, _READ_ERRORS)
             if dictionary is not None:
                 for entry in dictionary.entries:
                     declared |= entry.missing_codes
@@ -263,7 +253,7 @@ class _Context:
     def dataset_tables(self, ds: Dataset) -> list[tuple[FileRef, CsvTable]]:
         out = []
         for ref in sorted(ds.data_files, key=lambda ref: ref.path):
-            table = self.table(ref.path)
+            table, _ = self.load(_load_table, ref.path, _READ_ERRORS)
             if table is not None:
                 out.append((ref, table))
         return out
@@ -313,18 +303,10 @@ def _eval_r02(ctx: _Context) -> Iterator[Finding]:
 
 def _eval_r03(ctx: _Context) -> Iterator[Finding]:
     pkg = ctx.pkg
-    pool_has = any(
-        ref.kind is FileKind.PLAIN_TEXT_TABLE for ref in pkg.pool.dictionary_files
-    )
-    if not pkg.datasets:
-        if not pool_has:
-            yield _f("R03", "error", "no data dictionary anywhere in the package")
-        return
+    if not pkg.datasets and not ctx.all_dictionary_refs():
+        yield _f("R03", "error", "no data dictionary anywhere in the package")
     for ds in pkg.datasets:
-        ds_has = any(
-            ref.kind is FileKind.PLAIN_TEXT_TABLE for ref in ds.dictionary_files
-        )
-        if not ds_has and not pool_has:
+        if not ctx.dataset_dictionary_refs(ds):
             path = ds.data_files[0].path if ds.data_files else None
             yield _f(
                 "R03",
@@ -338,18 +320,19 @@ def _eval_r03(ctx: _Context) -> Iterator[Finding]:
 def _eval_r04(ctx: _Context) -> Iterator[Finding]:
     pkg = ctx.pkg
     for ref in ctx.all_dictionary_refs():
-        if ctx.dictionary(ref.path) is None:
+        _, error = ctx.load(_load_dictionary, ref.path, _READ_ERRORS)
+        if error is not None:
             yield _f(
                 "R04",
                 "error",
-                f"data dictionary cannot be parsed: {ctx.dictionary_error(ref.path)}",
+                f"data dictionary cannot be parsed: {error}",
                 path=ref.path,
             )
     for ds in pkg.datasets:
         refs = ctx.dataset_dictionary_refs(ds)
         if not refs:
             continue
-        parsed = [ctx.dictionary(ref.path) for ref in refs]
+        parsed = [ctx.load(_load_dictionary, ref.path, _READ_ERRORS)[0] for ref in refs]
         dictionaries = [d for d in parsed if d is not None]
         if not dictionaries:
             continue
@@ -440,12 +423,12 @@ def _eval_r09(ctx: _Context) -> Iterator[Finding]:
             jobs.append((ref, None))
 
     for ref, ds in sorted(jobs, key=lambda job: job[0].path):
-        schema = ctx.schema(ref.path)
+        schema, error = ctx.load(_load_schema, ref.path, _SCHEMA_ERRORS)
         if schema is None:
             yield _f(
                 "R09",
                 "error",
-                f"not valid schema JSON: {ctx.schema_error(ref.path)}",
+                f"not valid schema JSON: {error}",
                 path=ref.path,
             )
             continue
@@ -473,12 +456,12 @@ def _eval_r09(ctx: _Context) -> Iterator[Finding]:
             target = sorted(ds.data_files, key=lambda r: r.path)[0].path
         if target is None:
             continue
-        table = ctx.table(target)
+        table, error = ctx.load(_load_table, target, _READ_ERRORS)
         if table is None:
             yield _f(
                 "R09",
                 "error",
-                f"table {target} cannot be parsed: {ctx.table_error(target)}",
+                f"table {target} cannot be parsed: {error}",
                 path=ref.path,
             )
             continue
@@ -533,11 +516,12 @@ def _eval_r12(ctx: _Context) -> Iterator[Finding]:
         yield _f("R12", "error", "no analysis-ready tables under data/")
     for ds in pkg.datasets:
         for ref in sorted(ds.data_files, key=lambda r: r.path):
-            if ctx.table(ref.path) is None:
+            _, error = ctx.load(_load_table, ref.path, _READ_ERRORS)
+            if error is not None:
                 yield _f(
                     "R12",
                     "error",
-                    f"table cannot be parsed: {ctx.table_error(ref.path)}",
+                    f"table cannot be parsed: {error}",
                     path=ref.path,
                 )
     for ref in sorted(pkg.pool.data_files, key=lambda r: r.path):
@@ -685,23 +669,15 @@ _ARCHIVE_LIMIT_BYTES = 50_000_000_000
 
 
 def _eval_r17(ctx: _Context) -> Iterator[Finding]:
-    pkg = ctx.pkg
-    sized: list[tuple[str, int]] = [
-        (ref.path, ref.size_bytes) for ref in pkg.all_file_refs()
-    ]
-    for doc in (pkg.readme, pkg.citation, pkg.checksums):
-        if doc is not None:
-            sized.append((doc.path, doc.size_bytes))
-    if pkg.license is not None:
-        sized.append((pkg.license.path, pkg.license.size_bytes))
-    for path, size in sorted(sized):
+    for ref in ctx.pkg.all_refs():
+        size = ref.size_bytes
         if size > _RELEASE_LIMIT_BYTES:
             yield _f(
                 "R17",
                 "info",
                 f"{size} bytes exceeds the 2 GB single-file ceiling common for "
                 "repository releases; consider chunking",
-                path=path,
+                path=ref.path,
             )
         if size > _ARCHIVE_LIMIT_BYTES:
             yield _f(
@@ -709,14 +685,14 @@ def _eval_r17(ctx: _Context) -> Iterator[Finding]:
                 "info",
                 f"{size} bytes exceeds the 50 GB single-file ceiling common for "
                 "archival deposits",
-                path=path,
+                path=ref.path,
             )
 
 
 def _eval_r18(ctx: _Context) -> Iterator[Finding]:
     groups: dict[frozenset[str], list[tuple[str, dict[str, str]]]] = {}
     for ref in ctx.all_dictionary_refs():
-        dictionary = ctx.dictionary(ref.path)
+        dictionary, _ = ctx.load(_load_dictionary, ref.path, _READ_ERRORS)
         if dictionary is None:
             continue
         for entry in dictionary.entries:
@@ -812,8 +788,6 @@ def report_to_json(report: LintReport) -> bytes:
     two spaces, lines end with LF, and the output ends with a newline, so
     linting the same package twice yields identical bytes.
     """
-    import json
-
     obj = {
         "pass": report.passed,
         "counts": {name: report.counts[name] for name in SEVERITIES},

@@ -5,13 +5,15 @@ A package follows a fixed layout: documentation files at the top level
 ``data/``, raw inputs and cleaning scripts under ``data-raw/``, and
 machine-readable descriptions under ``metadata/``.  Scanning inventories
 every regular file exactly once: into a dataset, the package-level pool,
-one of the special top-level slots, or the unclassified list.
+one of the special top-level slots, or the unclassified list.  A dataset
+and the pool share one bucket type, ``PackagePool``, so each of the five
+file buckets is declared once.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path, PurePosixPath
 
 from .errors import ScanError
@@ -112,46 +114,43 @@ class DocumentRef:
 
 
 @dataclass(frozen=True)
-class LicenseRef:
+class LicenseRef(DocumentRef):
     """The package's license file plus what its content was recognized as."""
 
-    path: str
-    size_bytes: int
     detected: LicenseKind
-
-    def __post_init__(self):
-        _check_relative(self.path)
 
 
 @dataclass(frozen=True)
-class Dataset:
+class PackagePool:
+    """Files that follow the layout but belong to no single dataset.
+
+    The five buckets are also the shape of a ``Dataset``.
+    """
+
+    data_files: list[FileRef] = field(default_factory=list)
+    raw_files: list[FileRef] = field(default_factory=list)
+    scripts: list[FileRef] = field(default_factory=list)
+    metadata_files: list[FileRef] = field(default_factory=list)
+    dictionary_files: list[FileRef] = field(default_factory=list)
+
+    def file_refs(self) -> list[FileRef]:
+        """Every FileRef in the buckets, bucket by bucket in declaration order."""
+        return [ref for bucket in fields(PackagePool) for ref in getattr(self, bucket.name)]
+
+
+@dataclass(frozen=True)
+class Dataset(PackagePool):
     """One dataset and every file attached to it.
 
     A dataset is named by the stem of a table directly under ``data/``.
     Raw files, scripts, metadata, and dictionaries attach by stem prefix.
     """
 
-    name: str
-    data_files: list[FileRef] = field(default_factory=list)
-    raw_files: list[FileRef] = field(default_factory=list)
-    scripts: list[FileRef] = field(default_factory=list)
-    metadata_files: list[FileRef] = field(default_factory=list)
-    dictionary_files: list[FileRef] = field(default_factory=list)
+    name: str = field(kw_only=True)
 
     def __post_init__(self):
         if not self.name:
             raise ScanError("dataset name must be non-empty")
-
-
-@dataclass(frozen=True)
-class PackagePool:
-    """Files that follow the layout but belong to no single dataset."""
-
-    data_files: list[FileRef] = field(default_factory=list)
-    raw_files: list[FileRef] = field(default_factory=list)
-    scripts: list[FileRef] = field(default_factory=list)
-    metadata_files: list[FileRef] = field(default_factory=list)
-    dictionary_files: list[FileRef] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -175,30 +174,18 @@ class DataPackage:
 
     def all_file_refs(self) -> list[FileRef]:
         """Every FileRef in the inventory (documentation slots excluded)."""
-        refs: list[FileRef] = []
-        for ds in self.datasets:
-            refs.extend(ds.data_files)
-            refs.extend(ds.raw_files)
-            refs.extend(ds.scripts)
-            refs.extend(ds.metadata_files)
-            refs.extend(ds.dictionary_files)
-        refs.extend(self.pool.data_files)
-        refs.extend(self.pool.raw_files)
-        refs.extend(self.pool.scripts)
-        refs.extend(self.pool.metadata_files)
-        refs.extend(self.pool.dictionary_files)
-        refs.extend(self.unclassified)
-        return refs
+        refs = [ref for owner in (*self.datasets, self.pool) for ref in owner.file_refs()]
+        return refs + self.unclassified
+
+    def all_refs(self) -> list[FileRef | DocumentRef]:
+        """Every inventoried file, documentation slots included, sorted by path."""
+        slots = (self.readme, self.license, self.citation, self.checksums)
+        documents = [doc for doc in slots if doc is not None]
+        return sorted(self.all_file_refs() + documents, key=lambda ref: ref.path)
 
     def all_paths(self) -> list[str]:
         """Every inventoried path, documentation slots included, sorted."""
-        paths = [ref.path for ref in self.all_file_refs()]
-        for doc in (self.readme, self.citation, self.checksums):
-            if doc is not None:
-                paths.append(doc.path)
-        if self.license is not None:
-            paths.append(self.license.path)
-        return sorted(paths)
+        return [ref.path for ref in self.all_refs()]
 
 
 def iter_files(root: str | Path) -> list[Path]:
@@ -292,14 +279,14 @@ def scan_package(root: str | Path) -> DataPackage:
         if candidates:
             special[slot] = min(candidates, key=_special_rank)
 
-    readme = None
-    if "readme" in special:
-        ref = claim(special["readme"])
-        readme = DocumentRef(path=ref.path, size_bytes=ref.size_bytes)
-    citation = None
-    if "citation" in special:
-        ref = claim(special["citation"])
-        citation = DocumentRef(path=ref.path, size_bytes=ref.size_bytes)
+    def document(rel: str | None) -> DocumentRef | None:
+        if rel is None:
+            return None
+        ref = claim(rel)
+        return DocumentRef(path=ref.path, size_bytes=ref.size_bytes)
+
+    readme = document(special.get("readme"))
+    citation = document(special.get("citation"))
     license_ref = None
     if "license" in special:
         ref = claim(special["license"])
@@ -310,13 +297,10 @@ def scan_package(root: str | Path) -> DataPackage:
             detected = LicenseKind.UNKNOWN
         license_ref = LicenseRef(path=ref.path, size_bytes=ref.size_bytes, detected=detected)
 
-    checksums = None
-    checksum_candidates = sorted(
+    checksum_candidates = (
         rel for rel in refs if "/" not in rel and rel.casefold() == CHECKSUMS_NAME
     )
-    if checksum_candidates:
-        ref = claim(checksum_candidates[0])
-        checksums = DocumentRef(path=ref.path, size_bytes=ref.size_bytes)
+    checksums = document(min(checksum_candidates, default=None))
 
     def direct_children(directory: str) -> list[FileRef]:
         prefix = directory + "/"
@@ -337,79 +321,57 @@ def scan_package(root: str | Path) -> DataPackage:
         }
     )
 
-    datasets = {
-        name: {
-            "data_files": [],
-            "raw_files": [],
-            "scripts": [],
-            "metadata_files": [],
-            "dictionary_files": [],
-        }
-        for name in dataset_names
-    }
-    pool: dict[str, list[FileRef]] = {
-        "data_files": [],
-        "raw_files": [],
-        "scripts": [],
-        "metadata_files": [],
-        "dictionary_files": [],
-    }
+    datasets = {name: Dataset(name=name) for name in dataset_names}
+    pool = PackagePool()
 
-    def attach_by_prefix(ref: FileRef, bucket: str) -> None:
-        """File -> dataset whose name prefixes the file stem; else the pool."""
+    def attach(ref: FileRef, bucket: str, owner: PackagePool) -> None:
+        getattr(owner, bucket).append(claim(ref.path))
+
+    def by_prefix(ref: FileRef) -> PackagePool:
+        """The dataset whose name is the longest prefix of the file stem; else the pool."""
         matches = [name for name in dataset_names if ref.stem.startswith(name)]
-        if matches:
-            owner = max(matches, key=len)
-            datasets[owner][bucket].append(claim(ref.path))
-        else:
-            pool[bucket].append(claim(ref.path))
+        return datasets[max(matches, key=len)] if matches else pool
+
+    def attach_dictionary(ref: FileRef) -> None:
+        attach(ref, "dictionary_files", datasets.get(_dictionary_prefix(ref.stem), pool))
 
     for ref in data_children:
         if ref.kind is FileKind.PLAIN_TEXT_TABLE and _is_dictionary_stem(ref.stem):
-            named = _dictionary_prefix(ref.stem)
-            if named in datasets:
-                datasets[named]["dictionary_files"].append(claim(ref.path))
-            else:
-                pool["dictionary_files"].append(claim(ref.path))
+            attach_dictionary(ref)
         elif ref.kind is FileKind.PLAIN_TEXT_TABLE:
-            datasets[ref.stem]["data_files"].append(claim(ref.path))
+            attach(ref, "data_files", datasets[ref.stem])
         else:
-            pool["data_files"].append(claim(ref.path))
+            attach(ref, "data_files", pool)
 
     for ref in direct_children(RAW_DIR):
-        bucket = "scripts" if ref.kind is FileKind.SCRIPT else "raw_files"
-        attach_by_prefix(ref, bucket)
+        attach(ref, "scripts" if ref.kind is FileKind.SCRIPT else "raw_files", by_prefix(ref))
 
     for ref in direct_children(METADATA_DIR):
         if ref.kind is FileKind.PLAIN_TEXT_TABLE and _is_dictionary_stem(ref.stem):
-            named = _dictionary_prefix(ref.stem)
-            if named in datasets:
-                datasets[named]["dictionary_files"].append(claim(ref.path))
-            else:
-                pool["dictionary_files"].append(claim(ref.path))
+            attach_dictionary(ref)
         elif ref.kind is FileKind.METADATA:
-            attach_by_prefix(ref, "metadata_files")
+            attach(ref, "metadata_files", by_prefix(ref))
         # anything else under metadata/ stays unclaimed -> unclassified
 
     # A single-dataset package has no attachment ambiguity: everything left
-    # in the pool belongs to that dataset.
-    if len(dataset_names) == 1:
-        only = dataset_names[0]
-        for bucket in ("raw_files", "scripts", "metadata_files", "dictionary_files"):
-            datasets[only][bucket].extend(pool[bucket])
-            pool[bucket] = []
+    # in the pool belongs to that dataset, except the non-table files under
+    # data/, which no dataset can own.
+    if len(datasets) == 1:
+        (only,) = datasets.values()
+        for bucket in fields(PackagePool):
+            if bucket.name != "data_files":
+                getattr(only, bucket.name).extend(getattr(pool, bucket.name))
+        pool = PackagePool(data_files=pool.data_files)
 
     unclassified = [ref for rel, ref in sorted(refs.items()) if rel not in claimed]
 
     return DataPackage(
         root=root,
-        datasets=[
-            Dataset(name=name, **datasets[name]) for name in dataset_names
-        ],
+        datasets=[datasets[name] for name in dataset_names],
         readme=readme,
         license=license_ref,
         citation=citation,
         checksums=checksums,
-        pool=PackagePool(**pool),
+        pool=pool,
         unclassified=unclassified,
     )

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import PurePath
 from typing import Any, Iterable, Mapping
 
 from .errors import DictionaryError, SchemaError
 from .tabular import (
+    MISSING_WATCHLIST,
     CsvTable,
     Dialect,
     is_boolean_token,
@@ -146,8 +148,6 @@ def infer_schema(
         raise SchemaError("table has no header row; cannot infer a schema")
     if name is None:
         if table.source:
-            from pathlib import PurePath
-
             name = PurePath(table.source).stem
         else:
             name = "table"
@@ -172,8 +172,6 @@ def validate_table(table: CsvTable, schema: TableSchema) -> ValidationReport:
     a ``date`` field is ``bad_date_format``; anything else is
     ``type_mismatch``.
     """
-    from .tabular import MISSING_WATCHLIST
-
     violations: list[Violation] = []
     names = table.column_names
     present = set(names)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import datetime
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -114,18 +114,9 @@ class CsvTable:
     source: str | None = None
 
     def __post_init__(self):
-        if self.header:
-            names = [name.strip() for name in self.header]
-            seen: set[str] = set()
-            for name in names:
-                if name in seen:
-                    raise CsvError(f"duplicate column name {name!r}")
-                seen.add(name)
-            width = len(self.header)
-        elif self.rows:
-            width = len(self.rows[0])
-        else:
-            width = 0
+        # Widths before names: a parse reports a ragged row ahead of a
+        # duplicate column name.
+        width = self.width
         if self.rows and width == 0:
             raise CsvError("rows must have at least one cell")
         offset = 1 if self.header else 0
@@ -134,6 +125,11 @@ class CsvTable:
                 raise CsvError(
                     f"expected {width} cells, found {len(row)}", row=index + offset
                 )
+        seen: set[str] = set()
+        for name in self.column_names:
+            if name in seen:
+                raise CsvError(f"duplicate column name {name!r}")
+            seen.add(name)
 
     @property
     def column_names(self) -> list[str]:
@@ -269,32 +265,23 @@ def _split_records(
     return records
 
 
+def _table_from_text(text: str, dialect: Dialect) -> CsvTable:
+    """Split decoded text into a table; ``CsvTable`` checks the row widths."""
+    records = [cells for _, cells in _split_records(text, dialect.delimiter)]
+    if not dialect.has_header:
+        return CsvTable(header=[], rows=records, dialect=dialect)
+    if not records:
+        raise CsvError("table is empty; expected a header row")
+    return CsvTable(header=records[0], rows=records[1:], dialect=dialect)
+
+
 def parse_table(data: bytes, dialect: Dialect) -> CsvTable:
     """Parse delimited bytes into a table, honoring the given dialect.
 
     Raises ``CsvError`` with the offending 1-based record number for ragged
     rows and unterminated quotes, and ``EncodingError`` for non-UTF-8 input.
     """
-    text = _decode(data)
-    records = _split_records(text, dialect.delimiter)
-    if dialect.has_header:
-        if not records:
-            raise CsvError("table is empty; expected a header row")
-        header = records[0][1]
-        body = records[1:]
-    else:
-        header = []
-        body = records
-    if header:
-        width = len(header)
-    else:
-        width = len(body[0][1]) if body else 0
-    rows: list[list[str]] = []
-    for number, cells in body:
-        if len(cells) != width:
-            raise CsvError(f"expected {width} cells, found {len(cells)}", row=number)
-        rows.append(cells)
-    return CsvTable(header=header, rows=rows, dialect=dialect)
+    return _table_from_text(_decode(data), dialect)
 
 
 def _detect_from_text(text: str) -> Dialect:
@@ -465,26 +452,8 @@ def parse_csvy(data: bytes) -> tuple[FrontMatter, CsvTable]:
     stripped = body.strip("\r\n")
     if not stripped:
         return front, CsvTable(header=[], rows=[])
-    dialect = _detect_from_text(body)
-    records = _split_records(body, dialect.delimiter)
-    header = records[0][1]
-    width = len(header)
-    rows: list[list[str]] = []
-    for number, cells in records[1:]:
-        if len(cells) != width:
-            raise CsvError(f"expected {width} cells, found {len(cells)}", row=number)
-        rows.append(cells)
-    table = CsvTable(
-        header=header,
-        rows=rows,
-        dialect=Dialect(
-            delimiter=dialect.delimiter,
-            line_ending=dialect.line_ending,
-            has_header=True,
-            fallback=dialect.fallback,
-        ),
-    )
-    return front, table
+    dialect = replace(_detect_from_text(body), has_header=True)
+    return front, _table_from_text(body, dialect)
 
 
 def _render_cell(cell: str, delimiter: str) -> str:
@@ -544,8 +513,6 @@ def serialize_csvy(front: FrontMatter | None, table: CsvTable) -> bytes:
 
 def read_csvy(path: str | Path) -> tuple[FrontMatter, CsvTable]:
     """Read and parse a table file (with or without front matter) from disk."""
-    from dataclasses import replace
-
     path = Path(path)
     front, table = parse_csvy(path.read_bytes())
     return front, replace(table, source=str(path))

@@ -9,9 +9,11 @@ import pytest
 from tidypack import (
     ConfigError,
     DataPackage,
+    DocumentRef,
     FileKind,
     FileRef,
     LicenseKind,
+    LicenseRef,
     LintConfig,
     PackagePool,
     compute_manifest,
@@ -23,6 +25,7 @@ from tidypack import (
     scan_package,
     serialize_manifest,
 )
+from tidypack import lint
 from tidypack.licenses import license_text
 from tidypack.lint import RULES, RULES_BY_ID
 
@@ -463,6 +466,38 @@ def test_r17_hosting_limits(tmp_path):
     findings = _by_rule(over_archive, "R17")
     assert len(findings) == 2
     assert "2 GB" in findings[0].detail and "50 GB" in findings[1].detail
+
+
+def test_r17_covers_documentation_slots(tmp_path):
+    size = 2_000_000_001
+    package = DataPackage(
+        root=tmp_path,
+        datasets=[],
+        readme=DocumentRef(path="README.md", size_bytes=size),
+        license=LicenseRef(path="LICENSE", size_bytes=size, detected=LicenseKind.CC0_1),
+        citation=None,
+        checksums=None,
+    )
+    findings = _by_rule(lint_package(package), "R17")
+    assert [(f.path, f.severity) for f in findings] == [("LICENSE", "info"), ("README.md", "info")]
+    assert all("2 GB" in f.detail for f in findings)
+
+
+def test_each_table_is_read_once_per_run(tmp_path, monkeypatch):
+    _clean_package(tmp_path)
+    _write(tmp_path, "data/u.csv", b"id,day\n1,2020-01-02\n")
+    _write(tmp_path, "data/bad.csv", b"id,id\n1,2\n")
+    reads: list[str] = []
+    real = lint.read_csvy
+
+    def counting(path):
+        reads.append(path.relative_to(tmp_path).as_posix())
+        return real(path)
+
+    monkeypatch.setattr(lint, "read_csvy", counting)
+    report = _lint(tmp_path)
+    assert _by_rule(report, "R12")  # the unparsable table is reported
+    assert sorted(reads) == ["data/bad.csv", "data/t.csv", "data/u.csv"]
 
 
 def test_r18_conflicting_code_labels(tmp_path):

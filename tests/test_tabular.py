@@ -163,6 +163,16 @@ def test_ragged_row_reports_record_number():
     assert excinfo.value.row == 3
 
 
+def test_ragged_row_outranks_duplicate_header():
+    with pytest.raises(CsvError) as excinfo:
+        parse_table(b"a,a\n1,2\n3\n", Dialect())
+    assert excinfo.value.row == 3
+    assert "expected 2 cells, found 1" in str(excinfo.value)
+    with pytest.raises(CsvError) as excinfo:  # tab and semicolon keep detection on comma
+        parse_csvy(b"a,a\n1,2\n3\t;\n")
+    assert excinfo.value.row == 3
+
+
 def test_unterminated_quote_is_an_error():
     with pytest.raises(CsvError) as excinfo:
         parse_table(b'a,b\n"x,y\n', Dialect())
