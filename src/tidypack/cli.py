@@ -4,10 +4,10 @@ Subcommands: init, lint, schema (infer/validate), dict, checksum, verify,
 chunk, unchunk, pack.  Exit codes are uniform: 0 on success, 1 when a
 check found problems (lint errors, failed verification, schema
 violations), 2 for usage, configuration, or malformed-input errors, and 3
-for I/O failures.  With ``--format json`` every command writes exactly one
-JSON document to stdout, also on failure (an ``error`` object).  Output is
-plain text; no color escapes are emitted, so ``NO_COLOR`` has nothing to
-strip.
+for I/O failures and unexpected internal errors.  With ``--format json``
+every command writes exactly one JSON document to stdout, also on failure
+(an ``error`` object).  Output is plain text; no color escapes are
+emitted, so ``NO_COLOR`` has nothing to strip.
 """
 
 from __future__ import annotations
@@ -408,6 +408,9 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(json_mode, EXIT_USAGE, str(exc))
     except OSError as exc:
         return _fail(json_mode, EXIT_IO, str(exc))
+    except Exception as exc:
+        # Last resort: even a defect keeps the exit-code and one-document contract.
+        return _fail(json_mode, EXIT_IO, f"internal error: {type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

@@ -12,14 +12,16 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import os
 import re
 import tarfile
+from collections import Counter
 from dataclasses import dataclass, replace
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import ChunkError, ManifestError, PackError
-from .model import iter_files
+from .model import escapes_root, walk_files
 from .tabular import CsvTable, is_number_token, read_csvy, serialize_csvy
 
 _MD5_HEX_RE = re.compile(r"[0-9a-f]{32}")
@@ -33,7 +35,7 @@ def md5_hex(data: bytes) -> str:
     return hashlib.md5(data).hexdigest()
 
 
-def _md5_file(path: Path) -> str:
+def _md5_file(path: str) -> str:
     digest = hashlib.md5()
     with open(path, "rb") as handle:
         while True:
@@ -52,7 +54,7 @@ class ManifestEntry:
     md5: str
 
     def __post_init__(self):
-        if not self.path or self.path.startswith("/") or ".." in self.path.split("/"):
+        if not self.path or escapes_root(self.path):
             raise ManifestError(f"manifest path must be relative: {self.path!r}")
         if not _MD5_HEX_RE.fullmatch(self.md5):
             raise ManifestError(
@@ -67,9 +69,9 @@ class ChecksumManifest:
     entries: list[ManifestEntry]
 
     def __post_init__(self):
-        paths = [entry.path for entry in self.entries]
-        if len(set(paths)) != len(paths):
-            duplicates = sorted({p for p in paths if paths.count(p) > 1})
+        counts = Counter(entry.path for entry in self.entries)
+        duplicates = sorted(path for path, count in counts.items() if count > 1)
+        if duplicates:
             raise ManifestError(f"duplicate manifest paths: {', '.join(duplicates)}")
         object.__setattr__(
             self, "entries", sorted(self.entries, key=lambda entry: entry.path)
@@ -137,13 +139,11 @@ def compute_manifest(
     is checksummed, including any existing ``checksums.txt`` (callers that
     maintain a package manifest exclude it themselves).
     """
-    root = Path(root)
-    entries = []
-    for path in iter_files(root):
-        rel = path.relative_to(root).as_posix()
-        if include is not None and not include(rel):
-            continue
-        entries.append(ManifestEntry(path=rel, md5=_md5_file(path)))
+    entries = [
+        ManifestEntry(path=rel, md5=_md5_file(os.path.join(root, rel)))
+        for rel, _ in walk_files(root)
+        if include is None or include(rel)
+    ]
     return ChecksumManifest(entries=entries)
 
 
@@ -319,6 +319,19 @@ def unchunk(chunk_paths: Sequence[str | Path]) -> bytes:
 # Packing
 
 
+class _HashingReader:
+    """A read-only file view that feeds MD5 with every block it hands out."""
+
+    def __init__(self, handle):
+        self._handle = handle
+        self.digest = hashlib.md5()
+
+    def read(self, size: int = -1) -> bytes:
+        block = self._handle.read(size)
+        self.digest.update(block)
+        return block
+
+
 def pack(
     root: str | Path,
     manifest: ChecksumManifest,
@@ -326,39 +339,28 @@ def pack(
 ) -> Path:
     """Write a byte-reproducible USTAR archive of the manifest's files.
 
-    Verification runs first: any mismatched or missing manifest entry
-    aborts the pack.  The archive contains exactly the manifest's files
-    plus a generated ``checksums.txt``, with entries sorted by path,
-    ``mtime`` pinned to zero, numeric owner 0:0, blank owner names, mode
-    0644 for files and 0755 for directories, and no compression, so packing
-    the same tree twice yields identical bytes.
+    Each file is read once: its MD5 is taken over the very bytes copied
+    into the archive.  Any mismatched or missing manifest entry aborts the
+    pack and deletes the partial archive.  The archive contains exactly the
+    manifest's files plus a generated ``checksums.txt``, with entries sorted
+    by path, ``mtime`` pinned to zero, numeric owner 0:0, blank owner names,
+    mode 0644 for files and 0755 for directories, and no compression, so
+    packing the same tree twice yields identical bytes.
     """
-    root = Path(root)
     destination = Path(destination)
     if destination.exists():
         raise PackError(f"refusing to overwrite existing archive {destination}")
 
-    allowed = set(manifest.paths())
-    report = verify_manifest(root, manifest, include=lambda rel: rel in allowed)
-    if not report.ok:
-        problems = []
-        if report.mismatched:
-            problems.append("mismatched: " + ", ".join(report.mismatched))
-        if report.missing:
-            problems.append("missing: " + ", ".join(report.missing))
-        raise PackError("manifest verification failed; " + "; ".join(problems))
-
-    if "checksums.txt" in allowed:
-        raise PackError(
-            "the manifest may not list checksums.txt; the archive embeds a fresh copy"
-        )
+    expected = {entry.path: entry.md5 for entry in manifest.entries}
+    present = [rel for rel, _ in walk_files(root) if rel in expected]
+    missing = sorted(expected.keys() - set(present))
 
     directories: set[str] = set()
-    for rel in allowed:
-        parent = PurePosixPath(rel).parent.as_posix()
-        while parent != ".":
+    for rel in present:
+        parent = rel.rpartition("/")[0]
+        while parent and parent not in directories:
             directories.add(parent)
-            parent = PurePosixPath(parent).parent.as_posix()
+            parent = parent.rpartition("/")[0]
 
     def _info(name: str, size: int | None) -> tarfile.TarInfo:
         """A pinned header: a directory when ``size`` is None, else a file."""
@@ -373,21 +375,39 @@ def pack(
         return info
 
     manifest_bytes = serialize_manifest(manifest)
-    members: list[tuple[str, bytes | Path | None]] = [(d, None) for d in directories]
-    members.extend((rel, root / rel) for rel in allowed)
+    members: list[tuple[str, bytes | str | None]] = [(d, None) for d in directories]
+    members.extend((rel, rel) for rel in present)
     members.append(("checksums.txt", manifest_bytes))
     members.sort(key=lambda item: item[0])
 
+    mismatched: list[str] = []
     try:
-        with tarfile.open(destination, mode="w", format=tarfile.USTAR_FORMAT) as archive:
+        with tarfile.open(
+            destination, mode="w", format=tarfile.USTAR_FORMAT, copybufsize=_READ_BLOCK
+        ) as archive:
             for name, payload in members:
                 if payload is None:
                     archive.addfile(_info(name, None))
                 elif isinstance(payload, bytes):
                     archive.addfile(_info(name, len(payload)), io.BytesIO(payload))
                 else:
-                    with open(payload, "rb") as handle:
-                        archive.addfile(_info(name, payload.stat().st_size), handle)
+                    with open(os.path.join(root, payload), "rb") as handle:
+                        reader = _HashingReader(handle)
+                        size = os.fstat(handle.fileno()).st_size
+                        archive.addfile(_info(name, size), reader)
+                    if reader.digest.hexdigest() != expected[payload]:
+                        mismatched.append(payload)
+        problems = []
+        if mismatched:
+            problems.append("mismatched: " + ", ".join(mismatched))
+        if missing:
+            problems.append("missing: " + ", ".join(missing))
+        if problems:
+            raise PackError("manifest verification failed; " + "; ".join(problems))
+        if "checksums.txt" in expected:
+            raise PackError(
+                "the manifest may not list checksums.txt; the archive embeds a fresh copy"
+            )
     except ValueError as exc:
         destination.unlink(missing_ok=True)
         raise PackError(f"cannot archive: {exc}") from None

@@ -13,6 +13,7 @@ file buckets is declared once.
 from __future__ import annotations
 
 import enum
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path, PurePosixPath
 
@@ -72,11 +73,19 @@ def classify_file(path: str | PurePosixPath) -> FileKind:
     return FileKind.OTHER
 
 
+def escapes_root(path: str) -> bool:
+    """True when a POSIX path is absolute or climbs out through a ``..`` part.
+
+    Decides what ``PurePosixPath.is_absolute()`` or ``".." in .parts``
+    decide, without building a path object.
+    """
+    return path.startswith("/") or ".." in path.split("/")
+
+
 def _check_relative(path: str) -> None:
     if not path:
         raise ScanError("file path must be non-empty")
-    pure = PurePosixPath(path)
-    if pure.is_absolute() or ".." in pure.parts:
+    if escapes_root(path):
         raise ScanError(f"file path must be relative and stay inside the package: {path!r}")
 
 
@@ -188,33 +197,43 @@ class DataPackage:
         return [ref.path for ref in self.all_refs()]
 
 
-def iter_files(root: str | Path) -> list[Path]:
-    """All regular files under ``root``, sorted by relative POSIX path.
+def walk_files(root: str | Path) -> list[tuple[str, int]]:
+    """Every regular file under ``root`` as ``(relative POSIX path, size)``, sorted by path.
 
-    Symbolic links are skipped, never followed.  A directory cycle (which
-    can only appear through links, so in practice never) raises
-    ``ScanError`` instead of hanging.
+    One iterative ``os.scandir`` walk on plain strings, so a deep tree costs
+    memory, not interpreter recursion.  Symbolic links are skipped, never
+    followed.  A directory reached twice (same ``st_dev``/``st_ino``, for
+    example through a bind mount) raises ``ScanError`` instead of hanging.
+    """
+    files: list[tuple[str, int]] = []
+    seen_dirs: set[tuple[int, int]] = set()
+    stack = [("", os.fspath(root))]
+    while stack:
+        prefix, directory = stack.pop()
+        info = os.stat(directory)
+        if (info.st_dev, info.st_ino) in seen_dirs:
+            raise ScanError(f"directory cycle detected at {directory}")
+        seen_dirs.add((info.st_dev, info.st_ino))
+        with os.scandir(directory) as entries:
+            for entry in entries:
+                if entry.is_symlink():
+                    continue
+                if entry.is_dir():
+                    stack.append((prefix + entry.name + "/", entry.path))
+                elif entry.is_file():
+                    files.append((prefix + entry.name, entry.stat().st_size))
+    files.sort()
+    return files
+
+
+def iter_files(root: str | Path) -> list[Path]:
+    """All regular files under ``root`` as paths, sorted by relative POSIX path.
+
+    The ``Path`` view of ``walk_files``: same files, same order, same
+    handling of symlinks and cycles.
     """
     root = Path(root)
-    files: list[Path] = []
-    seen_dirs: set[Path] = set()
-
-    def recurse(directory: Path) -> None:
-        marker = directory.resolve()
-        if marker in seen_dirs:
-            raise ScanError(f"directory cycle detected at {directory}")
-        seen_dirs.add(marker)
-        for entry in sorted(directory.iterdir(), key=lambda p: p.name):
-            if entry.is_symlink():
-                continue
-            if entry.is_dir():
-                recurse(entry)
-            elif entry.is_file():
-                files.append(entry)
-
-    recurse(root)
-    files.sort(key=lambda p: p.relative_to(root).as_posix())
-    return files
+    return [root / rel for rel, _ in walk_files(root)]
 
 
 _SPECIAL_STEMS = {"readme": "readme", "license": "license", "citation": "citation"}
@@ -254,12 +273,10 @@ def scan_package(root: str | Path) -> DataPackage:
     if not root.is_dir():
         raise NotADirectoryError(f"package root is not a directory: {root}")
 
-    refs: dict[str, FileRef] = {}
-    for path in iter_files(root):
-        rel = path.relative_to(root).as_posix()
-        refs[rel] = FileRef(
-            path=rel, size_bytes=path.stat().st_size, kind=classify_file(rel)
-        )
+    refs = {
+        rel: FileRef(path=rel, size_bytes=size, kind=classify_file(rel))
+        for rel, size in walk_files(root)
+    }
 
     claimed: set[str] = set()
 

@@ -465,6 +465,53 @@ def test_parse_time_failure_still_emits_one_json_doc(capsys):
     assert one_json(out)["error"]["code"] == EXIT_USAGE
 
 
+def test_deep_tree_keeps_the_json_contract(tmp_path, capsys):
+    depth = sys.getrecursionlimit() + 100
+    root = tmp_path / "deep"
+    levels = [root]
+    for _ in range(depth):  # Path.mkdir(parents=True) would recurse once per level
+        levels.append(levels[-1] / "d")
+    for level in levels:
+        level.mkdir()
+    (levels[-1] / "bottom.txt").write_bytes(b"deep\n")
+    try:
+        manifest = root / "checksums.txt"
+        for argv in (
+            ["checksum", str(root), "--output", str(manifest)],
+            ["verify", str(root)],
+            ["lint", str(root)],
+        ):
+            code, out, _ = run(capsys, *argv, "--format", "json")
+            assert code in (EXIT_OK, EXIT_FINDINGS), (argv[0], out)
+            assert "error" not in one_json(out)
+    finally:
+        # Bottom-up in a loop: a recursive rmtree can hit the same limit.
+        for level in reversed(levels):
+            for child in level.iterdir():
+                if not child.is_dir():
+                    child.unlink()
+            level.rmdir()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch, fmt):
+    from tidypack import cli
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "compute_manifest", crash)
+    code, out, err = run(capsys, "checksum", str(tmp_path), "--format", fmt)
+    assert code == EXIT_IO
+    if fmt == "json":
+        assert one_json(out) == {
+            "error": {"code": EXIT_IO, "message": "internal error: RuntimeError: boom"}
+        }
+    else:
+        assert out == ""
+        assert err == "error: internal error: RuntimeError: boom\n"
+
+
 def test_entry_points_run():
     module = subprocess.run(
         [sys.executable, "-m", "tidypack", "--help"], capture_output=True, text=True

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import string
 import tarfile
+import time
 from dataclasses import dataclass
 
 import pytest
@@ -129,6 +131,20 @@ def test_manifest_duplicate_paths_rejected():
             ]
         )
     assert "x.csv" in str(excinfo.value)
+
+
+def test_manifest_duplicate_check_is_linear():
+    lines = [f"{'a' * 32}  dir/file{index:06d}.bin" for index in range(100_000)]
+    lines[70_000] = f"{'b' * 32}  dir/file000007.bin"
+    lines[90_000] = f"{'c' * 32}  dir/file000042.bin"
+    data = ("\n".join(lines) + "\n").encode()
+    started = time.perf_counter()
+    with pytest.raises(ManifestError) as excinfo:
+        parse_manifest(data)
+    assert time.perf_counter() - started < 5
+    assert str(excinfo.value) == (
+        "duplicate manifest paths: dir/file000007.bin, dir/file000042.bin"
+    )
 
 
 _PATH_SEGMENT = st.text(
@@ -519,3 +535,64 @@ def test_pack_rejects_manifest_listing_checksums(tmp_path):
     with pytest.raises(PackError) as excinfo:
         pack(root, manifest, tmp_path / "pkg.tar")
     assert "checksums.txt" in str(excinfo.value)
+
+
+def test_pack_reports_file_behind_symlinked_directory_missing(tmp_path):
+    root = tmp_path / "pkg"
+    _package_tree(root)
+    _fill(tmp_path / "outside", {"x.txt": b"linked\n"})
+    (root / "linked").symlink_to(tmp_path / "outside", target_is_directory=True)
+    manifest = compute_manifest(root, include=lambda rel: rel != "checksums.txt")
+    manifest = ChecksumManifest(
+        entries=manifest.entries + [ManifestEntry("linked/x.txt", md5_hex(b"linked\n"))]
+    )
+    with pytest.raises(PackError) as excinfo:
+        pack(root, manifest, tmp_path / "pkg.tar")
+    assert str(excinfo.value) == "manifest verification failed; missing: linked/x.txt"
+    assert not (tmp_path / "pkg.tar").exists()
+
+
+def test_pack_lists_mismatched_before_missing(tmp_path):
+    root = tmp_path / "pkg"
+    manifest = _package_tree(root)
+    (root / "data/t.csv").write_bytes(b"tampered\n")
+    (root / "README.md").write_bytes(b"# tampered\n")
+    (root / "metadata/t.json").unlink()
+    (root / "LICENSE").unlink()
+    with pytest.raises(PackError) as excinfo:
+        pack(root, manifest, tmp_path / "pkg.tar")
+    assert str(excinfo.value) == (
+        "manifest verification failed; mismatched: README.md, data/t.csv; "
+        "missing: LICENSE, metadata/t.json"
+    )
+    assert not (tmp_path / "pkg.tar").exists()
+
+
+def test_pack_refuses_listed_checksums_and_leaves_no_archive(tmp_path):
+    root = tmp_path / "pkg"
+    _package_tree(root)
+    (root / "checksums.txt").write_bytes(b"")
+    with pytest.raises(PackError) as excinfo:
+        pack(root, compute_manifest(root), tmp_path / "pkg.tar")
+    assert str(excinfo.value) == (
+        "the manifest may not list checksums.txt; the archive embeds a fresh copy"
+    )
+    assert not (tmp_path / "pkg.tar").exists()
+
+
+def test_pack_opens_each_manifest_file_once(tmp_path, monkeypatch):
+    import builtins
+
+    from tidypack import integrity
+
+    root = tmp_path / "pkg"
+    manifest = _package_tree(root)
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.path.relpath(file, root))
+        return builtins.open(file, *args, **kwargs)
+
+    monkeypatch.setattr(integrity, "open", counting_open, raising=False)
+    pack(root, manifest, tmp_path / "pkg.tar")
+    assert sorted(opened) == manifest.paths()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import PurePosixPath
+
 import pytest
 
 from tidypack import (
@@ -15,6 +17,7 @@ from tidypack import (
     scan_package,
 )
 from tidypack.licenses import license_text
+from tidypack.model import escapes_root, walk_files
 
 
 def _write(root, rel: str, data: bytes = b"x\n") -> None:
@@ -78,6 +81,14 @@ def test_file_ref_name_and_stem():
     assert ref.stem == "teaching"
 
 
+@pytest.mark.parametrize(
+    "path", ["a/b", "/a", "//a", "a/../b", "..", "./a", "a//b", ".hidden", "a/b."]
+)
+def test_escapes_root_matches_pure_posix_path(path):
+    pure = PurePosixPath(path)
+    assert escapes_root(path) == (pure.is_absolute() or ".." in pure.parts)
+
+
 # ---------------------------------------------------------------------------
 # Directory walking
 
@@ -95,6 +106,16 @@ def test_iter_files_skips_symlinks(tmp_path):
     (tmp_path / "dirlink").symlink_to(tmp_path, target_is_directory=True)
     rels = [p.relative_to(tmp_path).as_posix() for p in iter_files(tmp_path)]
     assert rels == ["real.txt"]
+
+
+def test_walk_files_gives_sorted_paths_and_sizes(tmp_path):
+    _write(tmp_path, "b.txt", b"12345")
+    _write(tmp_path, "a/z.txt", b"")
+    _write(tmp_path, "a-b/c.txt", b"xy")
+    (tmp_path / "link.txt").symlink_to(tmp_path / "b.txt")
+    # Plain string order, as in a manifest: "a-b/" sorts before "a/".
+    assert walk_files(tmp_path) == [("a-b/c.txt", 2), ("a/z.txt", 0), ("b.txt", 5)]
+    assert iter_files(tmp_path) == [tmp_path / rel for rel, _ in walk_files(tmp_path)]
 
 
 # ---------------------------------------------------------------------------
