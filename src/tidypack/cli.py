@@ -29,7 +29,7 @@ from .integrity import (
     verify_manifest,
 )
 from .licenses import CLI_CHOICES
-from .lint import LintConfig, lint_package, load_config, report_to_json, report_to_text
+from .lint import RULES, LintConfig, lint_package, load_config, report_to_json, report_to_text
 from .model import CHECKSUMS_NAME, scan_package
 from .scaffold import Author, ScaffoldRequest, scaffold
 from .schema import (
@@ -284,7 +284,9 @@ def _cmd_unchunk(args) -> int:
 def _cmd_pack(args) -> int:
     root = Path(args.root)
     if args.require_lint:
-        report = lint_package(scan_package(root))
+        # Only error-ceiling rules can fail a package; pack checks every MD5 itself.
+        blocking = LintConfig(levels={r.id: "off" for r in RULES if r.severity != "error"})
+        report = lint_package(scan_package(root), blocking)
         if not report.passed:
             message = f"lint found {report.counts['error']} error(s); fix them or drop --require-lint"
             return _fail(args.format == "json", EXIT_FINDINGS, message)

@@ -2,10 +2,12 @@
 
 Eighteen rules cover documentation, dictionaries, licensing, citation,
 metadata, raw data, plain-text data, naming, dates, missing values,
-checksums, hosting limits, and code consistency.  Each rule carries a fixed
-severity ceiling; a configuration may lower a rule's severity or switch it
-off, never raise it.  A package passes when linting produces zero
-error-severity findings.
+checksums, hosting limits, and code consistency.  ``RULES`` is the one
+place a rule is named: rule ``RNN`` is evaluated by ``_eval_rNN``, and the
+runner stamps each finding with the rule's id and severity.  Each rule
+carries a fixed severity ceiling; a configuration may lower a rule's
+severity or switch it off, never raise it.  A package passes when linting
+produces zero error-severity findings.
 
 Linting only reads: no file under the package root is created, modified,
 or deleted.
@@ -27,6 +29,8 @@ from .model import (
     Dataset,
     FileKind,
     FileRef,
+    PackagePool,
+    escapes_root,
 )
 from .licenses import LicenseKind
 from .schema import (
@@ -184,7 +188,9 @@ class _Context:
 
     ``load`` reads each package file at most once per loader, so every
     rule after the first reuses a parsed table, schema, or dictionary, and
-    the same failure message.
+    the same failure message.  The views trust ``scan_package``: each file
+    sits in exactly one bucket and only plain-text tables are dictionaries.
+    Their order is irrelevant, because ``lint_package`` sorts the findings.
     """
 
     def __init__(self, pkg: DataPackage):
@@ -210,30 +216,15 @@ class _Context:
     # Shared derived views -------------------------------------------------
 
     def dataset_dictionary_refs(self, ds: Dataset) -> list[FileRef]:
-        refs = [
-            ref
-            for ref in list(ds.dictionary_files) + list(self.pkg.pool.dictionary_files)
-            if ref.kind is FileKind.PLAIN_TEXT_TABLE
-        ]
-        return sorted(refs, key=lambda ref: ref.path)
+        return ds.dictionary_files + self.pkg.pool.dictionary_files
 
     def all_dictionary_refs(self) -> list[FileRef]:
-        by_path = {
-            ref.path: ref
-            for owner in (*self.pkg.datasets, self.pkg.pool)
-            for ref in owner.dictionary_files
-        }
         return [
-            by_path[path]
-            for path in sorted(by_path)
-            if by_path[path].kind is FileKind.PLAIN_TEXT_TABLE
+            ref for owner in (*self.pkg.datasets, self.pkg.pool) for ref in owner.dictionary_files
         ]
 
-    def json_metadata_refs(self, ds: Dataset) -> list[FileRef]:
-        return sorted(
-            (ref for ref in ds.metadata_files if ref.path.lower().endswith(".json")),
-            key=lambda ref: ref.path,
-        )
+    def json_metadata_refs(self, owner: PackagePool) -> list[FileRef]:
+        return [ref for ref in owner.metadata_files if ref.path.lower().endswith(".json")]
 
     def declared_missing(self, ds: Dataset) -> frozenset[str]:
         """Missing-value tokens declared by the dataset's schema files and
@@ -252,7 +243,7 @@ class _Context:
 
     def dataset_tables(self, ds: Dataset) -> list[tuple[FileRef, CsvTable]]:
         out = []
-        for ref in sorted(ds.data_files, key=lambda ref: ref.path):
+        for ref in ds.data_files:
             table, _ = self.load(_load_table, ref.path, _READ_ERRORS)
             if table is not None:
                 out.append((ref, table))
@@ -260,19 +251,19 @@ class _Context:
 
 
 # ---------------------------------------------------------------------------
-# Rule evaluators.  Each yields findings with a declared severity no higher
-# than its rule's ceiling; lint_package applies configuration afterwards.
+# Rule evaluators.  ``_eval_rNN`` evaluates rule ``RNN`` and yields drafts
+# from ``_f``; lint_package stamps each with its rule id and final severity.
 
 
-def _f(rule_id: str, severity: str, detail: str, path: str | None = None, **data: str) -> Finding:
-    return Finding(
-        rule_id=rule_id, severity=severity, detail=detail, path=path, machine_data=dict(data)
-    )
+def _f(detail: str, path: str | None = None, *, severity: str = "", **data: str) -> Finding:
+    """A draft finding.  ``severity`` is given only to go below the rule's
+    ceiling; the runner fills in ``rule_id`` and the severity."""
+    return Finding(rule_id="", severity=severity, detail=detail, path=path, machine_data=data)
 
 
 def _eval_r01(ctx: _Context) -> Iterator[Finding]:
     if ctx.pkg.readme is None:
-        yield _f("R01", "error", "no README file at the package top level")
+        yield _f("no README file at the package top level")
 
 
 _README_QUESTIONS = (
@@ -293,8 +284,6 @@ def _eval_r02(ctx: _Context) -> Iterator[Finding]:
     unanswered = [name for name, pattern in _README_QUESTIONS if not pattern.search(text)]
     if unanswered:
         yield _f(
-            "R02",
-            "warning",
             "README does not appear to answer: " + ", ".join(unanswered),
             path=readme.path,
             questions=",".join(unanswered),
@@ -304,13 +293,11 @@ def _eval_r02(ctx: _Context) -> Iterator[Finding]:
 def _eval_r03(ctx: _Context) -> Iterator[Finding]:
     pkg = ctx.pkg
     if not pkg.datasets and not ctx.all_dictionary_refs():
-        yield _f("R03", "error", "no data dictionary anywhere in the package")
+        yield _f("no data dictionary anywhere in the package")
     for ds in pkg.datasets:
         if not ctx.dataset_dictionary_refs(ds):
             path = ds.data_files[0].path if ds.data_files else None
             yield _f(
-                "R03",
-                "error",
                 f"dataset {ds.name!r} has no data dictionary (a plain-text table of variables)",
                 path=path,
                 dataset=ds.name,
@@ -322,12 +309,7 @@ def _eval_r04(ctx: _Context) -> Iterator[Finding]:
     for ref in ctx.all_dictionary_refs():
         _, error = ctx.load(_load_dictionary, ref.path, _READ_ERRORS)
         if error is not None:
-            yield _f(
-                "R04",
-                "error",
-                f"data dictionary cannot be parsed: {error}",
-                path=ref.path,
-            )
+            yield _f(f"data dictionary cannot be parsed: {error}", path=ref.path)
     for ds in pkg.datasets:
         refs = ctx.dataset_dictionary_refs(ds)
         if not refs:
@@ -345,8 +327,6 @@ def _eval_r04(ctx: _Context) -> Iterator[Finding]:
             ]
             if undescribed:
                 yield _f(
-                    "R04",
-                    "error",
                     "dictionary does not describe column(s): " + ", ".join(undescribed),
                     path=ref.path,
                     columns=",".join(undescribed),
@@ -355,7 +335,7 @@ def _eval_r04(ctx: _Context) -> Iterator[Finding]:
 
 def _eval_r05(ctx: _Context) -> Iterator[Finding]:
     if ctx.pkg.license is None:
-        yield _f("R05", "error", "no license file at the package top level")
+        yield _f("no license file at the package top level")
 
 
 def _eval_r06(ctx: _Context) -> Iterator[Finding]:
@@ -364,8 +344,6 @@ def _eval_r06(ctx: _Context) -> Iterator[Finding]:
         return
     if license_ref.detected is LicenseKind.UNKNOWN:
         yield _f(
-            "R06",
-            "warning",
             "license text is not recognized; expected CC BY 4.0, CC0 1.0, or ODbL 1.0",
             path=license_ref.path,
         )
@@ -377,15 +355,14 @@ _DOI_RE = re.compile(r"\b10\.[0-9]{4,}(?:\.[0-9]+)*/[^\s\"<>]+")
 def _eval_r07(ctx: _Context) -> Iterator[Finding]:
     citation = ctx.pkg.citation
     if citation is None:
-        yield _f("R07", "warning", "no citation file at the package top level")
+        yield _f("no citation file at the package top level")
         return
     text = (ctx.pkg.root / citation.path).read_text(encoding="utf-8", errors="replace")
     if not _DOI_RE.search(text):
         yield _f(
-            "R07",
-            "info",
             "citation file has no DOI; add one once the data is archived",
             path=citation.path,
+            severity="info",
         )
 
 
@@ -394,8 +371,6 @@ def _eval_r08(ctx: _Context) -> Iterator[Finding]:
         if not ds.metadata_files:
             path = ds.data_files[0].path if ds.data_files else None
             yield _f(
-                "R08",
-                "warning",
                 f"dataset {ds.name!r} has no machine-readable metadata under metadata/",
                 path=path,
                 dataset=ds.name,
@@ -410,67 +385,39 @@ def _describe_violation(v) -> str:
 
 def _eval_r09(ctx: _Context) -> Iterator[Finding]:
     pkg = ctx.pkg
-    seen: set[str] = set()
-    jobs: list[tuple[FileRef, Dataset | None]] = []
-    for ds in pkg.datasets:
-        for ref in ctx.json_metadata_refs(ds):
-            if ref.path not in seen:
-                seen.add(ref.path)
-                jobs.append((ref, ds))
-    for ref in sorted(pkg.pool.metadata_files, key=lambda r: r.path):
-        if ref.path.lower().endswith(".json") and ref.path not in seen:
-            seen.add(ref.path)
-            jobs.append((ref, None))
-
-    for ref, ds in sorted(jobs, key=lambda job: job[0].path):
+    jobs: list[tuple[FileRef, Dataset | None]] = [
+        (ref, ds) for ds in pkg.datasets for ref in ctx.json_metadata_refs(ds)
+    ]
+    jobs += [(ref, None) for ref in ctx.json_metadata_refs(pkg.pool)]
+    for ref, ds in jobs:
         schema, error = ctx.load(_load_schema, ref.path, _SCHEMA_ERRORS)
         if schema is None:
-            yield _f(
-                "R09",
-                "error",
-                f"not valid schema JSON: {error}",
-                path=ref.path,
-            )
+            yield _f(f"not valid schema JSON: {error}", path=ref.path)
             continue
         target: str | None = None
         if schema.path is not None:
-            normalized = schema.path.split("/")
-            if schema.path.startswith("/") or ".." in normalized:
+            if escapes_root(schema.path):
                 yield _f(
-                    "R09",
-                    "error",
                     f"schema 'path' must stay inside the package: {schema.path!r}",
                     path=ref.path,
                 )
                 continue
             if not (pkg.root / schema.path).is_file():
-                yield _f(
-                    "R09",
-                    "error",
-                    f"schema points at a missing table: {schema.path}",
-                    path=ref.path,
-                )
+                yield _f(f"schema points at a missing table: {schema.path}", path=ref.path)
                 continue
             target = schema.path
         elif ds is not None and ds.data_files:
-            target = sorted(ds.data_files, key=lambda r: r.path)[0].path
+            target = min(data.path for data in ds.data_files)
         if target is None:
             continue
         table, error = ctx.load(_load_table, target, _READ_ERRORS)
         if table is None:
-            yield _f(
-                "R09",
-                "error",
-                f"table {target} cannot be parsed: {error}",
-                path=ref.path,
-            )
+            yield _f(f"table {target} cannot be parsed: {error}", path=ref.path)
             continue
         result = validate_table(table, schema)
         if not result.ok:
             first = result.violations[0]
             yield _f(
-                "R09",
-                "error",
                 f"{target} does not match the schema: {len(result.violations)} violation(s); "
                 f"first: {_describe_violation(first)}",
                 path=ref.path,
@@ -482,11 +429,7 @@ def _eval_r10(ctx: _Context) -> Iterator[Finding]:
     pkg = ctx.pkg
     has_raw = any(ds.raw_files for ds in pkg.datasets) or bool(pkg.pool.raw_files)
     if not has_raw:
-        yield _f(
-            "R10",
-            "info",
-            "no raw data under data-raw/; share the untouched originals when you can",
-        )
+        yield _f("no raw data under data-raw/; share the untouched originals when you can")
 
 
 def _eval_r11(ctx: _Context) -> Iterator[Finding]:
@@ -494,8 +437,6 @@ def _eval_r11(ctx: _Context) -> Iterator[Finding]:
     for ds in pkg.datasets:
         if ds.raw_files and not ds.scripts:
             yield _f(
-                "R11",
-                "warning",
                 f"dataset {ds.name!r} has raw data but no cleaning script under data-raw/",
                 path=ds.raw_files[0].path,
                 dataset=ds.name,
@@ -503,8 +444,6 @@ def _eval_r11(ctx: _Context) -> Iterator[Finding]:
     any_scripts = bool(pkg.pool.scripts) or any(ds.scripts for ds in pkg.datasets)
     if pkg.pool.raw_files and not any_scripts:
         yield _f(
-            "R11",
-            "warning",
             "raw data is present but no cleaning script accompanies it",
             path=pkg.pool.raw_files[0].path,
         )
@@ -513,22 +452,15 @@ def _eval_r11(ctx: _Context) -> Iterator[Finding]:
 def _eval_r12(ctx: _Context) -> Iterator[Finding]:
     pkg = ctx.pkg
     if not pkg.datasets:
-        yield _f("R12", "error", "no analysis-ready tables under data/")
+        yield _f("no analysis-ready tables under data/")
     for ds in pkg.datasets:
-        for ref in sorted(ds.data_files, key=lambda r: r.path):
+        for ref in ds.data_files:
             _, error = ctx.load(_load_table, ref.path, _READ_ERRORS)
             if error is not None:
-                yield _f(
-                    "R12",
-                    "error",
-                    f"table cannot be parsed: {error}",
-                    path=ref.path,
-                )
-    for ref in sorted(pkg.pool.data_files, key=lambda r: r.path):
+                yield _f(f"table cannot be parsed: {error}", path=ref.path)
+    for ref in pkg.pool.data_files:
         if ref.kind is FileKind.BINARY_DATA:
             yield _f(
-                "R12",
-                "error",
                 "binary data under data/; ship the analysis-ready table as plain text",
                 path=ref.path,
             )
@@ -545,8 +477,6 @@ def _eval_r13(ctx: _Context) -> Iterator[Finding]:
             awkward = [name for name in names if not _NAME_RE.fullmatch(name)]
             if awkward:
                 yield _f(
-                    "R13",
-                    "warning",
                     "column name(s) are not machine-friendly: "
                     + ", ".join(repr(name) for name in awkward)
                     + "; use letters, digits, and underscores, starting with a letter",
@@ -556,11 +486,10 @@ def _eval_r13(ctx: _Context) -> Iterator[Finding]:
             lengthy = [name for name in names if len(name) > _NAME_LENGTH_LIMIT]
             if lengthy:
                 yield _f(
-                    "R13",
-                    "info",
                     f"column name(s) longer than {_NAME_LENGTH_LIMIT} characters: "
                     + ", ".join(repr(name) for name in lengthy),
                     path=ref.path,
+                    severity="info",
                 )
 
 
@@ -591,8 +520,6 @@ def _eval_r14(ctx: _Context) -> Iterator[Finding]:
                 offending = [c for c in considered if not is_date_token(c)]
                 if offending:
                     yield _f(
-                        "R14",
-                        "warning",
                         f"column {name!r} holds dates but {len(offending)} value(s) "
                         f"are not calendar-valid YYYY-MM-DD (e.g. {offending[0]!r})",
                         path=ref.path,
@@ -614,8 +541,6 @@ def _eval_r15(ctx: _Context) -> Iterator[Finding]:
                     suspicious.append(f"{name}: {tokens}")
             if suspicious:
                 yield _f(
-                    "R15",
-                    "warning",
                     "undeclared missing-value token(s) found -- " + "; ".join(suspicious),
                     path=ref.path,
                 )
@@ -624,42 +549,33 @@ def _eval_r15(ctx: _Context) -> Iterator[Finding]:
 def _eval_r16(ctx: _Context) -> Iterator[Finding]:
     pkg = ctx.pkg
     if pkg.checksums is None:
-        yield _f(
-            "R16",
-            "warning",
-            f"no {CHECKSUMS_NAME} manifest at the package top level",
-        )
+        yield _f(f"no {CHECKSUMS_NAME} manifest at the package top level")
         return
     try:
         manifest = parse_manifest((pkg.root / pkg.checksums.path).read_bytes())
     except ManifestError as exc:
-        yield _f("R16", "warning", f"manifest cannot be parsed: {exc}", path=pkg.checksums.path)
+        yield _f(f"manifest cannot be parsed: {exc}", path=pkg.checksums.path)
         return
     report = verify_manifest(
         pkg.root, manifest, include=lambda rel: rel != pkg.checksums.path
     )
     if report.mismatched:
         yield _f(
-            "R16",
-            "warning",
             "checksum mismatch for: " + ", ".join(report.mismatched),
             path=pkg.checksums.path,
             mismatched=",".join(report.mismatched),
         )
     if report.missing:
         yield _f(
-            "R16",
-            "warning",
             "manifest lists file(s) that do not exist: " + ", ".join(report.missing),
             path=pkg.checksums.path,
             missing=",".join(report.missing),
         )
     if report.extra:
         yield _f(
-            "R16",
-            "info",
             "file(s) not covered by the manifest: " + ", ".join(report.extra),
             path=pkg.checksums.path,
+            severity="info",
             extra=",".join(report.extra),
         )
 
@@ -673,16 +589,12 @@ def _eval_r17(ctx: _Context) -> Iterator[Finding]:
         size = ref.size_bytes
         if size > _RELEASE_LIMIT_BYTES:
             yield _f(
-                "R17",
-                "info",
                 f"{size} bytes exceeds the 2 GB single-file ceiling common for "
                 "repository releases; consider chunking",
                 path=ref.path,
             )
         if size > _ARCHIVE_LIMIT_BYTES:
             yield _f(
-                "R17",
-                "info",
                 f"{size} bytes exceeds the 50 GB single-file ceiling common for "
                 "archival deposits",
                 path=ref.path,
@@ -708,8 +620,6 @@ def _eval_r18(ctx: _Context) -> Iterator[Finding]:
             if len(labels) > 1:
                 variables = ", ".join(sorted(name for name, _ in members))
                 yield _f(
-                    "R18",
-                    "info",
                     f"code {code!r} means different things across variables sharing "
                     f"a code set ({variables}): " + ", ".join(sorted(labels)),
                     code=code,
@@ -717,37 +627,19 @@ def _eval_r18(ctx: _Context) -> Iterator[Finding]:
 
 
 _EVALUATORS: tuple[tuple[LintRule, Callable[[_Context], Iterable[Finding]]], ...] = tuple(
-    (RULES_BY_ID[name], evaluator)
-    for name, evaluator in (
-        ("R01", _eval_r01),
-        ("R02", _eval_r02),
-        ("R03", _eval_r03),
-        ("R04", _eval_r04),
-        ("R05", _eval_r05),
-        ("R06", _eval_r06),
-        ("R07", _eval_r07),
-        ("R08", _eval_r08),
-        ("R09", _eval_r09),
-        ("R10", _eval_r10),
-        ("R11", _eval_r11),
-        ("R12", _eval_r12),
-        ("R13", _eval_r13),
-        ("R14", _eval_r14),
-        ("R15", _eval_r15),
-        ("R16", _eval_r16),
-        ("R17", _eval_r17),
-        ("R18", _eval_r18),
-    )
+    (rule, globals()[f"_eval_{rule.id.lower()}"]) for rule in RULES
 )
 
 
 def lint_package(pkg: DataPackage, config: LintConfig | None = None) -> LintReport:
     """Run every enabled rule over a scanned package.
 
-    Findings are ordered by severity (errors first), rule id, path, and
-    detail, so the same package always yields the same report.  A rule
-    evaluator that crashes becomes a single ``R00`` warning naming the rule
-    instead of taking the whole run down.
+    Each finding gets its rule's id and the less severe of the rule's
+    effective severity and the one the evaluator declared.  Findings are
+    ordered by severity (errors first), rule id, path, and detail, so the
+    same package always yields the same report.  A rule evaluator that
+    crashes becomes a single ``R00`` warning naming the rule instead of
+    taking the whole run down.
     """
     config = config or LintConfig()
     ctx = _Context(pkg)
@@ -769,8 +661,9 @@ def lint_package(pkg: DataPackage, config: LintConfig | None = None) -> LintRepo
             )
             continue
         for finding in produced:
-            final_rank = max(_SEVERITY_RANK[effective], _SEVERITY_RANK[finding.severity])
-            findings.append(replace(finding, severity=SEVERITIES[final_rank]))
+            declared = finding.severity or rule.severity
+            final_rank = max(_SEVERITY_RANK[effective], _SEVERITY_RANK[declared])
+            findings.append(replace(finding, rule_id=rule.id, severity=SEVERITIES[final_rank]))
 
     findings.sort(
         key=lambda f: (_SEVERITY_RANK[f.severity], f.rule_id, f.path or "", f.detail)

@@ -346,6 +346,8 @@ def detect_dialect(sample: bytes) -> Dialect:
 
 
 _FENCE = "---"
+# A first line that is exactly the fence, as _line_split_keepends + rstrip see it.
+_OPENING_FENCE = re.compile(r"---\r*(?:\n|\Z)")
 
 
 def _line_split_keepends(text: str) -> list[str]:
@@ -430,8 +432,8 @@ def parse_csvy(data: bytes) -> tuple[FrontMatter, CsvTable]:
     schema = None
     body = text
 
-    lines = _line_split_keepends(text)
-    if lines and lines[0].rstrip("\r\n") == _FENCE:
+    if _OPENING_FENCE.match(text):
+        lines = _line_split_keepends(text)
         close_index = None
         for index in range(1, len(lines)):
             if lines[index].rstrip("\r\n") == _FENCE:

@@ -424,6 +424,29 @@ def test_pack_require_lint(package, tmp_path, capsys):
     assert not (tmp_path / "demo.tar").exists()
 
 
+def test_pack_require_lint_opens_each_manifest_file_once(package, tmp_path, capsys, monkeypatch):
+    # Only error rules can block a pack, and pack checks every MD5 on the
+    # bytes it archives, so the lint gate must not hash the tree a second time.
+    import builtins
+    import os
+
+    from tidypack import integrity, parse_manifest
+
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.path.relpath(file, package))
+        return builtins.open(file, *args, **kwargs)
+
+    monkeypatch.setattr(integrity, "open", counting_open, raising=False)
+    archive = tmp_path / "demo.tar"
+    code, _, _ = run(capsys, "pack", str(package), "--require-lint", "--output", str(archive))
+    assert code == EXIT_OK
+    assert archive.exists()
+    manifest = parse_manifest((package / "checksums.txt").read_bytes())
+    assert sorted(opened) == manifest.paths()
+
+
 def test_pack_refuses_stale_manifest(package, tmp_path, capsys):
     (package / "data/obs.csv").write_bytes(b"value\ntampered\n")
     archive = tmp_path / "demo.tar"

@@ -561,6 +561,13 @@ def test_rule_registry_shape():
     assert RULES_BY_ID["R16"].anchor == "Rule 8"
 
 
+def test_every_rule_has_exactly_one_evaluator():
+    # An evaluator no rule names would silently never run.
+    evaluators = sorted(name for name in vars(lint) if name.startswith("_eval_r"))
+    assert evaluators == [f"_eval_{rule.id.lower()}" for rule in RULES]
+    assert [rule.id for rule, _ in lint._EVALUATORS] == [rule.id for rule in RULES]
+
+
 def test_config_off_disables_a_rule(tmp_path):
     report = _lint(tmp_path, LintConfig(levels={"R01": "off"}))
     assert _by_rule(report, "R01") == []
