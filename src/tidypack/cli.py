@@ -6,8 +6,13 @@ check found problems (lint errors, failed verification, schema
 violations), 2 for usage, configuration, or malformed-input errors, and 3
 for I/O failures and unexpected internal errors.  With ``--format json``
 every command writes exactly one JSON document to stdout, also on failure
-(an ``error`` object).  Output is plain text; no color escapes are
-emitted, so ``NO_COLOR`` has nothing to strip.
+(an ``error`` object), and nothing else; a text-mode error is one
+``error:`` line on stderr only.  A failed write to stdout exits 3 with one
+``error:`` line on stderr, in either format.  Output is plain text; no
+color escapes are emitted, so ``NO_COLOR`` has nothing to strip.
+
+Handlers return a ``_Result`` and write nothing: ``_render`` is the only
+code that writes to stdout or stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ToolError
@@ -59,16 +65,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2, ensure_ascii=False) + "\n")
+@dataclass(frozen=True)
+class _Result:
+    """One command's exit code and output in both formats.
+
+    ``document`` is an object to dump as JSON, or canonical JSON bytes passed
+    on unchanged.  ``text`` and ``error`` are text mode's stdout and stderr.
+    """
+
+    code: int
+    document: object
+    text: str | bytes = ""
+    error: str = ""
 
 
-def _fail(json_mode: bool, code: int, message: str) -> int:
-    if json_mode:
-        _emit_json({"error": {"code": code, "message": message}})
-    else:
-        print(f"error: {message}", file=sys.stderr)
-    return code
+def _error(code: int, message: str) -> _Result:
+    return _Result(code, {"error": {"code": code, "message": message}}, error=f"error: {message}\n")
+
+
+def _lines(*lines: str) -> str:
+    return "".join(f"{line}\n" for line in lines)
 
 
 _AUTHOR_RE = re.compile(r"(?P<name>[^<>]+?)\s*<(?P<orcid>[^<>]+)>\s*\Z")
@@ -85,7 +101,7 @@ def _parse_author(text: str) -> Author:
 # Handlers
 
 
-def _cmd_init(args) -> int:
+def _cmd_init(args) -> _Result:
     request = ScaffoldRequest(
         package_name=args.name or Path(args.destination).name,
         dataset_names=list(args.dataset),
@@ -97,92 +113,69 @@ def _cmd_init(args) -> int:
     )
     package = scaffold(request, args.destination)
     paths = package.all_paths()
-    if args.format == "json":
-        _emit_json({"root": str(package.root), "files": paths})
-    else:
-        print(f"created {package.root} with {len(paths)} files")
-        for rel in paths:
-            print(f"  {rel}")
-    return EXIT_OK
+    return _Result(
+        EXIT_OK,
+        {"root": str(package.root), "files": paths},
+        _lines(f"created {package.root} with {len(paths)} files", *(f"  {rel}" for rel in paths)),
+    )
 
 
-def _cmd_lint(args) -> int:
+def _cmd_lint(args) -> _Result:
     config = load_config(args.config) if args.config else LintConfig()
     package = scan_package(args.target)
     report = lint_package(package, config)
-    if args.format == "json":
-        sys.stdout.write(report_to_json(report).decode("utf-8"))
-    else:
-        sys.stdout.write(report_to_text(report))
     failed = not report.passed or (args.strict and report.counts["warning"] > 0)
-    return EXIT_FINDINGS if failed else EXIT_OK
+    return _Result(EXIT_FINDINGS if failed else EXIT_OK, report_to_json(report), report_to_text(report))
 
 
-def _cmd_schema_infer(args) -> int:
+def _cmd_schema_infer(args) -> _Result:
     _, table = read_csvy(args.table)
     schema = infer_schema(
         table, name=Path(args.table).stem, path=str(args.table)
     )
-    sys.stdout.write(schema_to_json(schema).decode("utf-8"))
-    return EXIT_OK
+    document = schema_to_json(schema)
+    return _Result(EXIT_OK, document, document.decode("utf-8"))
 
 
-def _cmd_schema_validate(args) -> int:
+def _cmd_schema_validate(args) -> _Result:
     schema = schema_from_json(Path(args.schema).read_bytes())
     _, table = read_csvy(args.table)
     result = validate_table(table, schema)
-    if args.format == "json":
-        _emit_json(
-            {
-                "ok": result.ok,
-                "violations": [
-                    {
-                        "kind": v.kind,
-                        "field": v.field,
-                        "row": v.row,
-                        "value": v.value,
-                    }
-                    for v in result.violations
-                ],
-            }
-        )
-    else:
-        if result.ok:
-            print(f"{args.table} matches {args.schema}")
-        else:
-            print(f"{args.table} violates {args.schema}:")
-            for v in result.violations:
-                place = "table" if v.row is None else f"row {v.row}"
-                print(f"  {place}, field {v.field!r}: {v.kind}" + (f" (value {v.value!r})" if v.value else ""))
-    return EXIT_OK if result.ok else EXIT_FINDINGS
+    lines = [f"{args.table} matches {args.schema}" if result.ok else f"{args.table} violates {args.schema}:"]
+    for v in result.violations:
+        place = "table" if v.row is None else f"row {v.row}"
+        lines.append(f"  {place}, field {v.field!r}: {v.kind}" + (f" (value {v.value!r})" if v.value else ""))
+    document = {
+        "ok": result.ok,
+        "violations": [
+            {"kind": v.kind, "field": v.field, "row": v.row, "value": v.value}
+            for v in result.violations
+        ],
+    }
+    return _Result(EXIT_OK if result.ok else EXIT_FINDINGS, document, _lines(*lines))
 
 
-def _cmd_dict(args) -> int:
+def _cmd_dict(args) -> _Result:
     source = Path(args.source)
     if source.suffix.lower() == ".json":
         dictionary = dictionary_from_schema(schema_from_json(source.read_bytes()))
     else:
         dictionary = dictionary_from_csv(source.read_bytes())
-    if args.format == "json":
-        _emit_json(
+    document = {
+        "entries": [
             {
-                "entries": [
-                    {
-                        "variable": entry.variable_name,
-                        "class": entry.class_name,
-                        "description": entry.description,
-                        "codes": dict(sorted(entry.codes.items())),
-                        "missing_codes": sorted(entry.missing_codes),
-                    }
-                    for entry in dictionary.entries
-                ]
+                "variable": entry.variable_name,
+                "class": entry.class_name,
+                "description": entry.description,
+                "codes": dict(sorted(entry.codes.items())),
+                "missing_codes": sorted(entry.missing_codes),
             }
-        )
-    elif args.to == "csv":
-        sys.stdout.write(dictionary_to_csv(dictionary).decode("utf-8"))
-    else:
-        sys.stdout.write(dictionary_to_markdown(dictionary))
-    return EXIT_OK
+            for entry in dictionary.entries
+        ]
+    }
+    if args.to == "csv":
+        return _Result(EXIT_OK, document, dictionary_to_csv(dictionary).decode("utf-8"))
+    return _Result(EXIT_OK, document, dictionary_to_markdown(dictionary))
 
 
 def _inside(path: Path, root: Path) -> str | None:
@@ -194,7 +187,7 @@ def _inside(path: Path, root: Path) -> str | None:
     return path.relative_to(root).as_posix() if path.is_relative_to(root) else None
 
 
-def _cmd_checksum(args) -> int:
+def _cmd_checksum(args) -> _Result:
     root = Path(args.root)
     excluded = {CHECKSUMS_NAME}
     output = Path(args.output) if args.output else None
@@ -202,86 +195,68 @@ def _cmd_checksum(args) -> int:
         excluded.add(_inside(output, root))
     manifest = compute_manifest(root, include=lambda rel: rel not in excluded)
     text = serialize_manifest(manifest)
-    if output is not None:
-        output.write_bytes(text)
-    if args.format == "json":
-        _emit_json(
-            {
-                "entries": [{"path": e.path, "md5": e.md5} for e in manifest.entries],
-                "written": str(output) if output is not None else None,
-            }
-        )
-    elif output is not None:
-        print(f"wrote {len(manifest.entries)} checksums to {output}")
-    else:
-        sys.stdout.write(text.decode("utf-8"))
-    return EXIT_OK
+    document = {
+        "entries": [{"path": e.path, "md5": e.md5} for e in manifest.entries],
+        "written": str(output) if output is not None else None,
+    }
+    if output is None:
+        return _Result(EXIT_OK, document, text.decode("utf-8"))
+    output.write_bytes(text)
+    return _Result(EXIT_OK, document, _lines(f"wrote {len(manifest.entries)} checksums to {output}"))
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> _Result:
     root = Path(args.root)
     manifest_path = Path(args.manifest) if args.manifest else root / CHECKSUMS_NAME
     manifest = parse_manifest(manifest_path.read_bytes())
     excluded = {_inside(manifest_path, root)}
     report = verify_manifest(root, manifest, include=lambda rel: rel not in excluded)
-    if args.format == "json":
-        _emit_json(
-            {
-                "ok": report.ok,
-                "mismatched": report.mismatched,
-                "missing": report.missing,
-                "extra": report.extra,
-            }
-        )
-    else:
-        if report.ok:
-            print(f"OK: {len(manifest.entries)} files verified")
-        for path in report.mismatched:
-            print(f"MISMATCH {path}")
-        for path in report.missing:
-            print(f"MISSING  {path}")
-        for path in report.extra:
-            print(f"EXTRA    {path}")
-    return EXIT_OK if report.ok else EXIT_FINDINGS
+    document = {
+        "ok": report.ok,
+        "mismatched": report.mismatched,
+        "missing": report.missing,
+        "extra": report.extra,
+    }
+    text = _lines(
+        *([f"OK: {len(manifest.entries)} files verified"] if report.ok else []),
+        *(f"MISMATCH {path}" for path in report.mismatched),
+        *(f"MISSING  {path}" for path in report.missing),
+        *(f"EXTRA    {path}" for path in report.extra),
+    )
+    return _Result(EXIT_OK if report.ok else EXIT_FINDINGS, document, text)
 
 
-def _cmd_chunk(args) -> int:
+def _cmd_chunk(args) -> _Result:
     plan = chunk_table(args.table, args.max_rows)
-    if args.format == "json":
-        _emit_json(
-            {
-                "source": plan.source,
-                "data_rows": plan.data_rows,
-                "max_rows_per_chunk": plan.max_rows_per_chunk,
-                "chunks": plan.chunk_paths,
-            }
-        )
-    else:
-        print(
-            f"split {plan.source} ({plan.data_rows} rows) into {len(plan.chunk_paths)} "
-            f"chunk(s) of at most {plan.max_rows_per_chunk} rows"
-        )
-        for path in plan.chunk_paths:
-            print(f"  {path}")
-    return EXIT_OK
+    document = {
+        "source": plan.source,
+        "data_rows": plan.data_rows,
+        "max_rows_per_chunk": plan.max_rows_per_chunk,
+        "chunks": plan.chunk_paths,
+    }
+    text = _lines(
+        f"split {plan.source} ({plan.data_rows} rows) into {len(plan.chunk_paths)} "
+        f"chunk(s) of at most {plan.max_rows_per_chunk} rows",
+        *(f"  {path}" for path in plan.chunk_paths),
+    )
+    return _Result(EXIT_OK, document, text)
 
 
-def _cmd_unchunk(args) -> int:
+def _cmd_unchunk(args) -> _Result:
     if args.format == "json" and not args.output:
         raise _UsageError("--output is required with --format json")
     data = unchunk(args.chunks)
-    if args.output:
-        Path(args.output).write_bytes(data)
-        if args.format == "json":
-            _emit_json({"output": args.output, "bytes": len(data)})
-        else:
-            print(f"wrote {len(data)} bytes to {args.output}")
-    else:
-        sys.stdout.buffer.write(data)
-    return EXIT_OK
+    if not args.output:
+        return _Result(EXIT_OK, None, data)
+    Path(args.output).write_bytes(data)
+    return _Result(
+        EXIT_OK,
+        {"output": args.output, "bytes": len(data)},
+        _lines(f"wrote {len(data)} bytes to {args.output}"),
+    )
 
 
-def _cmd_pack(args) -> int:
+def _cmd_pack(args) -> _Result:
     root = Path(args.root)
     if args.require_lint:
         # Only error-ceiling rules can fail a package; pack checks every MD5 itself.
@@ -289,29 +264,31 @@ def _cmd_pack(args) -> int:
         report = lint_package(scan_package(root), blocking)
         if not report.passed:
             message = f"lint found {report.counts['error']} error(s); fix them or drop --require-lint"
-            return _fail(args.format == "json", EXIT_FINDINGS, message)
+            return _error(EXIT_FINDINGS, message)
     manifest_path = Path(args.manifest) if args.manifest else root / CHECKSUMS_NAME
     manifest = parse_manifest(manifest_path.read_bytes())
     destination = Path(args.output) if args.output else Path(f"{root.resolve().name}.tar")
     archive = pack(root, manifest, destination)
-    if args.format == "json":
-        _emit_json({"archive": str(archive), "files": len(manifest.entries) + 1})
-    else:
-        print(f"wrote {archive} ({len(manifest.entries)} files plus checksums.txt)")
-    return EXIT_OK
+    return _Result(
+        EXIT_OK,
+        {"archive": str(archive), "files": len(manifest.entries) + 1},
+        _lines(f"wrote {archive} ({len(manifest.entries)} files plus checksums.txt)"),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
+def _add_command(parser: argparse.ArgumentParser, handler) -> None:
+    """Give a subcommand parser the shared ``--format`` option, last, and its handler."""
     parser.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
         help="output format (json prints exactly one document)",
     )
+    parser.set_defaults(handler=handler)
 
 
 def build_parser() -> _Parser:
@@ -327,92 +304,112 @@ def build_parser() -> _Parser:
     p.add_argument("--year", type=int, help="publication year for the citation file")
     p.add_argument("--seed", action="append", default=[], metavar="TABLE", help="existing table to seed a dataset with (pairs with --dataset order)")
     p.add_argument("--name", help="package name (defaults to the destination directory name)")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_init)
+    _add_command(p, _cmd_init)
 
     p = sub.add_parser("lint", help="check a package against the conformance rules")
     p.add_argument("target", help="package root directory")
     p.add_argument("--config", help="rule severity overrides (RNN = off|error|warning|info)")
     p.add_argument("--strict", action="store_true", help="also fail (exit 1) on warnings")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_lint)
+    _add_command(p, _cmd_lint)
 
     p = sub.add_parser("schema", help="infer or validate table schemas")
     schema_sub = p.add_subparsers(dest="schema_command", required=True, metavar="action")
     pi = schema_sub.add_parser("infer", help="infer a schema from a table and print JSON")
     pi.add_argument("table", help="delimited table file")
-    _add_format(pi)
-    pi.set_defaults(handler=_cmd_schema_infer)
+    _add_command(pi, _cmd_schema_infer)
     pv = schema_sub.add_parser("validate", help="check a table against a schema")
     pv.add_argument("table", help="delimited table file")
     pv.add_argument("schema", help="schema JSON file")
-    _add_format(pv)
-    pv.set_defaults(handler=_cmd_schema_validate)
+    _add_command(pv, _cmd_schema_validate)
 
     p = sub.add_parser("dict", help="convert a schema or dictionary table")
     p.add_argument("source", help="schema .json or dictionary table file")
     p.add_argument("--to", choices=("markdown", "csv"), default="markdown", help="text output form")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_dict)
+    _add_command(p, _cmd_dict)
 
     p = sub.add_parser("checksum", help="compute an MD5 manifest for a tree")
     p.add_argument("root", help="directory to checksum")
     p.add_argument("--output", help="write the manifest here instead of stdout")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_checksum)
+    _add_command(p, _cmd_checksum)
 
     p = sub.add_parser("verify", help="verify a tree against its manifest")
     p.add_argument("root", help="directory to verify")
     p.add_argument("--manifest", help=f"manifest file (default: <root>/{CHECKSUMS_NAME})")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_verify)
+    _add_command(p, _cmd_verify)
 
     p = sub.add_parser("chunk", help="split a table into row-limited chunks")
     p.add_argument("table", help="table file to split")
     p.add_argument("--max-rows", type=int, required=True, metavar="N", help="maximum data rows per chunk")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_chunk)
+    _add_command(p, _cmd_chunk)
 
     p = sub.add_parser("unchunk", help="reassemble chunks into one table")
     p.add_argument("chunks", nargs="+", help="chunk files in order (name-1.csv name-2.csv ...)")
     p.add_argument("--output", help="write the reassembled table here (required with --format json)")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_unchunk)
+    _add_command(p, _cmd_unchunk)
 
     p = sub.add_parser("pack", help="write a reproducible tar archive of a package")
     p.add_argument("root", help="package root directory")
     p.add_argument("--output", help="archive path (default: <root-name>.tar)")
     p.add_argument("--manifest", help=f"manifest to pack from (default: <root>/{CHECKSUMS_NAME})")
     p.add_argument("--require-lint", action="store_true", help="refuse to pack unless lint passes")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_pack)
+    _add_command(p, _cmd_pack)
 
     return parser
 
 
+def _json_requested(argv: list[str]) -> bool:
+    """Whether ``argv`` asks for JSON, with argparse's own ``--format`` matching.
+
+    Decided apart from the full parse, so a usage error is reported in the
+    format asked for too: an abbreviation such as ``--form`` counts, and
+    the last occurrence wins.
+    """
+    parser = _Parser(add_help=False)
+    parser.add_argument("--format")
+    try:
+        return parser.parse_known_args(argv)[0].format == "json"
+    except _UsageError:
+        return False
+
+
+def _render(result: _Result, json_mode: bool) -> int:
+    """Write ``result`` in the format asked for and return its exit code."""
+    if not json_mode:
+        out, err = result.text, result.error
+    elif isinstance(result.document, bytes):
+        out, err = result.document.decode("utf-8"), ""
+    else:
+        out, err = json.dumps(result.document, indent=2, ensure_ascii=False) + "\n", ""
+    try:
+        if sys.stdout is None or sys.stdout.closed:  # None: started with file descriptor 1 closed
+            raise OSError("stdout is closed")
+        if isinstance(out, bytes):
+            sys.stdout.buffer.write(out)
+        else:
+            sys.stdout.write(out)
+        sys.stdout.flush()
+    except OSError as exc:  # no stdout left to carry a document, so stderr in either format
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_IO
+    sys.stderr.write(err)
+    return result.code
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    json_requested = "--format=json" in argv or (
-        "--format" in argv
-        and argv.index("--format") + 1 < len(argv)
-        and argv[argv.index("--format") + 1] == "json"
-    )
+    json_mode = _json_requested(argv)
     try:
         args = build_parser().parse_args(argv)
-    except _UsageError as exc:
-        return _fail(json_requested, EXIT_USAGE, str(exc))
-    json_mode = getattr(args, "format", "text") == "json"
-    try:
-        return args.handler(args)
-    except _UsageError as exc:
-        return _fail(json_mode, EXIT_USAGE, str(exc))
-    except ToolError as exc:
-        return _fail(json_mode, EXIT_USAGE, str(exc))
+        # Inside the try: output this stdout cannot encode becomes an error result too.
+        return _render(args.handler(args), json_mode)
+    except (_UsageError, ToolError) as exc:
+        result = _error(EXIT_USAGE, str(exc))
     except OSError as exc:
-        return _fail(json_mode, EXIT_IO, str(exc))
+        result = _error(EXIT_IO, str(exc))
     except Exception as exc:
         # Last resort: even a defect keeps the exit-code and one-document contract.
-        return _fail(json_mode, EXIT_IO, f"internal error: {type(exc).__name__}: {exc}")
+        result = _error(EXIT_IO, f"internal error: {type(exc).__name__}: {exc}")
+    return _render(result, json_mode)
 
 
 if __name__ == "__main__":

@@ -273,6 +273,7 @@ def scan_package(root: str | Path) -> DataPackage:
     if not root.is_dir():
         raise NotADirectoryError(f"package root is not a directory: {root}")
 
+    # Keyed in walk_files' sorted path order, which every listing below keeps.
     refs = {
         rel: FileRef(path=rel, size_bytes=size, kind=classify_file(rel))
         for rel, size in walk_files(root)
@@ -323,7 +324,7 @@ def scan_package(root: str | Path) -> DataPackage:
         prefix = directory + "/"
         return [
             ref
-            for rel, ref in sorted(refs.items())
+            for rel, ref in refs.items()
             if rel.startswith(prefix) and "/" not in rel[len(prefix):]
         ]
 
@@ -380,7 +381,7 @@ def scan_package(root: str | Path) -> DataPackage:
                 getattr(only, bucket.name).extend(getattr(pool, bucket.name))
         pool = PackagePool(data_files=pool.data_files)
 
-    unclassified = [ref for rel, ref in sorted(refs.items()) if rel not in claimed]
+    unclassified = [ref for rel, ref in refs.items() if rel not in claimed]
 
     return DataPackage(
         root=root,

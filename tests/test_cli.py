@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -533,6 +534,114 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch
     else:
         assert out == ""
         assert err == "error: internal error: RuntimeError: boom\n"
+
+
+# One row per handler and outcome; the exit code is the README's table:
+# 0 success, 1 a check found problems, 2 usage or malformed input, 3 I/O.
+CONTRACT = [
+    ("init", "ok", ["init", "{w}/new", "--dataset", "obs"], EXIT_OK),
+    ("init", "error", ["init", "{w}/demo", "--dataset", "obs"], EXIT_USAGE),
+    ("lint", "ok", ["lint", "{w}/demo"], EXIT_OK),
+    ("lint", "findings", ["lint", "{w}/empty"], EXIT_FINDINGS),
+    ("lint", "error", ["lint", "{w}/gone"], EXIT_IO),
+    ("schema infer", "ok", ["schema", "infer", "{w}/t.csv"], EXIT_OK),
+    ("schema infer", "error", ["schema", "infer", "{w}/gone.csv"], EXIT_IO),
+    ("schema validate", "ok", ["schema", "validate", "{w}/t.csv", "{w}/t.json"], EXIT_OK),
+    ("schema validate", "findings", ["schema", "validate", "{w}/bad.csv", "{w}/t.json"], EXIT_FINDINGS),
+    ("schema validate", "error", ["schema", "validate", "{w}/t.csv", "{w}/broken.json"], EXIT_USAGE),
+    ("dict", "ok", ["dict", "{w}/t.json"], EXIT_OK),
+    ("dict", "error", ["dict", "{w}/broken.json"], EXIT_USAGE),
+    ("checksum", "ok", ["checksum", "{w}/demo"], EXIT_OK),
+    ("checksum", "error", ["checksum", "{w}/gone"], EXIT_IO),
+    ("verify", "ok", ["verify", "{w}/demo"], EXIT_OK),
+    ("verify", "findings", ["verify", "{w}/demo", "--manifest", "{w}/stale.txt"], EXIT_FINDINGS),
+    ("verify", "error", ["verify", "{w}/empty"], EXIT_IO),
+    ("chunk", "ok", ["chunk", "{w}/t.csv", "--max-rows", "1"], EXIT_OK),
+    ("chunk", "error", ["chunk", "{w}/t.csv", "--max-rows", "0"], EXIT_USAGE),
+    ("unchunk", "ok", ["unchunk", "{w}/c-1.csv", "{w}/c-2.csv", "--output", "{w}/merged.csv"], EXIT_OK),
+    ("unchunk", "error", ["unchunk", "{w}/gone-1.csv", "--output", "{w}/merged.csv"], EXIT_IO),
+    ("pack", "ok", ["pack", "{w}/demo", "--output", "{w}/demo.tar", "--require-lint"], EXIT_OK),
+    ("pack", "error", ["pack", "{w}/empty", "--output", "{w}/empty.tar", "--require-lint"], EXIT_FINDINGS),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "argv, outcome, expected", [(argv, outcome, code) for _, outcome, argv, code in CONTRACT],
+    ids=[f"{command}-{outcome}" for command, outcome, _, _ in CONTRACT],
+)
+def test_output_contract(package, tmp_path, capsys, argv, outcome, expected, fmt):
+    (tmp_path / "empty").mkdir()
+    _write(tmp_path, "t.csv", b"id,score\n1,2.5\n2,3\n")
+    _write(tmp_path, "bad.csv", b"id,score\nx,2.5\n")
+    _write(tmp_path, "t.json", b'{"name": "t", "schema": {"fields": [{"name": "id", "type": "integer"}, {"name": "score", "type": "number"}]}}')
+    _write(tmp_path, "broken.json", b"{broken")
+    _write(tmp_path, "c-1.csv", b"id\n1\n")
+    _write(tmp_path, "c-2.csv", b"id\n2\n")
+    stale = (package / "checksums.txt").read_bytes().replace(b"data/obs.csv", b"data/gone.csv")
+    _write(tmp_path, "stale.txt", stale)
+
+    code, out, err = run(capsys, *(a.format(w=tmp_path) for a in argv), "--format", fmt)
+    assert code == expected
+    if fmt == "json":
+        doc = one_json(out)
+        assert ("error" in doc) == (outcome == "error")
+        assert err == ""
+    elif outcome == "error":
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert out != ""
+        assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, json_mode",
+    [
+        (["--form", "json"], True),
+        (["--fo=json"], True),
+        (["--format", "text", "--format", "json"], True),
+        (["--format", "json", "--format", "text"], False),
+    ],
+)
+def test_parse_error_reads_format_as_argparse_does(tmp_path, capsys, argv, json_mode):
+    # argparse accepts any unambiguous prefix of --format and keeps the last one.
+    code, out, err = run(capsys, "lint", str(tmp_path), *argv, "--bogus")
+    assert code == EXIT_USAGE
+    if json_mode:
+        assert one_json(out) == {"error": {"code": EXIT_USAGE, "message": "unrecognized arguments: --bogus"}}
+        assert err == ""
+    else:
+        assert out == ""
+        assert err == "error: unrecognized arguments: --bogus\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", ["checksum", "lint", "verify"])
+def test_closed_stdout_pipe_exits_3_with_one_error_line(package, command, fmt):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "tidypack", command, str(package), "--format", fmt],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert child.returncode == EXIT_IO
+    assert child.stderr == "error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_missing_stdout_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch, fmt):
+    # A process started with file descriptor 1 closed has sys.stdout set to None.
+    monkeypatch.setattr(sys, "stdout", None)
+    code = main(["checksum", str(tmp_path), "--format", fmt])
+    monkeypatch.undo()
+    assert code == EXIT_IO
+    assert capsys.readouterr().err == "error: stdout is closed\n"
 
 
 def test_entry_points_run():
