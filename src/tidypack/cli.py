@@ -5,11 +5,12 @@ chunk, unchunk, pack.  Exit codes are uniform: 0 on success, 1 when a
 check found problems (lint errors, failed verification, schema
 violations), 2 for usage, configuration, or malformed-input errors, and 3
 for I/O failures and unexpected internal errors.  With ``--format json``
-every command writes exactly one JSON document to stdout, also on failure
-(an ``error`` object), and nothing else; a text-mode error is one
-``error:`` line on stderr only.  A failed write to stdout exits 3 with one
-``error:`` line on stderr, in either format.  Output is plain text; no
-color escapes are emitted, so ``NO_COLOR`` has nothing to strip.
+every command writes exactly one JSON document to stdout, in UTF-8 whatever
+the locale, also on failure (an ``error`` object), and nothing else; a
+text-mode error is one ``error:`` line on stderr only.  A failed write to
+stdout, or text the stdout encoding cannot carry, exits 3 with one
+``error:`` line on stderr.  Output is plain text; no color escapes are
+emitted, so ``NO_COLOR`` has nothing to strip.
 
 Handlers return a ``_Result`` and write nothing: ``_render`` is the only
 code that writes to stdout or stderr.
@@ -373,13 +374,18 @@ def _json_requested(argv: list[str]) -> bool:
 
 
 def _render(result: _Result, json_mode: bool) -> int:
-    """Write ``result`` in the format asked for and return its exit code."""
+    """Write ``result`` in the format asked for and return its exit code.
+
+    JSON is written as UTF-8 bytes whatever the stdout encoding (RFC 8259
+    section 8.1).  Text that the stdout encoding cannot carry is refused
+    whole: nothing reaches stdout and one ``error:`` line says so.
+    """
     if not json_mode:
         out, err = result.text, result.error
     elif isinstance(result.document, bytes):
-        out, err = result.document.decode("utf-8"), ""
+        out, err = result.document, ""
     else:
-        out, err = json.dumps(result.document, indent=2, ensure_ascii=False) + "\n", ""
+        out, err = (json.dumps(result.document, indent=2, ensure_ascii=False) + "\n").encode("utf-8"), ""
     try:
         if sys.stdout is None or sys.stdout.closed:  # None: started with file descriptor 1 closed
             raise OSError("stdout is closed")
@@ -391,6 +397,12 @@ def _render(result: _Result, json_mode: bool) -> int:
     except OSError as exc:  # no stdout left to carry a document, so stderr in either format
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IO
+    except UnicodeEncodeError as exc:  # text mode only: the encoder rejects the whole string
+        sys.stderr.write(
+            f"error: output cannot be written in the stdout encoding {exc.encoding!r}; "
+            "set PYTHONIOENCODING=utf-8\n"
+        )
+        return EXIT_IO
     sys.stderr.write(err)
     return result.code
 
@@ -400,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     json_mode = _json_requested(argv)
     try:
         args = build_parser().parse_args(argv)
-        # Inside the try: output this stdout cannot encode becomes an error result too.
+        # Inside the try: a defect while rendering becomes an error result too.
         return _render(args.handler(args), json_mode)
     except (_UsageError, ToolError) as exc:
         result = _error(EXIT_USAGE, str(exc))

@@ -509,16 +509,15 @@ def _eval_r14(ctx: _Context) -> Iterator[Finding]:
     for ds in ctx.pkg.datasets:
         declared = ctx.declared_missing(ds)
         for ref, table in ctx.dataset_tables(ds):
-            for index, name in enumerate(table.column_names):
-                considered = [
-                    row[index]
-                    for row in table.rows
-                    if row[index] != "" and row[index] not in declared
-                ]
+            for name, cells in zip(table.column_names, table.columns):
+                # Each distinct value is tested once; the column is walked
+                # again only to count and order the offending cells.
+                considered = set(cells).difference(declared, ("",))
                 if not considered or not all(_looks_dateish(c) for c in considered):
                     continue
-                offending = [c for c in considered if not is_date_token(c)]
-                if offending:
+                bad = {c for c in considered if not is_date_token(c)}
+                if bad:
+                    offending = [c for c in cells if c in bad]
                     yield _f(
                         f"column {name!r} holds dates but {len(offending)} value(s) "
                         f"are not calendar-valid YYYY-MM-DD (e.g. {offending[0]!r})",
@@ -533,8 +532,7 @@ def _eval_r15(ctx: _Context) -> Iterator[Finding]:
         declared = ctx.declared_missing(ds)
         for ref, table in ctx.dataset_tables(ds):
             suspicious: list[str] = []
-            for index, name in enumerate(table.column_names):
-                cells = [row[index] for row in table.rows]
+            for name, cells in zip(table.column_names, table.columns):
                 profile = detect_missing_tokens(cells, declared)
                 if profile.suspects:
                     tokens = ", ".join(repr(t) for t in sorted(profile.suspects))

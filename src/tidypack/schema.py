@@ -121,8 +121,8 @@ def infer_field_type(
     cells: Iterable[str], missing_values: Iterable[str] = DEFAULT_MISSING_VALUES
 ) -> str:
     """Pick the most specific field type every non-missing cell satisfies."""
-    missing = frozenset(missing_values)
-    observed = [cell for cell in cells if cell not in missing]
+    # The checks are pure, so each distinct value is tested once.
+    observed = set(cells).difference(missing_values)
     if not observed:
         return "string"
     for candidate in _INFERENCE_ORDER:
@@ -152,12 +152,10 @@ def infer_schema(
         else:
             name = "table"
     missing = frozenset(missing_values)
-    fields = []
-    for index, column_name in enumerate(table.column_names):
-        cells = [row[index] for row in table.rows]
-        fields.append(
-            FieldDescriptor(name=column_name, type=infer_field_type(cells, missing))
-        )
+    fields = [
+        FieldDescriptor(name=column_name, type=infer_field_type(cells, missing))
+        for column_name, cells in zip(table.column_names, table.columns)
+    ]
     return TableSchema(name=name, fields=fields, path=path, missing_values=missing)
 
 
@@ -184,30 +182,39 @@ def validate_table(table: CsvTable, schema: TableSchema) -> ValidationReport:
         if column_name not in schema_names:
             violations.append(Violation(kind="unknown_column", field=column_name))
 
-    checked = [
-        (index, name, schema.field(name))
-        for index, name in enumerate(names)
-        if name in schema_names
-    ]
+    # Each distinct value is classified once; only columns holding a bad
+    # value are walked again, row by row, to keep the violation order.
+    failing = []
+    for index, name in enumerate(names):
+        if name not in schema_names:
+            continue
+        type_name = schema.field(name).type
+        if type_name == "string":
+            continue
+        check = _TYPE_CHECKS[type_name]
+        kinds = {
+            cell: _violation_kind(cell, type_name)
+            for cell in set(table.columns[index]).difference(schema.missing_values)
+            if not check(cell)
+        }
+        if kinds:
+            failing.append((index, name, kinds))
     for row_number, row in enumerate(table.rows, start=1):
-        for index, name, descriptor in checked:
-            cell = row[index]
-            if cell in schema.missing_values:
-                continue
-            if descriptor.type == "string":
-                continue
-            if _TYPE_CHECKS[descriptor.type](cell):
-                continue
-            if cell in MISSING_WATCHLIST:
-                kind = "undeclared_missing_token"
-            elif descriptor.type == "date":
-                kind = "bad_date_format"
-            else:
-                kind = "type_mismatch"
-            violations.append(
-                Violation(kind=kind, field=name, row=row_number, value=cell)
-            )
+        for index, name, kinds in failing:
+            kind = kinds.get(row[index])
+            if kind is not None:
+                violations.append(
+                    Violation(kind=kind, field=name, row=row_number, value=row[index])
+                )
     return ValidationReport(violations=violations)
+
+
+def _violation_kind(cell: str, type_name: str) -> str:
+    if cell in MISSING_WATCHLIST:
+        return "undeclared_missing_token"
+    if type_name == "date":
+        return "bad_date_format"
+    return "type_mismatch"
 
 
 def _field_to_obj(f: FieldDescriptor) -> dict[str, Any]:

@@ -5,7 +5,17 @@ module so that errors carry 1-based record numbers, cells round-trip
 byte-exactly, and the quoting rules stay pinned to what this package
 serializes: a field that starts with a double quote runs, delimiters and
 newlines included, until the matching close quote, and a doubled quote
-inside it is a literal quote.
+inside it is a literal quote (RFC 4180, narrowed to these rules).
+
+Most tables hold no quote at all.  When the decoded text has no double
+quote and no bare CR (a CR that no LF follows), its records are simply its
+non-empty lines, split on LF after CRLF is folded to LF, and its cells are
+those lines split on the delimiter; the state machine then never runs.
+Only LF and CRLF break lines on either path, never form feeds or Unicode
+line separators.  Both paths give the same records, so record numbers in
+errors do not depend on which one ran.  A parsed ``CsvTable`` builds its
+``columns`` once, on first use, for the column-wise checks in ``schema``
+and ``lint``.
 """
 
 from __future__ import annotations
@@ -13,6 +23,9 @@ from __future__ import annotations
 import datetime
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -30,6 +43,10 @@ CRLF = "\r\n"
 DELIMITERS = (",", "\t", ";")
 
 QUOTE = '"'
+
+# A line that is a record when the text has no quote and no bare CR: any
+# line but an empty one or the lone CR of a CRLF.
+_RECORD_LINE_RE = re.compile(r"(?!\r\n)[^\n]+")
 
 #: Tokens that commonly stand in for a missing value.  Cells equal to one of
 #: these are flagged when they are not declared as missing codes.
@@ -144,6 +161,15 @@ class CsvTable:
             return len(self.rows[0])
         return 0
 
+    @cached_property
+    def columns(self) -> tuple[tuple[str, ...], ...]:
+        """The cells column by column: ``columns[j]`` holds cell ``j`` of
+        every row, in row order.  Built on first use and then kept, so the
+        rows must not be changed after that."""
+        # Not zip(*rows): it makes one iterator per row, and allocating those
+        # sets off repeated garbage collections on large tables.
+        return tuple(tuple(map(itemgetter(j), self.rows)) for j in range(self.width))
+
     def column(self, name: str) -> list[str]:
         """All cells under the named column, in row order."""
         names = self.column_names
@@ -151,7 +177,7 @@ class CsvTable:
             index = names.index(name.strip())
         except ValueError:
             raise CsvError(f"no column named {name!r}; have {names}") from None
-        return [row[index] for row in self.rows]
+        return list(self.columns[index])
 
 
 @dataclass(frozen=True)
@@ -192,16 +218,44 @@ def _split_records(
     *,
     lenient: bool = False,
     limit: int | None = None,
-) -> list[tuple[int, list[str]]]:
-    """Split text into ``(record_number, cells)`` pairs.
+) -> list[list[str]]:
+    """Split text into records, each a list of cells.
 
-    Record numbers are 1-based and count emitted records only; lines with no
-    characters at all are skipped, so a trailing newline does not produce a
-    phantom empty record.  With ``lenient`` set, an unterminated quote at end
-    of input closes the field instead of raising (detection uses this on
-    truncated samples).  ``limit`` stops after that many records.
+    Lines with no characters at all are skipped, so a trailing newline does
+    not produce a phantom empty record.  With ``lenient`` set, an
+    unterminated quote at end of input closes the field instead of raising
+    (detection uses this on truncated samples).  ``limit`` stops after that
+    many records.
+
+    Text with no double quote and no bare CR (one not followed by LF) can
+    hold no quoted field and no line break other than LF or CRLF, so its
+    records are its non-empty lines split on the delimiter; everything
+    else goes through ``_split_quoted``.  With ``limit`` only the text up
+    to the last record wanted is checked, since that is all the state
+    machine would read.
     """
-    records: list[tuple[int, list[str]]] = []
+    head = text
+    if limit is not None:  # the state machine stops reading after the limit-th record
+        found = list(islice(_RECORD_LINE_RE.finditer(text), limit))
+        head = text[: found[-1].end() + 1] if found else ""
+    if QUOTE not in head:
+        lines = head.replace(CRLF, LF) if "\r" in head else head
+        if "\r" not in lines:  # a CR left over would be one that no LF follows
+            return [line.split(delimiter) for line in lines.split(LF) if line]
+    return _split_quoted(text, delimiter, lenient=lenient, limit=limit)
+
+
+def _split_quoted(
+    text: str,
+    delimiter: str,
+    *,
+    lenient: bool = False,
+    limit: int | None = None,
+) -> list[list[str]]:
+    """``_split_records`` for any text: a per-character state machine that
+    honors quoted fields and raises ``CsvError`` with the 1-based record
+    number of an unterminated quote."""
+    records: list[list[str]] = []
     cells: list[str] = []
     buf: list[str] = []
     in_quotes = False
@@ -214,7 +268,7 @@ def _split_records(
         nonlocal quoted_field, started
         cells.append("".join(buf))
         buf.clear()
-        records.append((len(records) + 1, cells.copy()))
+        records.append(cells.copy())
         cells.clear()
         quoted_field = False
         started = False
@@ -267,7 +321,7 @@ def _split_records(
 
 def _table_from_text(text: str, dialect: Dialect) -> CsvTable:
     """Split decoded text into a table; ``CsvTable`` checks the row widths."""
-    records = [cells for _, cells in _split_records(text, dialect.delimiter)]
+    records = _split_records(text, dialect.delimiter)
     if not dialect.has_header:
         return CsvTable(header=[], rows=records, dialect=dialect)
     if not records:
@@ -289,10 +343,7 @@ def _detect_from_text(text: str) -> Dialect:
 
     consistent: dict[str, int] = {}
     for delimiter in DELIMITERS:
-        counts = [
-            len(cells)
-            for _, cells in _split_records(text, delimiter, lenient=True, limit=20)
-        ]
+        counts = [len(cells) for cells in _split_records(text, delimiter, lenient=True, limit=20)]
         if not counts:
             continue
         modal = max(set(counts), key=lambda value: (counts.count(value), value))
@@ -310,10 +361,10 @@ def _detect_from_text(text: str) -> Dialect:
     records = _split_records(text, delimiter, lenient=True, limit=21)
     has_header = False
     if len(records) >= 2:
-        first = records[0][1]
+        first = records[0]
         if first and not any(is_number_token(cell) for cell in first):
             width = len(first)
-            body = [cells for _, cells in records[1:] if len(cells) == width]
+            body = [cells for cells in records[1:] if len(cells) == width]
             if body:
                 for j in range(width):
                     if all(is_number_token(row[j]) for row in body):

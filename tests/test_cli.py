@@ -644,6 +644,36 @@ def test_missing_stdout_exits_3_with_one_error_line(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().err == "error: stdout is closed\n"
 
 
+def _checksum_under_encoding(root, fmt: str, encoding: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "tidypack", "checksum", str(root), "--format", fmt],
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": encoding},
+    )
+
+
+def test_json_is_utf8_whatever_the_stdout_encoding(tmp_path):
+    # RFC 8259 section 8.1: JSON exchanged between systems is UTF-8.
+    (tmp_path / "é.txt").write_bytes(b"")
+    ascii_run = _checksum_under_encoding(tmp_path, "json", "ascii")
+    utf8_run = _checksum_under_encoding(tmp_path, "json", "utf-8")
+    assert ascii_run.returncode == utf8_run.returncode == EXIT_OK
+    assert ascii_run.stderr == utf8_run.stderr == b""
+    assert ascii_run.stdout == utf8_run.stdout
+    assert one_json(ascii_run.stdout.decode("utf-8"))["entries"][0]["path"] == "é.txt"
+
+
+def test_text_the_stdout_encoding_cannot_carry_is_not_an_internal_error(tmp_path):
+    (tmp_path / "é.txt").write_bytes(b"")
+    child = _checksum_under_encoding(tmp_path, "text", "ascii")
+    assert child.returncode == EXIT_IO
+    assert child.stdout == b""
+    assert child.stderr == (
+        b"error: output cannot be written in the stdout encoding 'ascii'; "
+        b"set PYTHONIOENCODING=utf-8\n"
+    )
+
+
 def test_entry_points_run():
     module = subprocess.run(
         [sys.executable, "-m", "tidypack", "--help"], capture_output=True, text=True

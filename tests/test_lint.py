@@ -391,6 +391,18 @@ def test_r14_almost_dates(tmp_path):
     assert _by_rule(_lint(tmp_path), "R14") == []
 
 
+def test_r14_counts_every_offending_cell_and_names_the_first(tmp_path):
+    _clean_package(tmp_path)
+    _write(
+        tmp_path,
+        "data/d.csv",
+        b"when\n2019-04-31\n2019-01-22\n2019-02-30\n\n2019-04-31\n2019-13-01\n",
+    )
+    (finding,) = _by_rule(_lint(tmp_path), "R14")
+    assert "holds dates but 4 value(s)" in finding.detail
+    assert finding.machine_data["example"] == "2019-04-31"
+
+
 def test_r15_undeclared_missing_tokens(tmp_path):
     _clean_package(tmp_path)
     _write(tmp_path, "data/m.csv", b"v\n-99\n1\n")

@@ -172,6 +172,45 @@ def test_validation_walks_rows_then_columns():
     ]
 
 
+def _cell_by_cell_violations(table, schema):
+    """Reference for validate_table's cell violations: every cell, row by row."""
+    from tidypack.schema import _TYPE_CHECKS
+    from tidypack.tabular import MISSING_WATCHLIST
+
+    out = []
+    for row_number, row in enumerate(table.rows, start=1):
+        for name, cell in zip(table.column_names, row):
+            type_name = schema.field(name).type
+            if cell in schema.missing_values or type_name == "string" or _TYPE_CHECKS[type_name](cell):
+                continue
+            if cell in MISSING_WATCHLIST:
+                kind = "undeclared_missing_token"
+            elif type_name == "date":
+                kind = "bad_date_format"
+            else:
+                kind = "type_mismatch"
+            out.append(Violation(kind, name, row_number, cell))
+    return out
+
+
+@given(
+    st.lists(st.sampled_from(_CELL_POOL), max_size=24),
+    st.lists(st.sampled_from(["string", "integer", "number", "boolean", "date"]), min_size=3, max_size=3),
+    st.sets(st.sampled_from(["NA", "", "-99"])),
+)
+@settings(max_examples=200)
+def test_validation_matches_a_cell_by_cell_walk(cells, types, missing):
+    # Repeated values matter: each distinct value is classified once.
+    rows = [cells[i : i + 3] for i in range(0, len(cells) - 2, 3)]
+    table = CsvTable(header=["a", "b", "c"], rows=rows)
+    schema = TableSchema(
+        name="t",
+        fields=[FieldDescriptor(name, type_name) for name, type_name in zip("abc", types)],
+        missing_values=missing,
+    )
+    assert validate_table(table, schema).violations == _cell_by_cell_violations(table, schema)
+
+
 def test_validation_structural_violations_come_first():
     table = parse_table(b"id,extra\n1,x\n", Dialect())
     schema = TableSchema(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 import yaml
@@ -27,6 +28,7 @@ from tidypack import (
     parse_table,
     serialize_csvy,
     serialize_table,
+    tabular,
 )
 
 # ---------------------------------------------------------------------------
@@ -472,6 +474,88 @@ def test_headerless_tokenizer_round_trip(table):
     again = parse_table(serialize_table(table), table.dialect)
     assert again.header == []
     assert again.rows == table.rows
+
+
+# ---------------------------------------------------------------------------
+# Record splitting: the quote-free fast path against the state machine
+
+_SPLITTER_CHARS = [",", ";", "\t", '"', "\r", "\n", "a"]
+
+
+def _parse_outcome(data: bytes, dialect: Dialect):
+    try:
+        table = parse_table(data, dialect)
+    except CsvError as exc:
+        return ("error", str(exc), exc.row)
+    return ("table", table.header, table.rows)
+
+
+def _detect_outcome(data: bytes):
+    try:
+        return detect_dialect(data)
+    except CsvError as exc:
+        return ("error", str(exc), exc.row)
+
+
+@given(
+    st.one_of(
+        st.text(alphabet=st.sampled_from(_SPLITTER_CHARS), max_size=30),
+        st.text(alphabet=st.sampled_from([c for c in _SPLITTER_CHARS if c != '"']), max_size=30),
+    )
+)
+@settings(max_examples=400)
+def test_fast_path_matches_the_state_machine(text):
+    data = text.encode()
+    dialects = [
+        Dialect(delimiter=delimiter, has_header=has_header)
+        for delimiter in tabular.DELIMITERS
+        for has_header in (True, False)
+    ]
+    fast = [_parse_outcome(data, d) for d in dialects] + [_detect_outcome(data)]
+    with mock.patch.object(tabular, "_split_records", tabular._split_quoted):
+        forced = [_parse_outcome(data, d) for d in dialects] + [_detect_outcome(data)]
+    assert fast == forced
+    # Detection reads a few leading records; a short limit reaches them here.
+    for delimiter in tabular.DELIMITERS:
+        for limit in (1, 2, 3):
+            assert tabular._split_records(
+                text, delimiter, lenient=True, limit=limit
+            ) == tabular._split_quoted(text, delimiter, lenient=True, limit=limit)
+
+
+def _no_state_machine(*args, **kwargs):
+    raise AssertionError("state machine reached")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_quote_free_text_skips_the_state_machine(monkeypatch, newline):
+    monkeypatch.setattr(tabular, "_split_quoted", _no_state_machine)
+    # Form feed and U+2028 are line breaks to str.splitlines, not to a table.
+    lines = ["name;n", "", "x\x0cy;1", newline, "p\u2028q;2", "", "\x85;3", ""]
+    data = b"\xef\xbb\xbf" + newline.join(lines).encode("utf-8")
+    rows = [["x\x0cy", "1"], ["p\u2028q", "2"], ["\x85", "3"]]
+    dialect = detect_dialect(data)
+    assert dialect == Dialect(delimiter=";", line_ending=newline, has_header=True)
+    table = parse_table(data, dialect)
+    assert (table.header, table.rows) == (["name", "n"], rows)
+    assert parse_csvy(data)[1] == table
+    with pytest.raises(CsvError, match="row 3: expected 2 cells, found 3"):
+        parse_table(data.replace(b";2", b";2;2"), dialect)
+
+
+@pytest.mark.parametrize("text", ['a,b\n"x",1\n', 'a,b\nx"y,1\n', "a,b\rx,1\n", "a,b\r\nx,1\r"])
+def test_quotes_and_bare_cr_reach_the_state_machine(monkeypatch, text):
+    monkeypatch.setattr(tabular, "_split_quoted", _no_state_machine)
+    with pytest.raises(AssertionError, match="state machine reached"):
+        parse_table(text.encode(), Dialect())
+
+
+def test_columns_are_built_once():
+    table = parse_table(b"a,b\n1,2\n3,4\n", Dialect())
+    assert table.columns == (("1", "3"), ("2", "4"))
+    assert table.columns is table.columns
+    assert table.column("b") == ["2", "4"]
+    assert CsvTable(header=["a", "b"], rows=[]).columns == ((), ())
 
 
 _SAFE_KEY = st.text(alphabet=st.sampled_from(string.ascii_lowercase), min_size=1, max_size=8).filter(
