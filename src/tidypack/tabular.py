@@ -1,21 +1,22 @@
 """Delimited plain-text tables: dialect detection, parsing, and csvy front matter.
 
-Tables are parsed by a small state machine rather than the stdlib ``csv``
-module so that errors carry 1-based record numbers, cells round-trip
-byte-exactly, and the quoting rules stay pinned to what this package
-serializes: a field that starts with a double quote runs, delimiters and
-newlines included, until the matching close quote, and a doubled quote
-inside it is a literal quote (RFC 4180, narrowed to these rules).
+Tables are parsed here rather than by the stdlib ``csv`` module so that
+errors carry 1-based record numbers, cells round-trip byte-exactly, and the
+quoting rules stay pinned to what this package serializes: a field that
+starts with a double quote runs, delimiters and newlines included, until the
+matching close quote, and a doubled quote inside it is a literal quote
+(RFC 4180, narrowed to these rules).
 
 Most tables hold no quote at all.  When the decoded text has no double
 quote and no bare CR (a CR that no LF follows), its records are simply its
 non-empty lines, split on LF after CRLF is folded to LF, and its cells are
-those lines split on the delimiter; the state machine then never runs.
-Only LF and CRLF break lines on either path, never form feeds or Unicode
-line separators.  Both paths give the same records, so record numbers in
-errors do not depend on which one ran.  A parsed ``CsvTable`` builds its
-``columns`` once, on first use, for the column-wise checks in ``schema``
-and ``lint``.
+those lines split on the delimiter.  Other text is read by one compiled
+regex per delimiter, one match per token: the quote-free rest of a record,
+which is split on the delimiter, or a single field.  Only LF and CRLF break
+lines on either path, never form feeds or Unicode line separators.  Both
+paths give the same records, so record numbers in errors do not depend on
+which one ran.  A parsed ``CsvTable`` builds its ``columns`` once, on first
+use, for the column-wise checks in ``schema`` and ``lint``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import datetime
 import re
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
@@ -195,11 +196,10 @@ class FrontMatter:
     schema: "TableSchema | None" = None
 
     def __post_init__(self):
-        for line in self.raw_yaml.split("\n"):
-            if line.rstrip("\r") == _FENCE:
-                raise FrontMatterError(
-                    "raw_yaml may not contain a bare '---' line; it would close the fence early"
-                )
+        if _FENCE_LINE.search(self.raw_yaml):
+            raise FrontMatterError(
+                "raw_yaml may not contain a bare '---' line; it would close the fence early"
+            )
 
 
 def _decode(data: bytes) -> str:
@@ -230,12 +230,12 @@ def _split_records(
     Text with no double quote and no bare CR (one not followed by LF) can
     hold no quoted field and no line break other than LF or CRLF, so its
     records are its non-empty lines split on the delimiter; everything
-    else goes through ``_split_quoted``.  With ``limit`` only the text up
-    to the last record wanted is checked, since that is all the state
-    machine would read.
+    else goes through the tokenizer, ``_split_quoted``.  With ``limit``
+    only the text up to the last record wanted is checked, since that is
+    all the tokenizer would read.
     """
     head = text
-    if limit is not None:  # the state machine stops reading after the limit-th record
+    if limit is not None:  # the tokenizer stops reading after the limit-th record
         found = list(islice(_RECORD_LINE_RE.finditer(text), limit))
         head = text[: found[-1].end() + 1] if found else ""
     if QUOTE not in head:
@@ -245,6 +245,23 @@ def _split_records(
     return _split_quoted(text, delimiter, lenient=lenient, limit=limit)
 
 
+@cache  # compiled on first use: most runs read no quoted text
+def _token_re(delimiter: str) -> re.Pattern[str]:
+    """One match per token, tried at every field start: either the
+    quote-free rest of a record (group 1), or one field, quoted (groups
+    2-3, the close quote missing when the text ends first) or not, then any
+    unquoted text up to its delimiter or line break (groups 4-5).  The second
+    alternative matches wherever the first fails, so ``finditer`` never
+    skips text."""
+    d = re.escape(delimiter)
+    tail = r'[^"\r\n]*(?:\r(?!\n)[^"\r\n]*)*'
+    plain = rf"[^{d}\r\n]*(?:\r(?!\n)[^{d}\r\n]*)*"
+    quoted = r'[^"]*(?:""[^"]*)*'
+    return re.compile(
+        rf'({tail})(?:\r?\n|\Z)|(?:"({quoted})(?:(")|\Z)|)({plain})({d}|\r?\n|\Z)'
+    )
+
+
 def _split_quoted(
     text: str,
     delimiter: str,
@@ -252,70 +269,30 @@ def _split_quoted(
     lenient: bool = False,
     limit: int | None = None,
 ) -> list[list[str]]:
-    """``_split_records`` for any text: a per-character state machine that
-    honors quoted fields and raises ``CsvError`` with the 1-based record
-    number of an unterminated quote."""
+    """``_split_records`` for any text: a token regex that honors quoted
+    fields and raises ``CsvError`` with the 1-based record number of an
+    unterminated quote."""
     records: list[list[str]] = []
-    cells: list[str] = []
-    buf: list[str] = []
-    in_quotes = False
-    quoted_field = False  # current field began with an opening quote
-    started = False  # current record has consumed at least one character
-    i = 0
-    n = len(text)
-
-    def end_record() -> None:
-        nonlocal quoted_field, started
-        cells.append("".join(buf))
-        buf.clear()
-        records.append(cells.copy())
-        cells.clear()
-        quoted_field = False
-        started = False
-
-    while i < n:
-        ch = text[i]
-        if in_quotes:
-            if ch == QUOTE:
-                if i + 1 < n and text[i + 1] == QUOTE:
-                    buf.append(QUOTE)
-                    i += 2
-                    continue
-                in_quotes = False
-                i += 1
-                continue
-            buf.append(ch)
-            i += 1
-            continue
-        if ch == QUOTE and not buf and not quoted_field:
-            in_quotes = True
-            quoted_field = True
-            started = True
-            i += 1
-            continue
-        if ch == delimiter:
-            cells.append("".join(buf))
-            buf.clear()
-            quoted_field = False
-            started = True
-            i += 1
-            continue
-        if ch == "\n" or (ch == "\r" and i + 1 < n and text[i + 1] == "\n"):
-            i += 2 if ch == "\r" else 1
-            if not started:
+    cells: list[str] = []  # the open record's cells so far
+    for match in _token_re(delimiter).finditer(text):
+        tail, quoted, closed, plain, end = match.groups()
+        if tail is not None:
+            if not (tail or cells):
                 continue  # a line with no characters is not a record
-            end_record()
-            if limit is not None and len(records) >= limit:
-                return records
-            continue
-        buf.append(ch)
-        started = True
-        i += 1
-
-    if in_quotes and not lenient:
-        raise CsvError("unterminated quoted field", row=len(records) + 1)
-    if started:
-        end_record()
+            cells += tail.split(delimiter)
+        else:
+            if quoted is None:
+                cells.append(plain)
+            elif closed is None and not lenient:
+                raise CsvError("unterminated quoted field", row=len(records) + 1)
+            else:
+                cells.append(quoted.replace('""', QUOTE) + plain)
+            if end == delimiter:
+                continue
+        records.append(cells)
+        cells = []
+        if limit is not None and len(records) >= limit:
+            break
     return records
 
 
@@ -396,23 +373,25 @@ def detect_dialect(sample: bytes) -> Dialect:
     return _detect_from_text(_decode(sample))
 
 
-_FENCE = "---"
-# A first line that is exactly the fence, as _line_split_keepends + rstrip see it.
-_OPENING_FENCE = re.compile(r"---\r*(?:\n|\Z)")
+# A line that is exactly ``---``, trailing CRs aside: the first line opens
+# front matter, and the next such line closes it.
+_FENCE_LINE = re.compile(r"^---\r*(?:\n|\Z)", re.M)
 
 
-def _line_split_keepends(text: str) -> list[str]:
-    """Split into lines, keeping terminators, without splitting on exotica.
+def _split_front_matter(text: str) -> tuple[str, str]:
+    """Split text into verbatim front-matter YAML and the body after it.
 
-    ``str.splitlines`` also breaks on form feeds and unicode separators,
-    which would corrupt the byte-exact front-matter round trip, so this
-    splits only on LF.
+    Text that does not open with a fence line has no front matter.  Only LF
+    ends a line here: ``str.splitlines`` would also break on form feeds and
+    Unicode separators and corrupt the byte-exact round trip.
     """
-    lines = text.split("\n")
-    out = [line + "\n" for line in lines[:-1]]
-    if lines[-1]:
-        out.append(lines[-1])
-    return out
+    opening = _FENCE_LINE.match(text)
+    if opening is None:
+        return "", text
+    closing = _FENCE_LINE.search(text, opening.end())
+    if closing is None:
+        raise FrontMatterError("front matter fence '---' is never closed")
+    return text[opening.end() : closing.start()], text[closing.end() :]
 
 
 class _FrontMatterLoader(yaml.SafeLoader):
@@ -477,23 +456,10 @@ def parse_csvy(data: bytes) -> tuple[FrontMatter, CsvTable]:
     Raises ``FrontMatterError`` for an unclosed fence or YAML outside the
     supported subset, and ``CsvError``/``EncodingError`` for a bad body.
     """
-    text = _decode(data)
-    raw_yaml = ""
+    raw_yaml, body = _split_front_matter(_decode(data))
     mapping: dict = {}
     schema = None
-    body = text
-
-    if _OPENING_FENCE.match(text):
-        lines = _line_split_keepends(text)
-        close_index = None
-        for index in range(1, len(lines)):
-            if lines[index].rstrip("\r\n") == _FENCE:
-                close_index = index
-                break
-        if close_index is None:
-            raise FrontMatterError("front matter fence '---' is never closed")
-        raw_yaml = "".join(lines[1:close_index])
-        body = "".join(lines[close_index + 1 :])
+    if raw_yaml:
         mapping = _load_front_matter_mapping(raw_yaml)
         if "schema" in mapping:
             from .schema import schema_from_front_matter
@@ -509,34 +475,41 @@ def parse_csvy(data: bytes) -> tuple[FrontMatter, CsvTable]:
     return front, _table_from_text(body, dialect)
 
 
+def _needs_quotes(text: str, delimiter: str) -> bool:
+    return QUOTE in text or delimiter in text or "\n" in text or "\r" in text
+
+
 def _render_cell(cell: str, delimiter: str) -> str:
-    if QUOTE in cell or delimiter in cell or "\n" in cell or "\r" in cell:
+    if _needs_quotes(cell, delimiter):
         return QUOTE + cell.replace(QUOTE, QUOTE + QUOTE) + QUOTE
     return cell
 
 
-def _render_line(cells: list[str], delimiter: str) -> str:
-    line = delimiter.join(_render_cell(cell, delimiter) for cell in cells)
-    # A lone empty cell would render as a blank line, which parsers skip;
-    # write it as a quoted empty instead so the record survives.
-    return '""' if line == "" else line
+def _render_column(cells: tuple[str, ...], delimiter: str) -> Iterable[str]:
+    # One scan of the whole column: most columns need no quoting at all.
+    if _needs_quotes("".join(cells), delimiter):
+        return [_render_cell(cell, delimiter) for cell in cells]
+    return cells
 
 
 def serialize_table(table: CsvTable) -> bytes:
     """Serialize a table canonically: LF endings, minimal quoting.
 
     A cell is quoted exactly when it contains the delimiter, a double
-    quote, or a line break (plus the one blank-line exception above).
+    quote, or a line break.  A lone empty cell would render as a blank
+    line, which parsers skip, so it is written as a quoted empty instead.
     Output always ends with a newline unless the table is completely empty.
     """
     delimiter = table.dialect.delimiter
-    lines: list[str] = []
-    if table.header:
-        lines.append(_render_line(table.header, delimiter))
-    for row in table.rows:
-        lines.append(_render_line(row, delimiter))
-    if not lines:
+    rows = [table.header, *table.rows] if table.header else table.rows
+    if not rows:
         return b""
+    columns = [
+        _render_column(tuple(map(itemgetter(j), rows)), delimiter) for j in range(len(rows[0]))
+    ]
+    lines = map(delimiter.join, zip(*columns))
+    if len(columns) == 1:
+        lines = (line or '""' for line in lines)
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

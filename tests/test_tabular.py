@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import re
 import string
 from dataclasses import replace
 from unittest import mock
@@ -604,3 +606,234 @@ def test_csvy_round_trip_property(front, table):
     assert front2.mapping == front.mapping
     assert table2 == replace(table, source=None)
     assert serialize_csvy(front2, table2) == data
+
+
+# ---------------------------------------------------------------------------
+# The token regex against the per-character state machine it replaced
+
+
+def _reference_split(
+    text: str,
+    delimiter: str,
+    *,
+    lenient: bool = False,
+    limit: int | None = None,
+) -> list[list[str]]:
+    """``_split_records`` for any text: a per-character state machine that
+    honors quoted fields and raises ``CsvError`` with the 1-based record
+    number of an unterminated quote."""
+    QUOTE = tabular.QUOTE
+    records: list[list[str]] = []
+    cells: list[str] = []
+    buf: list[str] = []
+    in_quotes = False
+    quoted_field = False  # current field began with an opening quote
+    started = False  # current record has consumed at least one character
+    i = 0
+    n = len(text)
+
+    def end_record() -> None:
+        nonlocal quoted_field, started
+        cells.append("".join(buf))
+        buf.clear()
+        records.append(cells.copy())
+        cells.clear()
+        quoted_field = False
+        started = False
+
+    while i < n:
+        ch = text[i]
+        if in_quotes:
+            if ch == QUOTE:
+                if i + 1 < n and text[i + 1] == QUOTE:
+                    buf.append(QUOTE)
+                    i += 2
+                    continue
+                in_quotes = False
+                i += 1
+                continue
+            buf.append(ch)
+            i += 1
+            continue
+        if ch == QUOTE and not buf and not quoted_field:
+            in_quotes = True
+            quoted_field = True
+            started = True
+            i += 1
+            continue
+        if ch == delimiter:
+            cells.append("".join(buf))
+            buf.clear()
+            quoted_field = False
+            started = True
+            i += 1
+            continue
+        if ch == "\n" or (ch == "\r" and i + 1 < n and text[i + 1] == "\n"):
+            i += 2 if ch == "\r" else 1
+            if not started:
+                continue  # a line with no characters is not a record
+            end_record()
+            if limit is not None and len(records) >= limit:
+                return records
+            continue
+        buf.append(ch)
+        started = True
+        i += 1
+
+    if in_quotes and not lenient:
+        raise CsvError("unterminated quoted field", row=len(records) + 1)
+    if started:
+        end_record()
+    return records
+
+
+def _split_outcome(split, text: str, delimiter: str, lenient: bool, limit: int | None):
+    try:
+        return split(text, delimiter, lenient=lenient, limit=limit)
+    except CsvError as exc:
+        return ("error", str(exc), exc.row)
+
+
+# Form feed, NEL and U+2028 break lines for str.splitlines but not for a table.
+_TOKENIZER_CHARS = _SPLITTER_CHARS + [" ", "\x0c", "\x85", "\u2028"]
+
+
+@given(
+    st.text(alphabet=st.sampled_from(_TOKENIZER_CHARS), max_size=40),
+    st.sampled_from(tabular.DELIMITERS),
+    st.booleans(),
+    st.sampled_from([None, 1, 2, 3]),
+)
+@settings(max_examples=1000)
+def test_tokenizer_matches_the_reference(text, delimiter, lenient, limit):
+    assert _split_outcome(tabular._split_quoted, text, delimiter, lenient, limit) == _split_outcome(
+        _reference_split, text, delimiter, lenient, limit
+    )
+
+
+_BIG = 100_000
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda d: '"' * _BIG,
+        lambda d: '"' + "a" * _BIG,
+        lambda d: '"a"' + d * _BIG,
+        lambda d: '"' + "\r\n" * _BIG,
+        # One token per blank line: linear, but slower than the state machine.
+        lambda d: '""' + "\r\n" * _BIG,
+    ],
+    ids=["quotes", "open-quote-then-text", "quoted-then-delimiters", "open-quote-then-blank-lines", "quoted-then-blank-lines"],
+)
+@pytest.mark.parametrize("delimiter", tabular.DELIMITERS)
+def test_tokenizer_matches_the_reference_at_scale(make, delimiter):
+    text = make(delimiter)
+    for lenient in (False, True):
+        assert _split_outcome(tabular._split_quoted, text, delimiter, lenient, None) == _split_outcome(
+            _reference_split, text, delimiter, lenient, None
+        )
+
+
+def _reference_front_matter(text: str) -> tuple[str, str]:
+    """The front-matter split as a line list: raw YAML and body, or an error."""
+    if not re.match(r"---\r*(?:\n|\Z)", text):
+        return "", text
+    parts = text.split("\n")
+    lines = [line + "\n" for line in parts[:-1]]
+    if parts[-1]:
+        lines.append(parts[-1])
+    close_index = None
+    for index in range(1, len(lines)):
+        if lines[index].rstrip("\r\n") == "---":
+            close_index = index
+            break
+    if close_index is None:
+        raise FrontMatterError("front matter fence '---' is never closed")
+    return "".join(lines[1:close_index]), "".join(lines[close_index + 1 :])
+
+
+def _front_matter_outcome(split, text: str):
+    try:
+        return split(text)
+    except FrontMatterError as exc:
+        return ("error", str(exc))
+
+
+def test_closing_fence_search_matches_the_line_split():
+    # Every string of up to 7 of these characters, after each opening line.
+    strings = ["".join(p) for n in range(8) for p in itertools.product("-\r\na,", repeat=n)]
+    prefixes = ["---\n", "---\r\n", "---\r\r\n", "---", "---\r"]
+    for prefix in prefixes:
+        for rest in strings:
+            text = prefix + rest
+            assert _front_matter_outcome(tabular._split_front_matter, text) == _front_matter_outcome(
+                _reference_front_matter, text
+            ), text
+
+
+# ---------------------------------------------------------------------------
+# Column-wise rendering against the row-wise loop it replaced
+
+
+def _reference_render_cell(cell: str, delimiter: str) -> str:
+    if '"' in cell or delimiter in cell or "\n" in cell or "\r" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _reference_render_line(cells: list[str], delimiter: str) -> str:
+    line = delimiter.join(_reference_render_cell(cell, delimiter) for cell in cells)
+    # A lone empty cell would render as a blank line, which parsers skip;
+    # write it as a quoted empty instead so the record survives.
+    return '""' if line == "" else line
+
+
+def _reference_serialize_csvy(front: FrontMatter | None, table: CsvTable) -> bytes:
+    delimiter = table.dialect.delimiter
+    lines: list[str] = []
+    if table.header:
+        lines.append(_reference_render_line(table.header, delimiter))
+    for row in table.rows:
+        lines.append(_reference_render_line(row, delimiter))
+    body = ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
+    parts: list[bytes] = []
+    if front is not None and front.raw_yaml:
+        raw = front.raw_yaml
+        if not raw.endswith("\n"):
+            raw += "\n"
+        parts.append(b"---\n")
+        parts.append(raw.encode("utf-8"))
+        parts.append(b"---\n")
+    if not parts and body.startswith(b"---\n"):
+        body = b'"---"' + body[3:]
+    parts.append(body)
+    return b"".join(parts)
+
+
+_RENDER_CELLS = st.one_of(
+    st.sampled_from(["", "---", '"', "\r", "\n", "\r\n"]),
+    st.text(alphabet=st.sampled_from([",", "\t", ";", '"', "\r", "\n", "-", "a", " "]), max_size=6),
+)
+
+
+@st.composite
+def _render_cases(draw):
+    delimiter = draw(st.sampled_from(tabular.DELIMITERS))
+    width = draw(st.integers(min_value=1, max_value=4))
+    header = draw(
+        st.one_of(
+            st.just([]),
+            st.lists(_RENDER_CELLS, min_size=width, max_size=width, unique_by=str.strip),
+        )
+    )
+    rows = draw(st.lists(st.lists(_RENDER_CELLS, min_size=width, max_size=width), max_size=6))
+    front = draw(st.sampled_from([None, FrontMatter(), FrontMatter(raw_yaml="title: x")]))
+    return front, CsvTable(header=header, rows=rows, dialect=Dialect(delimiter=delimiter))
+
+
+@given(_render_cases())
+@settings(max_examples=1000)
+def test_serialize_matches_the_row_wise_reference(case):
+    front, table = case
+    assert serialize_csvy(front, table) == _reference_serialize_csvy(front, table)
