@@ -31,6 +31,7 @@ from .integrity import (
     compute_manifest,
     pack,
     parse_manifest,
+    publish,
     serialize_manifest,
     unchunk,
     verify_manifest,
@@ -202,7 +203,7 @@ def _cmd_checksum(args) -> _Result:
     }
     if output is None:
         return _Result(EXIT_OK, document, text.decode("utf-8"))
-    output.write_bytes(text)
+    publish({output: text}, replace=True)
     return _Result(EXIT_OK, document, _lines(f"wrote {len(manifest.entries)} checksums to {output}"))
 
 
@@ -249,7 +250,7 @@ def _cmd_unchunk(args) -> _Result:
     data = unchunk(args.chunks)
     if not args.output:
         return _Result(EXIT_OK, None, data)
-    Path(args.output).write_bytes(data)
+    publish({Path(args.output): data}, replace=True)
     return _Result(
         EXIT_OK,
         {"output": args.output, "bytes": len(data)},

@@ -1,10 +1,15 @@
-"""Checksum manifests, table chunking, and deterministic archives.
+"""Checksum manifests, table chunking, deterministic archives, and output files.
 
 Manifests use MD5 in the classic ``md5sum`` layout: 32 hex digits, two
 spaces, a root-relative POSIX path, one file per line, sorted.  MD5 is a
 fixity check against bit rot and truncated copies here, not a defense
 against an adversary; the format reserves an ``algorithm:`` prefix on the
 digest so stronger hashes can appear later without breaking parsers.
+
+``publish`` is the only code in tidypack that creates an output file.  It
+writes all of a command's files or none: ``init``, ``chunk`` and ``pack``
+never overwrite, and ``checksum --output`` and ``unchunk --output`` replace
+their target atomically.
 """
 
 from __future__ import annotations
@@ -16,9 +21,10 @@ import os
 import re
 import tarfile
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import BinaryIO, Callable, Mapping, Sequence
 
 from .errors import ChunkError, ManifestError, PackError
 from .model import escapes_root, walk_files
@@ -28,6 +34,60 @@ _MD5_HEX_RE = re.compile(r"[0-9a-f]{32}")
 _MANIFEST_LINE_RE = re.compile(r"(?:(?P<algo>[a-z0-9]+):)?(?P<hex>[0-9a-fA-F]+)  (?P<path>.+)")
 
 _READ_BLOCK = 1024 * 1024
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_EXCL  # a new file; fails if the name exists
+
+
+def publish(
+    outputs: Mapping[Path, bytes | Callable[[BinaryIO], object]],
+    *,
+    replace: bool = False,
+    parents: bool = False,
+) -> None:
+    """Write each target's content (bytes, or a callable given a binary handle), all or none.
+
+    Each is staged in a hidden temporary sibling with mode ``0o666`` less the
+    umask, as ``open`` gives.  Unless ``replace``, every target name is then
+    claimed with ``O_EXCL``: one that exists or appears raises
+    ``FileExistsError`` and is never overwritten.  A replaced target keeps its
+    permission bits.  On any exception, only what this call made is removed
+    (temporaries, claimed names, ``parents`` directories), and an ``OSError``
+    names the target, not its temporary.
+    """
+    made: list[Path] = []  # removed last first, so files go before their directories
+    staged: dict[str, Path] = {}  # temporary -> target
+    try:
+        for target, content in outputs.items():
+            if parents:
+                made.extend(reversed([d for d in target.parents if not d.is_dir()]))
+                target.parent.mkdir(parents=True, exist_ok=True)
+            temp = os.path.join(target.parent, f".tidypack-{os.urandom(6).hex()}.tmp")
+            staged[temp] = target
+            fd = os.open(temp, _CREATE, 0o666)
+            made.append(Path(temp))
+            with os.fdopen(fd, "wb") as handle:
+                if replace:
+                    with suppress(FileNotFoundError):
+                        os.chmod(temp, os.stat(target).st_mode & 0o7777)
+                if callable(content):
+                    content(handle)
+                else:
+                    handle.write(content)
+        if not replace:
+            for target in staged.values():
+                os.close(os.open(target, _CREATE, 0o666))
+                made.append(target)
+        for temp, target in staged.items():
+            os.replace(temp, target)
+    except BaseException as exc:
+        for path in reversed(made):
+            with suppress(OSError):
+                if path.is_dir():
+                    path.rmdir()
+                else:
+                    path.unlink()
+        if isinstance(exc, OSError) and exc.filename in staged:
+            exc.filename, exc.filename2 = str(staged[exc.filename]), None
+        raise
 
 
 def md5_hex(data: bytes) -> str:
@@ -171,20 +231,21 @@ def verify_manifest(
     manifest: ChecksumManifest,
     include: Callable[[str], bool] | None = None,
 ) -> VerifyReport:
-    """Recompute digests under ``root`` and compare with the manifest."""
-    actual = {
-        entry.path: entry.md5
-        for entry in compute_manifest(root, include=include).entries
-    }
+    """Recompute digests under ``root`` and compare with the manifest.
+
+    One walk: files the manifest lists are hashed, extras are only named.
+    """
     expected = {entry.path: entry.md5 for entry in manifest.entries}
-    mismatched = sorted(
-        path
-        for path, digest in expected.items()
-        if path in actual and actual[path] != digest
-    )
-    missing = sorted(path for path in expected if path not in actual)
-    extra = sorted(path for path in actual if path not in expected)
-    return VerifyReport(mismatched=mismatched, missing=missing, extra=extra)
+    mismatched: list[str] = []
+    extra: list[str] = []
+    for rel, _ in walk_files(root):
+        if include is not None and not include(rel):
+            continue
+        if rel not in expected:
+            extra.append(rel)
+        elif _md5_file(os.path.join(root, rel)) != expected.pop(rel):
+            mismatched.append(rel)
+    return VerifyReport(mismatched=mismatched, missing=sorted(expected), extra=extra)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +286,8 @@ def chunk_table(source: str | Path, max_rows_per_chunk: int) -> ChunkPlan:
     repeating the source's header (and front matter, if any).  A table of
     ``n`` data rows yields ``ceil(n / max_rows_per_chunk)`` chunks, except
     that zero rows still yield one header-only chunk.  Refuses to overwrite:
-    if any target chunk path already exists, nothing is written.
+    if any target chunk path exists, or appears while the chunks are
+    written, no chunk is left behind.
     """
     if max_rows_per_chunk < 1:
         raise ChunkError("max_rows_per_chunk must be at least 1")
@@ -244,14 +306,15 @@ def chunk_table(source: str | Path, max_rows_per_chunk: int) -> ChunkPlan:
         source.with_name(_chunk_name(source.stem, index, source.suffix))
         for index in range(1, count + 1)
     ]
-    for target in targets:
-        if target.exists():
-            raise ChunkError(f"refusing to overwrite existing file {target}")
 
-    for index, target in enumerate(targets):
-        start = index * max_rows_per_chunk
-        piece = replace(table, rows=table.rows[start : start + max_rows_per_chunk], source=None)
-        target.write_bytes(serialize_csvy(front, piece))
+    def piece(start: int) -> Callable[[BinaryIO], object]:
+        rows = table.rows[start : start + max_rows_per_chunk]
+        return lambda out: out.write(serialize_csvy(front, replace(table, rows=rows, source=None)))
+
+    try:
+        publish({target: piece(index * max_rows_per_chunk) for index, target in enumerate(targets)})
+    except FileExistsError as exc:
+        raise ChunkError(f"refusing to overwrite existing file {exc.filename}") from None
 
     return ChunkPlan(
         source=str(source),
@@ -341,16 +404,14 @@ def pack(
 
     Each file is read once: its MD5 is taken over the very bytes copied
     into the archive.  Any mismatched or missing manifest entry aborts the
-    pack and deletes the partial archive.  The archive contains exactly the
-    manifest's files plus a generated ``checksums.txt``, with entries sorted
-    by path, ``mtime`` pinned to zero, numeric owner 0:0, blank owner names,
-    mode 0644 for files and 0755 for directories, and no compression, so
-    packing the same tree twice yields identical bytes.
+    pack and leaves nothing at ``destination``, which is never overwritten.
+    The archive contains exactly the manifest's files plus a generated
+    ``checksums.txt``, with entries sorted by path, ``mtime`` pinned to zero,
+    numeric owner 0:0, blank owner names, mode 0644 for files and 0755 for
+    directories, and no compression, so packing the same tree twice yields
+    identical bytes.
     """
     destination = Path(destination)
-    if destination.exists():
-        raise PackError(f"refusing to overwrite existing archive {destination}")
-
     expected = {entry.path: entry.md5 for entry in manifest.entries}
     present = [rel for rel, _ in walk_files(root) if rel in expected]
     missing = sorted(expected.keys() - set(present))
@@ -380,10 +441,10 @@ def pack(
     members.append(("checksums.txt", manifest_bytes))
     members.sort(key=lambda item: item[0])
 
-    mismatched: list[str] = []
-    try:
+    def write(out: BinaryIO) -> None:
+        mismatched: list[str] = []
         with tarfile.open(
-            destination, mode="w", format=tarfile.USTAR_FORMAT, copybufsize=_READ_BLOCK
+            fileobj=out, mode="w", format=tarfile.USTAR_FORMAT, copybufsize=_READ_BLOCK
         ) as archive:
             for name, payload in members:
                 if payload is None:
@@ -408,10 +469,11 @@ def pack(
             raise PackError(
                 "the manifest may not list checksums.txt; the archive embeds a fresh copy"
             )
+
+    try:
+        publish({destination: write})
+    except FileExistsError:
+        raise PackError(f"refusing to overwrite existing archive {destination}") from None
     except ValueError as exc:
-        destination.unlink(missing_ok=True)
         raise PackError(f"cannot archive: {exc}") from None
-    except BaseException:
-        destination.unlink(missing_ok=True)
-        raise
     return destination

@@ -1,10 +1,10 @@
 """Create new data packages that pass their own lint.
 
 Scaffolding is planned entirely in memory (every file as bytes), then
-written in one pass, so a failing precondition changes nothing on disk and
-the same request always produces byte-identical trees.  The generated
-``checksums.txt`` is computed from the planned bytes, covering every file
-except itself.
+published all or nothing, so a failing precondition or write leaves the
+destination as it was, and the same request always produces byte-identical
+trees.  The generated ``checksums.txt`` is computed from the planned bytes,
+covering every file except itself.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ScaffoldError, ToolError
-from .integrity import ChecksumManifest, ManifestEntry, md5_hex, serialize_manifest
+from .integrity import ChecksumManifest, ManifestEntry, md5_hex, publish, serialize_manifest
 from .licenses import SPDX_IDS, LicenseKind, license_text
 from .model import DataPackage, scan_package
 from .schema import (
@@ -234,17 +234,21 @@ def scaffold(request: ScaffoldRequest, destination: str | Path) -> DataPackage:
     """Write a complete package skeleton and return its scanned model.
 
     The destination must not exist or must be an empty directory; anything
-    else raises ``ScaffoldError`` before a single byte is written.  The
-    result always carries a README, LICENSE, per-dataset table, schema,
-    dictionary, a cleaning-script stub, a checksum manifest, and (when a
-    DOI is given) a citation file, and lints with zero errors.
+    else raises ``ScaffoldError`` before a single byte is written, and a
+    failed write leaves the destination as it was.  The result always
+    carries a README, LICENSE, per-dataset table, schema, dictionary, a
+    cleaning-script stub, a checksum manifest, and (when a DOI is given) a
+    citation file, and lints with zero errors.
     """
     destination = Path(destination)
-    if destination.exists():
-        if not destination.is_dir():
-            raise ScaffoldError(f"destination exists and is not a directory: {destination}")
+    not_empty = f"destination directory is not empty: {destination}"
+    try:
         if any(destination.iterdir()):
-            raise ScaffoldError(f"destination directory is not empty: {destination}")
+            raise ScaffoldError(not_empty)
+    except FileNotFoundError:
+        pass
+    except NotADirectoryError:
+        raise ScaffoldError(f"destination exists and is not a directory: {destination}") from None
 
     planned: dict[str, bytes] = {}
     dictionaries: dict[str, DataDictionary] = {}
@@ -295,10 +299,9 @@ def scaffold(request: ScaffoldRequest, destination: str | Path) -> DataPackage:
     )
     planned["checksums.txt"] = serialize_manifest(manifest)
 
-    destination.mkdir(parents=True, exist_ok=True)
-    for rel in sorted(planned):
-        target = destination / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(planned[rel])
+    try:
+        publish({destination / rel: planned[rel] for rel in sorted(planned)}, parents=True)
+    except FileExistsError:
+        raise ScaffoldError(not_empty) from None
 
     return scan_package(destination)

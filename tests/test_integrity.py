@@ -596,3 +596,23 @@ def test_pack_opens_each_manifest_file_once(tmp_path, monkeypatch):
     monkeypatch.setattr(integrity, "open", counting_open, raising=False)
     pack(root, manifest, tmp_path / "pkg.tar")
     assert sorted(opened) == manifest.paths()
+
+
+def test_verify_manifest_hashes_only_listed_files(tmp_path, monkeypatch):
+    from tidypack import integrity
+
+    _fill(tmp_path, {"a.txt": b"alpha", "b.txt": b"beta"})
+    manifest = compute_manifest(tmp_path)
+    _fill(tmp_path, {"extra/big.bin": b"x" * 4096, "new.txt": b"!"})
+    (tmp_path / "b.txt").unlink()
+    hashed = []
+    real_md5_file = integrity._md5_file
+
+    def recording_md5_file(path):
+        hashed.append(os.path.relpath(path, tmp_path))
+        return real_md5_file(path)
+
+    monkeypatch.setattr(integrity, "_md5_file", recording_md5_file)
+    report = verify_manifest(tmp_path, manifest)
+    assert hashed == ["a.txt"]
+    assert (report.mismatched, report.missing, report.extra) == ([], ["b.txt"], ["extra/big.bin", "new.txt"])

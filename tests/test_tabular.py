@@ -132,6 +132,11 @@ def test_crlf_line_ending_detected():
     assert detect_dialect(b"a,b\r\n1,2\r\n").line_ending == "\r\n"
 
 
+def test_line_ending_detected_on_mixed_and_bare_cr_text():
+    assert detect_dialect(b"a,b\n1,2\r\n3,4\n").line_ending == "\r\n"
+    assert detect_dialect(b"a,b\n1,2\r3,4\n").line_ending == "\n"
+
+
 def test_empty_sample_is_an_error():
     with pytest.raises(CsvError):
         detect_dialect(b"")
