@@ -6,6 +6,10 @@ fixity check against bit rot and truncated copies here, not a defense
 against an adversary; the format reserves an ``algorithm:`` prefix on the
 digest so stronger hashes can appear later without breaking parsers.
 
+``pack`` writes each 512-byte ustar header itself from pinned fields, the
+bytes ``tarfile`` writes for the same member, and hashes each file as it
+copies it into the archive.
+
 ``publish`` is the only code in tidypack that creates an output file.  It
 writes all of a command's files or none: ``init``, ``chunk`` and ``pack``
 never overwrite, and ``checksum --output`` and ``unchunk --output`` replace
@@ -14,12 +18,11 @@ their target atomically.
 
 from __future__ import annotations
 
+import errno
 import hashlib
-import io
 import math
 import os
 import re
-import tarfile
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, replace
@@ -53,6 +56,10 @@ def publish(
     (temporaries, claimed names, ``parents`` directories), and an ``OSError``
     names the target, not its temporary.
     """
+    if not replace:  # an advisory look, so nothing is staged for a target that exists
+        for target in outputs:
+            if os.path.lexists(target):
+                raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), target)
     made: list[Path] = []  # removed last first, so files go before their directories
     staged: dict[str, Path] = {}  # temporary -> target
     try:
@@ -382,17 +389,39 @@ def unchunk(chunk_paths: Sequence[str | Path]) -> bytes:
 # Packing
 
 
-class _HashingReader:
-    """A read-only file view that feeds MD5 with every block it hands out."""
+def _ustar_header(name: str, size: int | None) -> bytes:
+    """The pinned 512-byte ustar header of a member: a directory when ``size`` is None.
 
-    def __init__(self, handle):
-        self._handle = handle
-        self.digest = hashlib.md5()
-
-    def read(self, size: int = -1) -> bytes:
-        block = self._handle.read(size)
-        self.digest.update(block)
-        return block
+    Byte for byte what ``tarfile`` writes in USTAR format for the member with
+    mode 0755 or 0644, owner 0:0, blank owner names and mtime 0.  A name over
+    100 bytes is split, as ``tarfile`` splits it, at the first ``/`` that
+    leaves at most 100 bytes after it and at most 155 before it.  A name no
+    ``/`` splits so, or a size of 8 GiB or more, raises ``PackError``.
+    """
+    raw = os.fsencode(name if size is not None else name + "/")
+    prefix = b""
+    if len(raw) > 100:
+        cut = raw.find(b"/", len(raw) - 101)  # the first '/' with at most 100 bytes after it
+        if not 0 <= cut <= 155:
+            raise PackError(f"cannot archive {name}: ustar paths take at most 155 bytes, '/', 100 bytes")
+        prefix, raw = raw[:cut], raw[cut + 1 :]
+    if size is not None and size >= 8**11:  # a size field holds 11 octal digits
+        raise PackError(f"cannot archive {name}: {size} bytes is over the ustar limit of 8 GiB")
+    header = b"".join((
+        raw.ljust(100, b"\0"),
+        b"0000755\0" if size is None else b"0000644\0",
+        b"0000000\0" b"0000000\0",  # uid, gid
+        b"%011o\0" % (size or 0),
+        b"00000000000\0",  # mtime
+        b" " * 8,  # the checksum field counts as spaces in the checksum
+        b"5" if size is None else b"0",
+        bytes(100),  # link name
+        b"ustar\x0000",
+        bytes(80),  # owner names and device numbers
+        prefix.ljust(155, b"\0"),
+        bytes(12),
+    ))
+    return b"%s%06o\0 %s" % (header[:148], sum(header), header[156:])
 
 
 def pack(
@@ -410,54 +439,54 @@ def pack(
     numeric owner 0:0, blank owner names, mode 0644 for files and 0755 for
     directories, and no compression, so packing the same tree twice yields
     identical bytes.
+
+    Headers are written directly, the bytes ``tarfile`` writes for the same
+    members, and every one is built before any file is read: a path over
+    ustar's 255-byte split or a file of 8 GiB or more is refused up front.
     """
     destination = Path(destination)
     expected = {entry.path: entry.md5 for entry in manifest.entries}
-    present = [rel for rel, _ in walk_files(root) if rel in expected]
-    missing = sorted(expected.keys() - set(present))
+    sizes = {rel: size for rel, size in walk_files(root) if rel in expected}
+    missing = sorted(expected.keys() - sizes.keys())
 
     directories: set[str] = set()
-    for rel in present:
+    for rel in sizes:
         parent = rel.rpartition("/")[0]
         while parent and parent not in directories:
             directories.add(parent)
             parent = parent.rpartition("/")[0]
 
-    def _info(name: str, size: int | None) -> tarfile.TarInfo:
-        """A pinned header: a directory when ``size`` is None, else a file."""
-        info = tarfile.TarInfo(name=name)
-        if size is None:
-            info.type, info.mode = tarfile.DIRTYPE, 0o755
-        else:
-            info.type, info.mode, info.size = tarfile.REGTYPE, 0o644, size
-        info.mtime = 0
-        info.uid = info.gid = 0
-        info.uname = info.gname = ""
-        return info
-
     manifest_bytes = serialize_manifest(manifest)
-    members: list[tuple[str, bytes | str | None]] = [(d, None) for d in directories]
-    members.extend((rel, rel) for rel in present)
-    members.append(("checksums.txt", manifest_bytes))
-    members.sort(key=lambda item: item[0])
+    # (name, size, payload): a file's payload is its path; a directory's is empty.
+    members: list[tuple[str, int | None, bytes | str]] = [(d, None, b"") for d in directories]
+    members.extend((rel, size, rel) for rel, size in sizes.items())
+    members.append(("checksums.txt", len(manifest_bytes), manifest_bytes))
+    members.sort(key=lambda member: member[0])
+    headers = [_ustar_header(name, size) for name, size, _ in members]
 
     def write(out: BinaryIO) -> None:
+        buffer = memoryview(bytearray(_READ_BLOCK))
         mismatched: list[str] = []
-        with tarfile.open(
-            fileobj=out, mode="w", format=tarfile.USTAR_FORMAT, copybufsize=_READ_BLOCK
-        ) as archive:
-            for name, payload in members:
-                if payload is None:
-                    archive.addfile(_info(name, None))
-                elif isinstance(payload, bytes):
-                    archive.addfile(_info(name, len(payload)), io.BytesIO(payload))
-                else:
-                    with open(os.path.join(root, payload), "rb") as handle:
-                        reader = _HashingReader(handle)
-                        size = os.fstat(handle.fileno()).st_size
-                        archive.addfile(_info(name, size), reader)
-                    if reader.digest.hexdigest() != expected[payload]:
-                        mismatched.append(payload)
+        for (name, size, payload), header in zip(members, headers):
+            if isinstance(payload, bytes):
+                out.write(header + payload + bytes(-len(payload) % 512))
+                continue
+            digest = hashlib.md5()
+            with open(os.path.join(root, payload), "rb", buffering=0) as handle:
+                length = remaining = os.fstat(handle.fileno()).st_size
+                out.write(header if length == size else _ustar_header(name, length))
+                while remaining:
+                    count = handle.readinto(buffer[:remaining])
+                    if not count:
+                        raise OSError("unexpected end of data")
+                    digest.update(buffer[:count])
+                    out.write(buffer[:count])
+                    remaining -= count
+            out.write(bytes(-length % 512))
+            if digest.hexdigest() != expected[payload]:
+                mismatched.append(payload)
+        out.write(bytes(1024))  # two zero blocks end the archive
+        out.write(bytes(-out.tell() % 10240))  # then tarfile's 20-block record
         problems = []
         if mismatched:
             problems.append("mismatched: " + ", ".join(mismatched))
@@ -474,6 +503,4 @@ def pack(
         publish({destination: write})
     except FileExistsError:
         raise PackError(f"refusing to overwrite existing archive {destination}") from None
-    except ValueError as exc:
-        raise PackError(f"cannot archive: {exc}") from None
     return destination

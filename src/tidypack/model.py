@@ -55,9 +55,11 @@ def classify_file(path: str | PurePosixPath) -> FileKind:
     plain-text table anywhere else.  Unknown or missing extensions are
     ``OTHER``.
     """
-    pure = PurePosixPath(path)
-    extension = pure.suffix[1:].lower()
-    top_level = len(pure.parts) == 1
+    path = str(path)
+    name = path.rpartition("/")[2]
+    dot = name.rfind(".")  # PurePosixPath.suffix: not a leading or trailing dot
+    extension = name[dot + 1 :].lower() if 0 < dot < len(name) - 1 else ""
+    top_level = "/" not in path
     if extension in _TABLE_EXTENSIONS:
         if extension == "txt" and top_level:
             return FileKind.DOCUMENT

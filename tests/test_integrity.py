@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 import string
+import subprocess
 import tarfile
 import time
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tidypack import (
@@ -596,6 +598,205 @@ def test_pack_opens_each_manifest_file_once(tmp_path, monkeypatch):
     monkeypatch.setattr(integrity, "open", counting_open, raising=False)
     pack(root, manifest, tmp_path / "pkg.tar")
     assert sorted(opened) == manifest.paths()
+
+
+def _counting_open(monkeypatch, root) -> list[str]:
+    """Record, root-relative, every file ``integrity`` opens."""
+    import builtins
+
+    from tidypack import integrity
+
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.path.relpath(file, root))
+        return builtins.open(file, *args, **kwargs)
+
+    monkeypatch.setattr(integrity, "open", counting_open, raising=False)
+    return opened
+
+
+def test_pack_refuses_too_long_path_before_opening_anything(tmp_path, monkeypatch):
+    root = tmp_path / "pkg"
+    _package_tree(root)
+    # No '/' leaves at most 100 bytes after it: the last component alone is 101.
+    long_rel = "data/" + "x" * 97 + ".csv"
+    _fill(root, {long_rel: b"a\n1\n"})
+    manifest = compute_manifest(root, include=lambda rel: rel != "checksums.txt")
+    (root / "README.md").write_bytes(b"# tampered\n")  # the path outranks verification
+    opened = _counting_open(monkeypatch, root)
+    with pytest.raises(PackError, match=f"cannot archive {long_rel}: ustar paths take"):
+        pack(root, manifest, tmp_path / "pkg.tar")
+    assert opened == []
+    assert not (tmp_path / "pkg.tar").exists()
+
+
+def test_pack_refuses_8_gib_file_before_reading_anything(tmp_path, monkeypatch):
+    root = tmp_path / "pkg"
+    manifest = _package_tree(root)
+    (root / "huge.bin").write_bytes(b"")
+    os.truncate(root / "huge.bin", 8**11)  # sparse: no block is written or read
+    entry = ManifestEntry("huge.bin", "0" * 32)  # hand-written: hashing 8 GiB is the cost avoided
+    manifest = ChecksumManifest(entries=manifest.entries + [entry])
+    opened = _counting_open(monkeypatch, root)
+    with pytest.raises(PackError, match=f"cannot archive huge.bin: {8**11} bytes is over"):
+        pack(root, manifest, tmp_path / "pkg.tar")
+    assert opened == []
+    assert not (tmp_path / "pkg.tar").exists()
+
+
+def test_pack_onto_existing_archive_opens_no_package_file(tmp_path, monkeypatch, capsys):
+    from tidypack.cli import EXIT_USAGE, main
+
+    root = tmp_path / "pkg"
+    manifest = _package_tree(root)
+    (root / "checksums.txt").write_bytes(serialize_manifest(manifest))
+    (root / "data/t.csv").write_bytes(b"stale\n")  # the existing archive outranks it
+    archive = tmp_path / "pkg.tar"
+    archive.write_bytes(b"occupied")
+    opened = _counting_open(monkeypatch, root)
+    assert main(["pack", str(root), "--output", str(archive)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: refusing to overwrite existing archive {archive}\n"
+    assert opened == []
+    assert archive.read_bytes() == b"occupied"
+
+
+def test_pack_file_shrinking_mid_copy_exits_3_and_leaves_nothing(tmp_path, monkeypatch, capsys):
+    import io
+
+    from tidypack import integrity
+    from tidypack.cli import EXIT_IO, main
+
+    root = tmp_path / "pkg"
+    manifest = _package_tree(root)
+    (root / "checksums.txt").write_bytes(serialize_manifest(manifest))
+
+    class Shrinking(io.FileIO):
+        """Truncates its file after ``pack`` has taken the size, before the copy."""
+
+        def readinto(self, buffer):
+            os.truncate(self.name, 0)
+            return super().readinto(buffer)
+
+    monkeypatch.setattr(integrity, "open", lambda file, *args, **kwargs: Shrinking(file), raising=False)
+    archive = tmp_path / "pkg.tar"
+    assert main(["pack", str(root), "--output", str(archive)]) == EXIT_IO
+    assert capsys.readouterr().err == "error: unexpected end of data\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["pkg"]
+
+
+# ---------------------------------------------------------------------------
+# The ustar writer against ``tarfile``, which serves as the oracle
+
+_BOUNDARIES = (99, 100, 101, 154, 155, 156, 255, 256)
+
+
+@st.composite
+def _boundary_paths(draw, alphabet: str = "aé€\U0001f600"):
+    """A relative path of ASCII or multi-byte components whose encoded length
+    sits at a ustar boundary (100 bytes of name, 155 of prefix, 255 in all),
+    often with a '/' just where a split would fall."""
+
+    def part(length: int) -> str:
+        """Exactly ``length`` bytes: random components, then 'x' padding."""
+        heads = draw(st.lists(st.text(alphabet=alphabet, min_size=1, max_size=30), max_size=3))
+        head = "".join(f"{h}/" for h in heads)
+        while len(os.fsencode(head)) >= length:
+            head = head[:-1]
+        return head + "x" * (length - len(os.fsencode(head)))
+
+    target = draw(st.sampled_from(_BOUNDARIES))
+    cut = draw(st.sampled_from((0, target - 101, target - 100, target - 99, 154, 155, 156)))
+    if not 0 < cut < target - 1:
+        return part(target)
+    return part(cut) + "/" + part(target - cut - 1)
+
+
+def _tarinfo(name: str, size: int | None) -> tarfile.TarInfo:
+    """The pinned member ``pack`` describes: a directory when ``size`` is None."""
+    info = tarfile.TarInfo(name)
+    if size is None:
+        info.type, info.mode = tarfile.DIRTYPE, 0o755
+    else:
+        info.type, info.mode, info.size = tarfile.REGTYPE, 0o644, size
+    info.mtime, info.uid, info.gid, info.uname, info.gname = 0, 0, 0, "", ""
+    return info
+
+
+@given(
+    name=st.one_of(_boundary_paths(), _boundary_paths(alphabet="a\udcff")),
+    size=st.one_of(st.none(), st.integers(0, 10**9), st.sampled_from([8**11 - 1, 8**11])),
+)
+@settings(max_examples=400)
+def test_ustar_header_matches_tarfile(name, size):
+    from tidypack.integrity import _ustar_header
+
+    try:
+        expected = _tarinfo(name, size).tobuf(tarfile.USTAR_FORMAT, "utf-8", "surrogateescape")
+    except ValueError:  # "name is too long" or "overflow in number field"
+        with pytest.raises(PackError, match=f"cannot archive {name}"):
+            _ustar_header(name, size)
+        return
+    assert _ustar_header(name, size) == expected
+
+
+def _tarfile_pack(root, manifest) -> bytes:
+    """What ``pack`` wrote when it wrote through ``tarfile``."""
+    import io
+
+    members = {"checksums.txt": serialize_manifest(manifest)}
+    for rel in manifest.paths():
+        members[rel] = (root / rel).read_bytes()
+        parent = rel.rpartition("/")[0]
+        while parent:
+            members[parent] = None
+            parent = parent.rpartition("/")[0]
+    out = io.BytesIO()
+    with tarfile.open(fileobj=out, mode="w", format=tarfile.USTAR_FORMAT) as archive:
+        for name in sorted(members):
+            payload = members[name]
+            size = None if payload is None else len(payload)
+            archive.addfile(_tarinfo(name, size), None if payload is None else io.BytesIO(payload))
+    return out.getvalue()
+
+
+@given(
+    rels=st.lists(_boundary_paths(), min_size=1, max_size=4, unique=True),
+    data=st.binary(max_size=1500),
+)
+@settings(max_examples=40, deadline=None)
+def test_pack_matches_tarfile_reference_archive(tmp_path_factory, rels, data):
+    assume(all(len(os.fsencode(part)) <= 255 for rel in rels for part in rel.split("/")))
+    assume(not any(other.startswith(rel + "/") for rel in rels for other in rels))
+    root = tmp_path_factory.mktemp("pkg")
+    _fill(root, {rel: data[: index * 500] for index, rel in enumerate(rels)})
+    manifest = compute_manifest(root)
+    destination = root.parent / f"{root.name}.tar"
+    try:
+        expected = _tarfile_pack(root, manifest)
+    except ValueError:
+        with pytest.raises(PackError, match="cannot archive"):
+            pack(root, manifest, destination)
+        assert not destination.exists()
+        return
+    assert pack(root, manifest, destination).read_bytes() == expected
+
+
+@pytest.mark.skipif(shutil.which("tar") is None, reason="no tar on PATH")
+def test_pack_round_trips_through_system_tar(tmp_path):
+    root = tmp_path / "pkg"
+    deep = "data/" + "/".join(["répertoire-" + "d" * 30] * 3) + "/table.csv"  # over 100 bytes
+    big = bytes(range(256)) * 4097  # over the 1 MiB copy buffer
+    _fill(root, {deep: b"a\n1\n", "data/€.csv": b"b\n2\n", "README.md": b"# demo\n", "raw.bin": big})
+    manifest = compute_manifest(root)
+    archive = pack(root, manifest, tmp_path / "pkg.tar")
+    out = tmp_path / "out"
+    out.mkdir()
+    subprocess.run(["tar", "-xf", str(archive), "-C", str(out)], check=True)
+    embedded = parse_manifest((out / "checksums.txt").read_bytes())
+    assert embedded == manifest
+    report = verify_manifest(out, embedded, include=lambda rel: rel != "checksums.txt")
+    assert report.ok and report.extra == []
 
 
 def test_verify_manifest_hashes_only_listed_files(tmp_path, monkeypatch):

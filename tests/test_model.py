@@ -60,6 +60,25 @@ def test_classify_by_extension():
         assert classify_file(path) is expected, path
 
 
+def test_classify_agrees_with_pure_posix_path_on_walk_shaped_paths():
+    def by_pure_path(path: str) -> FileKind:
+        pure = PurePosixPath(path)
+        extension, top_level = pure.suffix[1:].lower(), len(pure.parts) == 1
+        if extension == "txt":
+            return FileKind.DOCUMENT if top_level else FileKind.PLAIN_TEXT_TABLE
+        return {"csv": FileKind.PLAIN_TEXT_TABLE, "md": FileKind.DOCUMENT}.get(extension, FileKind.OTHER)
+
+    tokens = ("a", ".", "/", "txt", "TXT", "csv", "Md")
+    paths = {""}
+    for _ in range(5):
+        paths |= {path + token for path in paths for token in tokens}
+    # As walk_files gives them: no empty, "." or ".." components.
+    walked = [p for p in paths if not {"", ".", ".."} & set(p.split("/"))]
+    assert len(walked) == 13213
+    for path in walked:
+        assert classify_file(path) is by_pure_path(path), path
+
+
 # ---------------------------------------------------------------------------
 # File references
 
