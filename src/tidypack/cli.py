@@ -13,7 +13,9 @@ stdout, or text the stdout encoding cannot carry, exits 3 with one
 emitted, so ``NO_COLOR`` has nothing to strip.
 
 Handlers return a ``_Result`` and write nothing: ``_render`` is the only
-code that writes to stdout or stderr.
+code that writes to stdout or stderr.  Each handler imports the ``lint``,
+``schema`` and ``scaffold`` code it runs, so a command loads no module it
+does not use.
 """
 
 from __future__ import annotations
@@ -37,19 +39,7 @@ from .integrity import (
     verify_manifest,
 )
 from .licenses import CLI_CHOICES
-from .lint import RULES, LintConfig, lint_package, load_config, report_to_json, report_to_text
 from .model import CHECKSUMS_NAME, scan_package
-from .scaffold import Author, ScaffoldRequest, scaffold
-from .schema import (
-    dictionary_from_csv,
-    dictionary_from_schema,
-    dictionary_to_csv,
-    dictionary_to_markdown,
-    infer_schema,
-    schema_from_json,
-    schema_to_json,
-    validate_table,
-)
 from .tabular import read_csvy
 
 EXIT_OK = 0
@@ -92,7 +82,9 @@ def _lines(*lines: str) -> str:
 _AUTHOR_RE = re.compile(r"(?P<name>[^<>]+?)\s*<(?P<orcid>[^<>]+)>\s*\Z")
 
 
-def _parse_author(text: str) -> Author:
+def _parse_author(text: str):
+    from .scaffold import Author
+
     match = _AUTHOR_RE.fullmatch(text)
     if match:
         return Author(name=match.group("name").strip(), orcid=match.group("orcid").strip())
@@ -104,6 +96,8 @@ def _parse_author(text: str) -> Author:
 
 
 def _cmd_init(args) -> _Result:
+    from .scaffold import ScaffoldRequest, scaffold
+
     request = ScaffoldRequest(
         package_name=args.name or Path(args.destination).name,
         dataset_names=list(args.dataset),
@@ -123,6 +117,8 @@ def _cmd_init(args) -> _Result:
 
 
 def _cmd_lint(args) -> _Result:
+    from .lint import LintConfig, lint_package, load_config, report_to_json, report_to_text
+
     config = load_config(args.config) if args.config else LintConfig()
     package = scan_package(args.target)
     report = lint_package(package, config)
@@ -131,6 +127,8 @@ def _cmd_lint(args) -> _Result:
 
 
 def _cmd_schema_infer(args) -> _Result:
+    from .schema import infer_schema, schema_to_json
+
     _, table = read_csvy(args.table)
     schema = infer_schema(
         table, name=Path(args.table).stem, path=str(args.table)
@@ -140,6 +138,8 @@ def _cmd_schema_infer(args) -> _Result:
 
 
 def _cmd_schema_validate(args) -> _Result:
+    from .schema import schema_from_json, validate_table
+
     schema = schema_from_json(Path(args.schema).read_bytes())
     _, table = read_csvy(args.table)
     result = validate_table(table, schema)
@@ -158,6 +158,14 @@ def _cmd_schema_validate(args) -> _Result:
 
 
 def _cmd_dict(args) -> _Result:
+    from .schema import (
+        dictionary_from_csv,
+        dictionary_from_schema,
+        dictionary_to_csv,
+        dictionary_to_markdown,
+        schema_from_json,
+    )
+
     source = Path(args.source)
     if source.suffix.lower() == ".json":
         dictionary = dictionary_from_schema(schema_from_json(source.read_bytes()))
@@ -261,6 +269,8 @@ def _cmd_unchunk(args) -> _Result:
 def _cmd_pack(args) -> _Result:
     root = Path(args.root)
     if args.require_lint:
+        from .lint import RULES, LintConfig, lint_package
+
         # Only error-ceiling rules can fail a package; pack checks every MD5 itself.
         blocking = LintConfig(levels={r.id: "off" for r in RULES if r.severity != "error"})
         report = lint_package(scan_package(root), blocking)

@@ -30,8 +30,6 @@ from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-import yaml
-
 from .errors import CsvError, EncodingError, FrontMatterError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -396,18 +394,22 @@ def _split_front_matter(text: str) -> tuple[str, str]:
     return text[opening.end() : closing.start()], text[closing.end() :]
 
 
-class _FrontMatterLoader(yaml.SafeLoader):
-    """SafeLoader minus implicit timestamps, so dates stay strings."""
+@cache
+def _front_matter_loader():
+    """SafeLoader minus implicit timestamps, so dates stay strings.
 
+    Built on the first front-matter parse: PyYAML is imported only by a
+    process that reads front matter.
+    """
+    import yaml
 
-_FrontMatterLoader.yaml_implicit_resolvers = {
-    key: [
-        (tag, regexp)
-        for tag, regexp in resolvers
-        if tag != "tag:yaml.org,2002:timestamp"
-    ]
-    for key, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
-}
+    class _FrontMatterLoader(yaml.SafeLoader):
+        yaml_implicit_resolvers = {
+            key: [(tag, regexp) for tag, regexp in resolvers if tag != "tag:yaml.org,2002:timestamp"]
+            for key, resolvers in yaml.SafeLoader.yaml_implicit_resolvers.items()
+        }
+
+    return _FrontMatterLoader
 
 
 _ALLOWED_YAML_TAGS = frozenset(
@@ -423,9 +425,12 @@ def _load_front_matter_mapping(raw: str) -> dict:
     sequences, strings, numbers, booleans, and null.  Anchors, aliases,
     non-core tags, and multiple documents are rejected.
     """
+    import yaml
+
+    loader = _front_matter_loader()
     documents = 0
     try:
-        for event in yaml.parse(raw, Loader=_FrontMatterLoader):
+        for event in yaml.parse(raw, Loader=loader):
             if isinstance(event, yaml.DocumentStartEvent):
                 documents += 1
                 if documents > 1:
@@ -435,7 +440,7 @@ def _load_front_matter_mapping(raw: str) -> dict:
             tag = getattr(event, "tag", None)
             if tag and tag not in _ALLOWED_YAML_TAGS:
                 raise FrontMatterError(f"YAML tag is not supported in front matter: {tag}")
-        value = yaml.load(raw, Loader=_FrontMatterLoader)
+        value = yaml.load(raw, Loader=loader)
     except yaml.YAMLError as exc:
         raise FrontMatterError(f"front matter is not valid YAML: {exc}") from None
     if value is None:

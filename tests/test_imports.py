@@ -1,0 +1,190 @@
+"""Each command imports only the code it runs, and the package namespace is lazy.
+
+Import sets are read in fresh interpreters: the test process has loaded
+every module long before these tests run.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import tidypack
+from tidypack.cli import EXIT_OK, main
+
+#: The public names of the package, by home module, as they were when
+#: ``tidypack/__init__.py`` imported every module eagerly.
+PUBLIC = {
+    "errors": [
+        "ChunkError", "ConfigError", "CsvError", "DictionaryError", "EncodingError", "FrontMatterError",
+        "ManifestError", "PackError", "ScaffoldError", "ScanError", "SchemaError", "ToolError",
+    ],
+    "integrity": [
+        "ChecksumManifest", "ChunkPlan", "ManifestEntry", "VerifyReport", "chunk_table", "compute_manifest",
+        "md5_hex", "pack", "parse_manifest", "serialize_manifest", "unchunk", "verify_manifest",
+    ],
+    "licenses": ["LicenseKind", "SPDX_IDS", "detect_license", "license_text"],
+    "lint": [
+        "Finding", "LintConfig", "LintReport", "LintRule", "RULES", "lint_package", "load_config",
+        "parse_config", "report_to_json", "report_to_text",
+    ],
+    "model": [
+        "DataPackage", "Dataset", "DocumentRef", "FileKind", "FileRef", "LicenseRef", "PackagePool",
+        "classify_file", "iter_files", "scan_package",
+    ],
+    "scaffold": ["Author", "ScaffoldRequest", "scaffold"],
+    "schema": [
+        "DataDictionary", "DictionaryEntry", "FieldDescriptor", "TableSchema", "ValidationReport", "Violation",
+        "dictionary_from_csv", "dictionary_from_schema", "dictionary_from_table", "dictionary_to_csv",
+        "dictionary_to_markdown", "infer_field_type", "infer_schema", "normalize_class",
+        "schema_from_front_matter", "schema_from_json", "schema_to_json", "validate_table",
+    ],
+    "tabular": [
+        "CsvTable", "Dialect", "FrontMatter", "MissingProfile", "detect_dialect", "detect_missing_tokens",
+        "is_boolean_token", "is_date_token", "is_integer_token", "is_number_token", "parse_csvy",
+        "parse_table", "read_csvy", "serialize_csvy", "serialize_table",
+    ],
+}
+
+
+def _child(script: str, *argv: str) -> str:
+    """Run ``script`` in a fresh interpreter and return the last line it prints."""
+    child = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout.splitlines()[-1]
+
+
+# ---------------------------------------------------------------------------
+# Import set of each command
+
+_COMMAND = """
+import json, sys
+from tidypack import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:  # --help
+    code = exc.code
+print()
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("tidypack.") or m == "yaml")]))
+"""
+
+#: What every command loads: the CLI and the checksum and table code it binds at import.
+BASE = {"tidypack.cli", "tidypack.errors", "tidypack.licenses", "tidypack.model", "tidypack.integrity", "tidypack.tabular"}
+
+
+@pytest.fixture(scope="module")
+def tables(tmp_path_factory):
+    """A package seeded with a plain CSV, and a csvy table with front matter."""
+    root = tmp_path_factory.mktemp("imports")
+    plain = root / "plain.csv"
+    plain.write_bytes(b"id,score\n1,2.5\n2,3.5\n")
+    csvy = root / "fronted.csvy"
+    csvy.write_bytes(b"---\nname: fronted\n---\nid,score\n1,2.5\n2,3.5\n")
+    assert main(["init", str(root / "pkg"), "--dataset", "obs", "--seed", str(plain), "--format", "json"]) == EXIT_OK
+    return root
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["--help"], set()),
+        (["checksum", "{root}/pkg"], set()),
+        (["verify", "{root}/pkg"], set()),
+        (["chunk", "{root}/plain.csv", "--max-rows", "1"], set()),
+        (["lint", "{root}/pkg"], {"tidypack.lint", "tidypack.schema"}),
+        (["pack", "{root}/pkg", "--output", "{root}/pkg.tar", "--require-lint"], {"tidypack.lint", "tidypack.schema"}),
+        (["schema", "infer", "{root}/plain.csv"], {"tidypack.schema"}),
+        (["init", "{root}/fresh", "--dataset", "obs"], {"tidypack.scaffold", "tidypack.schema"}),
+        (["chunk", "{root}/fronted.csvy", "--max-rows", "1"], {"yaml"}),
+    ],
+    ids=["help", "checksum", "verify", "chunk-plain", "lint", "pack-require-lint", "schema-infer", "init", "chunk-csvy"],
+)
+def test_each_command_imports_only_what_it_runs(tables, argv, extra):
+    code, modules = json.loads(_child(_COMMAND, *(arg.format(root=tables) for arg in argv)))
+    assert code == EXIT_OK
+    assert set(modules) == BASE | extra
+
+
+# ---------------------------------------------------------------------------
+# The lazy namespace
+
+
+def test_public_names_are_unchanged():
+    assert sorted(tidypack.__all__) == sorted(name for names in PUBLIC.values() for name in names)
+    assert len(tidypack.__all__) == 84
+
+
+@pytest.mark.parametrize("home", sorted(PUBLIC))
+def test_each_name_is_its_home_modules_object(home):
+    module = importlib.import_module(f"tidypack.{home}")
+    for name in PUBLIC[home]:
+        assert getattr(tidypack, name) is getattr(module, name), name
+
+
+def test_star_import_binds_every_name():
+    namespace: dict = {}
+    exec("from tidypack import *", namespace)
+    for name in tidypack.__all__:
+        assert namespace[name] is getattr(tidypack, name), name
+    assert set(tidypack.__all__) <= set(dir(tidypack))
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="nope"):
+        tidypack.nope  # noqa: B018 - the access is the test
+
+
+def test_bare_import_loads_no_submodule():
+    script = "import sys, tidypack; print(sorted(m for m in sys.modules if m.startswith('tidypack.') or m == 'yaml'))"
+    assert _child(script) == "[]"
+    # A submodule is still reachable as an attribute, as when every module loaded eagerly.
+    assert _child("import tidypack; print(tidypack.lint.__name__)") == "tidypack.lint"
+
+
+_SCAFFOLD = """
+import sys
+import tidypack
+from tidypack import cli
+if sys.argv[1] == "import":
+    import tidypack.scaffold
+else:
+    assert cli.main(["init", sys.argv[2], "--dataset", "obs", "--format", "json"]) == 0
+print()
+print(tidypack.scaffold is sys.modules["tidypack.scaffold"].scaffold)
+"""
+
+
+@pytest.mark.parametrize("first_load", ["import", "init"])
+def test_scaffold_stays_the_function_after_its_module_loads(tmp_path, first_load):
+    assert _child(_SCAFFOLD, first_load, str(tmp_path / "pkg")) == "True"
+
+
+# ---------------------------------------------------------------------------
+# Front matter on the deferred YAML path
+
+_FRONT_MATTER = """
+import json, sys
+from tidypack.errors import FrontMatterError
+from tidypack.tabular import parse_csvy
+loaded_before = "yaml" in sys.modules
+front, _ = parse_csvy(b"---\\ndate: 2020-01-01\\n---\\nid\\n1\\n")
+try:
+    parse_csvy(b"---\\nx: !!python/object:os.getcwd {}\\n---\\nid\\n1\\n")
+    refused = None
+except FrontMatterError as exc:
+    refused = str(exc)
+print(json.dumps([loaded_before, front.mapping, refused]))
+"""
+
+
+def test_first_front_matter_parse_loads_the_restricted_loader():
+    loaded_before, mapping, refused = json.loads(_child(_FRONT_MATTER))
+    assert loaded_before is False
+    assert mapping == {"date": "2020-01-01"}
+    assert refused == "YAML tag is not supported in front matter: tag:yaml.org,2002:python/object:os.getcwd"
