@@ -40,7 +40,7 @@ from .schema import (
     schema_from_json,
     validate_table,
 )
-from .tabular import CsvTable, detect_missing_tokens, is_date_token, read_csvy
+from .tabular import DATE_SHAPE, MISSING_WATCHLIST, CsvTable, read_csvy
 
 SEVERITIES = ("error", "warning", "info")
 _SEVERITY_RANK = {name: rank for rank, name in enumerate(SEVERITIES)}
@@ -507,17 +507,18 @@ def _looks_dateish(cell: str) -> bool:
 
 def _eval_r14(ctx: _Context) -> Iterator[Finding]:
     for ds in ctx.pkg.datasets:
-        declared = ctx.declared_missing(ds)
+        excluded = ctx.declared_missing(ds) | {""}
         for ref, table in ctx.dataset_tables(ds):
-            for name, cells in zip(table.column_names, table.columns):
-                # Each distinct value is tested once; the column is walked
-                # again only to count and order the offending cells.
-                considered = set(cells).difference(declared, ("",))
-                if not considered or not all(_looks_dateish(c) for c in considered):
+            for name, column in zip(table.column_names, table.shapes):
+                # A value looks like a date, or has a date's shape, exactly
+                # when its digit shape does; the column is walked again only
+                # to count and order the offending cells.
+                shapes = column.shapes(excluded)
+                if not shapes or not all(map(_looks_dateish, shapes)):
                     continue
-                bad = {c for c in considered if not is_date_token(c)}
+                bad = (column.values(shapes - {DATE_SHAPE}) | column.bad_dates) - excluded
                 if bad:
-                    offending = [c for c in cells if c in bad]
+                    offending = [c for c in column.cells if c in bad]
                     yield _f(
                         f"column {name!r} holds dates but {len(offending)} value(s) "
                         f"are not calendar-valid YYYY-MM-DD (e.g. {offending[0]!r})",
@@ -532,10 +533,10 @@ def _eval_r15(ctx: _Context) -> Iterator[Finding]:
         declared = ctx.declared_missing(ds)
         for ref, table in ctx.dataset_tables(ds):
             suspicious: list[str] = []
-            for name, cells in zip(table.column_names, table.columns):
-                profile = detect_missing_tokens(cells, declared)
-                if profile.suspects:
-                    tokens = ", ".join(repr(t) for t in sorted(profile.suspects))
+            for name, column in zip(table.column_names, table.shapes):
+                suspects = column.present(MISSING_WATCHLIST - declared)
+                if suspects:
+                    tokens = ", ".join(repr(t) for t in sorted(suspects))
                     suspicious.append(f"{name}: {tokens}")
             if suspicious:
                 yield _f(

@@ -1,10 +1,14 @@
 """Table schemas and data dictionaries: inference, validation, serialization.
 
-A schema types each column with one of five field types.  Inference walks a
-column's non-missing cells and picks the most specific type every cell
-satisfies: ``integer`` is inside ``number``; ``boolean`` and ``date`` stand
-apart; ``string`` accepts anything.  A column with no non-missing cells is a
-``string`` column.
+A schema types each column with one of five field types.  Inference picks
+the most specific type every non-missing cell satisfies: ``integer`` is
+inside ``number``; ``boolean`` and ``date`` stand apart; ``string`` accepts
+anything.  A column with no non-missing cells is a ``string`` column.
+
+Inference and validation judge a column by its cells' digit shapes
+(``tabular.ColumnShapes``): a value passes a type's check exactly when its
+shape does, and a date must also be on the calendar.  Only the values behind
+a failing shape are looked at one by one.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ from typing import Any, Iterable, Mapping
 
 from .errors import DictionaryError, SchemaError
 from .tabular import (
+    DATE_SHAPE,
     MISSING_WATCHLIST,
+    ColumnShapes,
     CsvTable,
     Dialect,
     is_boolean_token,
@@ -38,6 +44,10 @@ _TYPE_CHECKS = {
     "boolean": is_boolean_token,
     "date": is_date_token,
 }
+
+# The checks above applied to digit shapes: date shapes still need the
+# calendar, which ``ColumnShapes.bad_dates`` has checked.
+_SHAPE_CHECKS = {**_TYPE_CHECKS, "date": DATE_SHAPE.__eq__}
 
 # Most specific first; the first type every cell satisfies wins.
 _INFERENCE_ORDER = ("integer", "number", "boolean", "date")
@@ -121,15 +131,30 @@ def infer_field_type(
     cells: Iterable[str], missing_values: Iterable[str] = DEFAULT_MISSING_VALUES
 ) -> str:
     """Pick the most specific field type every non-missing cell satisfies."""
-    # The checks are pure, so each distinct value is tested once.
-    observed = set(cells).difference(missing_values)
-    if not observed:
+    return _infer(ColumnShapes(cells), frozenset(missing_values))
+
+
+def _infer(column: ColumnShapes, missing: frozenset[str]) -> str:
+    # A type fits when every shape left once the missing values are taken
+    # out passes its check, and, for dates, every odd date is missing.
+    shapes = column.shapes(missing)
+    if not shapes:
         return "string"
     for candidate in _INFERENCE_ORDER:
-        check = _TYPE_CHECKS[candidate]
-        if all(check(cell) for cell in observed):
+        if all(map(_SHAPE_CHECKS[candidate], shapes)) and (
+            candidate != "date" or column.bad_dates <= missing
+        ):
             return candidate
     return "string"
+
+
+def _failing_values(column: ColumnShapes, type_name: str, missing: frozenset[str]) -> set[str]:
+    """The distinct non-missing values of a column that fail the type's check."""
+    check = _SHAPE_CHECKS[type_name]
+    bad = column.values({shape for shape in column.shapes(missing) if not check(shape)})
+    if type_name == "date":
+        bad |= column.bad_dates
+    return bad.difference(missing)
 
 
 def infer_schema(
@@ -153,8 +178,8 @@ def infer_schema(
             name = "table"
     missing = frozenset(missing_values)
     fields = [
-        FieldDescriptor(name=column_name, type=infer_field_type(cells, missing))
-        for column_name, cells in zip(table.column_names, table.columns)
+        FieldDescriptor(name=column_name, type=_infer(column, missing))
+        for column_name, column in zip(table.column_names, table.shapes)
     ]
     return TableSchema(name=name, fields=fields, path=path, missing_values=missing)
 
@@ -182,8 +207,9 @@ def validate_table(table: CsvTable, schema: TableSchema) -> ValidationReport:
         if column_name not in schema_names:
             violations.append(Violation(kind="unknown_column", field=column_name))
 
-    # Each distinct value is classified once; only columns holding a bad
-    # value are walked again, row by row, to keep the violation order.
+    # Each column is judged by its cells' digit shapes; only columns
+    # holding a bad value are walked again, row by row, to keep the
+    # violation order.
     failing = []
     for index, name in enumerate(names):
         if name not in schema_names:
@@ -191,14 +217,9 @@ def validate_table(table: CsvTable, schema: TableSchema) -> ValidationReport:
         type_name = schema.field(name).type
         if type_name == "string":
             continue
-        check = _TYPE_CHECKS[type_name]
-        kinds = {
-            cell: _violation_kind(cell, type_name)
-            for cell in set(table.columns[index]).difference(schema.missing_values)
-            if not check(cell)
-        }
-        if kinds:
-            failing.append((index, name, kinds))
+        bad = _failing_values(table.shapes[index], type_name, schema.missing_values)
+        if bad:
+            failing.append((index, name, {cell: _violation_kind(cell, type_name) for cell in bad}))
     for row_number, row in enumerate(table.rows, start=1):
         for index, name, kinds in failing:
             kind = kinds.get(row[index])

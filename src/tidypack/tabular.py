@@ -15,20 +15,28 @@ regex per delimiter, one match per token: the quote-free rest of a record,
 which is split on the delimiter, or a single field.  Only LF and CRLF break
 lines on either path, never form feeds or Unicode line separators.  Both
 paths give the same records, so record numbers in errors do not depend on
-which one ran.  A parsed ``CsvTable`` builds its ``columns`` once, on first
-use, for the column-wise checks in ``schema`` and ``lint``.
+which one ran.  The quote-free path splits about a mebibyte of lines at a
+time, so only one block's line strings are alive at once.
+
+A parsed ``CsvTable`` builds its ``columns`` once, on first use, and one
+``ColumnShapes`` per column: how many cells have each digit shape, a cell
+with every ASCII digit mapped to ``0``.  The type checks here use
+``[0-9]`` classes only, so a value passes one exactly when its shape does,
+and ``schema`` and ``lint`` judge a column of a million numbers by its few
+shapes instead of by each value.
 """
 
 from __future__ import annotations
 
 import datetime
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import CsvError, EncodingError, FrontMatterError
 
@@ -90,6 +98,99 @@ def is_date_token(cell: str) -> bool:
     except ValueError:
         return False
     return True
+
+
+#: Maps each ASCII digit to ``0``: ``cell.translate`` gives the cell's digit
+#: shape.  Other digits (``٣``, ``²``, ``１``) stay, as ``[0-9]`` rejects them.
+_TO_SHAPE = str.maketrans("123456789", "000000000")
+
+#: The one shape a date has; ``is_date_token`` also wants it on the calendar.
+DATE_SHAPE = "0000-00-00"
+
+#: Cells per slice: a slice's text and shapes are all the per-cell memory a
+#: summary holds at once.
+_SLICE_CELLS = 4096
+
+
+@cache  # compiled on first use: most runs classify no column
+def _odd_date_re() -> re.Pattern[str]:
+    """Date-shaped lines of LF-joined cells outside the class every
+    calendar has (year not 0000, month 01-12, day 01-28)."""
+    return re.compile(
+        r"^(?!(?!0000)[0-9]{4}-(?:0[1-9]|1[0-2])-(?:0[1-9]|1[0-9]|2[0-8])$)"
+        r"[0-9]{4}-[0-9]{2}-[0-9]{2}$",
+        re.M,
+    )
+
+
+def _slices(cells: Sequence[str]) -> Iterator[tuple[Sequence[str], str | None]]:
+    """``(cells, text)`` per slice of at most ``_SLICE_CELLS`` cells, in row
+    order: ``text`` is the slice LF-joined, or None when the LF count shows
+    that a cell holds an LF."""
+    for start in range(0, len(cells), _SLICE_CELLS):
+        chunk = cells[start : start + _SLICE_CELLS]
+        text = LF.join(chunk)
+        yield chunk, (text if text.count(LF) == len(chunk) - 1 else None)
+
+
+def _shapes_of(chunk: Sequence[str], text: str | None) -> list[str]:
+    if text is None:
+        return [cell.translate(_TO_SHAPE) for cell in chunk]
+    return text.translate(_TO_SHAPE).split(LF)
+
+
+class ColumnShapes:
+    """The digit shapes of one column's cells, taken on first use a slice
+    at a time: nothing per cell is kept past its slice."""
+
+    def __init__(self, cells: Iterable[str]):
+        self.cells = cells if isinstance(cells, (tuple, list)) else tuple(cells)
+
+    @cached_property
+    def counts(self) -> Counter[str]:
+        """How many cells have each shape."""
+        counts: Counter[str] = Counter()
+        for chunk, text in _slices(self.cells):
+            counts.update(_shapes_of(chunk, text))
+        return counts
+
+    @cached_property
+    def bad_dates(self) -> frozenset[str]:
+        """The date-shaped values that are not on the calendar.  Only those
+        outside the always-valid class, found by one regex over each slice's
+        text, reach ``is_date_token``."""
+        odd: set[str] = set()
+        if DATE_SHAPE in self.counts:
+            for chunk, text in _slices(self.cells):
+                if text is None:
+                    odd.update(c for c in chunk if c.translate(_TO_SHAPE) == DATE_SHAPE)
+                else:
+                    odd.update(_odd_date_re().findall(text))
+        return frozenset(d for d in odd if not is_date_token(d))
+
+    def present(self, values: Iterable[str]) -> set[str]:
+        """Those of ``values`` that are cells of the column; the column is
+        searched only for a value whose shape it has."""
+        counts = self.counts
+        return {v for v in set(values) if v.translate(_TO_SHAPE) in counts and v in self.cells}
+
+    def shapes(self, excluded: Iterable[str]) -> AbstractSet[str]:
+        """The shapes of the cells not in ``excluded``: ``-99`` shapes like
+        ``-12``, so a shape goes only with its last cell."""
+        counts = self.counts
+        gone: Counter[str] = Counter()
+        for value in self.present(excluded):
+            gone[value.translate(_TO_SHAPE)] += self.cells.count(value)
+        emptied = {shape for shape, n in gone.items() if n == counts[shape]}
+        return counts.keys() - emptied if emptied else counts.keys()
+
+    def values(self, shapes: AbstractSet[str]) -> set[str]:
+        """The distinct values whose shape is in ``shapes``."""
+        found: set[str] = set()
+        if shapes:
+            for chunk, text in _slices(self.cells):
+                found.update(c for c, shape in zip(chunk, _shapes_of(chunk, text)) if shape in shapes)
+        return found
 
 
 @dataclass(frozen=True)
@@ -169,6 +270,12 @@ class CsvTable:
         # sets off repeated garbage collections on large tables.
         return tuple(tuple(map(itemgetter(j), self.rows)) for j in range(self.width))
 
+    @cached_property
+    def shapes(self) -> tuple[ColumnShapes, ...]:
+        """One ``ColumnShapes`` per column, each summarized on first use and
+        then kept, so inference, validation and lint classify a column once."""
+        return tuple(map(ColumnShapes, self.columns))
+
     def column(self, name: str) -> list[str]:
         """All cells under the named column, in row order."""
         names = self.column_names
@@ -239,8 +346,25 @@ def _split_records(
     if QUOTE not in head:
         lines = head.replace(CRLF, LF) if "\r" in head else head
         if "\r" not in lines:  # a CR left over would be one that no LF follows
-            return [line.split(delimiter) for line in lines.split(LF) if line]
+            return _split_lines(lines, delimiter)
     return _split_quoted(text, delimiter, lenient=lenient, limit=limit)
+
+
+#: Characters per block of ``_split_lines``.
+_BLOCK_CHARS = 1 << 20
+
+
+def _split_lines(text: str, delimiter: str) -> list[list[str]]:
+    """Quote-free LF text's non-empty lines split on the delimiter.  The
+    text is cut after the first LF past every ``_BLOCK_CHARS`` characters,
+    so only one block's line strings are alive at a time."""
+    records: list[list[str]] = []
+    start = 0
+    while start < len(text):
+        end = text.find(LF, start + _BLOCK_CHARS) + 1 or len(text)
+        records += [line.split(delimiter) for line in text[start:end].split(LF) if line]
+        start = end
+    return records
 
 
 @cache  # compiled on first use: most runs read no quoted text
@@ -568,15 +692,14 @@ class MissingProfile:
 def detect_missing_tokens(
     cells: Iterable[str], declared: Iterable[str] = ()
 ) -> MissingProfile:
-    """Profile a column against declared missing codes and the watchlist."""
+    """Profile a column against declared missing codes and the watchlist.
+
+    The codes and suspects come from the column's distinct values; the
+    cells are counted once per declared code present.
+    """
+    cells = cells if isinstance(cells, (tuple, list)) else tuple(cells)
     declared_set = frozenset(declared)
-    count = 0
-    seen: set[str] = set()
-    suspects: set[str] = set()
-    for cell in cells:
-        if cell in declared_set:
-            count += 1
-            seen.add(cell)
-        elif cell in MISSING_WATCHLIST:
-            suspects.add(cell)
-    return MissingProfile(count=count, seen=frozenset(seen), suspects=frozenset(suspects))
+    distinct = set(cells)
+    seen = frozenset(distinct.intersection(declared_set))
+    suspects = frozenset(distinct.intersection(MISSING_WATCHLIST).difference(declared_set))
+    return MissingProfile(count=sum(map(cells.count, seen)), seen=seen, suspects=suspects)

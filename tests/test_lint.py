@@ -403,6 +403,18 @@ def test_r14_counts_every_offending_cell_and_names_the_first(tmp_path):
     assert finding.machine_data["example"] == "2019-04-31"
 
 
+def test_r14_names_dates_off_the_calendar_below_day_29(tmp_path):
+    _clean_package(tmp_path)
+    _write(
+        tmp_path,
+        "data/d.csv",
+        b"when\n2019-01-22\n2020-02-29\n2019-00-10\n0000-01-01\n2019-13-01\n2019-01-00\n2019-02-29\n2019-00-10\n",
+    )
+    (finding,) = _by_rule(_lint(tmp_path), "R14")
+    assert "holds dates but 6 value(s)" in finding.detail
+    assert finding.machine_data["example"] == "2019-00-10"
+
+
 def test_r15_undeclared_missing_tokens(tmp_path):
     _clean_package(tmp_path)
     _write(tmp_path, "data/m.csv", b"v\n-99\n1\n")

@@ -211,6 +211,30 @@ def test_validation_matches_a_cell_by_cell_walk(cells, types, missing):
     assert validate_table(table, schema).violations == _cell_by_cell_violations(table, schema)
 
 
+#: Dates off the calendar with a day below 29: a check of only the days
+#: 29-31 would pass them.
+_OFF_CALENDAR = ["0000-01-01", "2019-00-10", "2019-13-01", "2019-01-00"]
+
+
+@pytest.mark.parametrize("bad", [*_OFF_CALENDAR, "2019-02-29"])
+def test_inference_rejects_every_date_off_the_calendar(bad):
+    assert infer_field_type(["2019-01-01", "2020-02-29", bad]) == "string"
+    assert infer_field_type(["2019-01-01", "2020-02-29", bad], missing_values=[bad]) == "date"
+
+
+def test_validation_names_every_date_off_the_calendar():
+    cells = ["2019-01-01", *_OFF_CALENDAR, "2020-02-29", "2019-02-29", "NA"]
+    table = CsvTable(header=["day"], rows=[[cell] for cell in cells])
+    report = validate_table(table, TableSchema(name="t", fields=[FieldDescriptor("day", "date")]))
+    assert report.violations == [
+        Violation("bad_date_format", "day", 2, "0000-01-01"),
+        Violation("bad_date_format", "day", 3, "2019-00-10"),
+        Violation("bad_date_format", "day", 4, "2019-13-01"),
+        Violation("bad_date_format", "day", 5, "2019-01-00"),
+        Violation("bad_date_format", "day", 7, "2019-02-29"),
+    ]
+
+
 def test_validation_structural_violations_come_first():
     table = parse_table(b"id,extra\n1,x\n", Dialect())
     schema = TableSchema(

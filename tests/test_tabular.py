@@ -565,6 +565,33 @@ def test_columns_are_built_once():
     assert CsvTable(header=["a", "b"], rows=[]).columns == ((), ())
 
 
+@given(
+    st.lists(st.sampled_from(["a", "b1", ",", ";", "\t", "\n", "\r\n", "\x0c", "\u2028"]), max_size=40).map("".join),
+    st.sampled_from(tabular.DELIMITERS),
+    st.sampled_from([None, 1, 2, 5]),
+    st.integers(1, 6),
+)
+@settings(max_examples=400)
+def test_quote_free_split_is_the_same_in_tiny_blocks(text, delimiter, limit, block):
+    whole = tabular._split_records(text, delimiter, limit=limit)
+    head = text.replace("\r\n", "\n")
+    unblocked = [line.split(delimiter) for line in head.split("\n") if line]
+    assert whole == unblocked[:limit]
+    with mock.patch.object(tabular, "_BLOCK_CHARS", block):
+        assert tabular._split_records(text, delimiter, limit=limit) == whole
+
+
+def test_column_shapes_are_summarized_once():
+    table = parse_table(b"n,d\n1,2019-02-30\n-12,2020-02-29\n", Dialect())
+    assert table.shapes is table.shapes
+    n, d = table.shapes
+    assert n.counts == {"0": 1, "-00": 1}
+    assert d.counts == {tabular.DATE_SHAPE: 2}
+    assert d.bad_dates == {"2019-02-30"}
+    assert n.shapes(["-12", "-99"]) == {"0"}
+    assert n.values({"-00"}) == {"-12"}
+
+
 _SAFE_KEY = st.text(alphabet=st.sampled_from(string.ascii_lowercase), min_size=1, max_size=8).filter(
     lambda k: k != "schema"
 )
