@@ -197,6 +197,11 @@ def _inside(path: Path, root: Path) -> str | None:
     return path.relative_to(root).as_posix() if path.is_relative_to(root) else None
 
 
+def _manifest_path(args) -> Path:
+    """The manifest ``verify`` and ``pack`` read: ``--manifest``, or the root's own."""
+    return Path(args.manifest) if args.manifest else Path(args.root) / CHECKSUMS_NAME
+
+
 def _cmd_checksum(args) -> _Result:
     root = Path(args.root)
     excluded = {CHECKSUMS_NAME}
@@ -217,7 +222,7 @@ def _cmd_checksum(args) -> _Result:
 
 def _cmd_verify(args) -> _Result:
     root = Path(args.root)
-    manifest_path = Path(args.manifest) if args.manifest else root / CHECKSUMS_NAME
+    manifest_path = _manifest_path(args)
     manifest = parse_manifest(manifest_path.read_bytes())
     excluded = {_inside(manifest_path, root)}
     report = verify_manifest(root, manifest, include=lambda rel: rel not in excluded)
@@ -277,14 +282,13 @@ def _cmd_pack(args) -> _Result:
         if not report.passed:
             message = f"lint found {report.counts['error']} error(s); fix them or drop --require-lint"
             return _error(EXIT_FINDINGS, message)
-    manifest_path = Path(args.manifest) if args.manifest else root / CHECKSUMS_NAME
-    manifest = parse_manifest(manifest_path.read_bytes())
+    manifest = parse_manifest(_manifest_path(args).read_bytes())
     destination = Path(args.output) if args.output else Path(f"{root.resolve().name}.tar")
     archive = pack(root, manifest, destination)
     return _Result(
         EXIT_OK,
         {"archive": str(archive), "files": len(manifest.entries) + 1},
-        _lines(f"wrote {archive} ({len(manifest.entries)} files plus checksums.txt)"),
+        _lines(f"wrote {archive} ({len(manifest.entries)} files plus {CHECKSUMS_NAME})"),
     )
 
 

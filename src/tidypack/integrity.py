@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Mapping, Sequence
 
 from .errors import ChunkError, ManifestError, PackError
-from .model import escapes_root, walk_files
+from .model import CHECKSUMS_NAME, escapes_root, walk_files
 from .tabular import CsvTable, is_number_token, read_csvy, serialize_csvy
 
 _MD5_HEX_RE = re.compile(r"[0-9a-f]{32}")
@@ -460,7 +460,7 @@ def pack(
     # (name, size, payload): a file's payload is its path; a directory's is empty.
     members: list[tuple[str, int | None, bytes | str]] = [(d, None, b"") for d in directories]
     members.extend((rel, size, rel) for rel, size in sizes.items())
-    members.append(("checksums.txt", len(manifest_bytes), manifest_bytes))
+    members.append((CHECKSUMS_NAME, len(manifest_bytes), manifest_bytes))
     members.sort(key=lambda member: member[0])
     headers = [_ustar_header(name, size) for name, size, _ in members]
 
@@ -494,9 +494,9 @@ def pack(
             problems.append("missing: " + ", ".join(missing))
         if problems:
             raise PackError("manifest verification failed; " + "; ".join(problems))
-        if "checksums.txt" in expected:
+        if CHECKSUMS_NAME in expected:
             raise PackError(
-                "the manifest may not list checksums.txt; the archive embeds a fresh copy"
+                f"the manifest may not list {CHECKSUMS_NAME}; the archive embeds a fresh copy"
             )
 
     try:

@@ -21,10 +21,11 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from .errors import ConfigError, ManifestError, SchemaError, ToolError
+from .errors import ConfigError, ManifestError, ToolError
 from .integrity import parse_manifest, verify_manifest
 from .model import (
     CHECKSUMS_NAME,
+    DOI_PATTERN,
     DataPackage,
     Dataset,
     FileKind,
@@ -37,10 +38,11 @@ from .schema import (
     DataDictionary,
     TableSchema,
     dictionary_from_csv,
+    failing_values,
     schema_from_json,
     validate_table,
 )
-from .tabular import DATE_SHAPE, MISSING_WATCHLIST, CsvTable, read_csvy
+from .tabular import MISSING_WATCHLIST, CsvTable, read_csvy
 
 SEVERITIES = ("error", "warning", "info")
 _SEVERITY_RANK = {name: rank for rank, name in enumerate(SEVERITIES)}
@@ -165,10 +167,6 @@ def load_config(path) -> LintConfig:
 # Evaluation context
 
 
-_READ_ERRORS = (ToolError, OSError)
-_SCHEMA_ERRORS = (SchemaError, OSError)
-
-
 def _load_table(path: Path) -> CsvTable:
     # Looks up read_csvy at call time, so a wrapper installed on this
     # module's global sees every table parse lint makes.
@@ -197,19 +195,14 @@ class _Context:
         self.pkg = pkg
         self._loaded: dict[tuple[Callable, str], tuple[Any, str | None]] = {}
 
-    def load(
-        self,
-        loader: Callable[[Path], Any],
-        rel: str,
-        errors: tuple[type[Exception], ...],
-    ) -> tuple[Any, str | None]:
+    def load(self, loader: Callable[[Path], Any], rel: str) -> tuple[Any, str | None]:
         """``(value, None)`` from ``loader(root / rel)``, or ``(None, message)``
-        when it raised one of ``errors``."""
+        when it raised a ``ToolError`` or an ``OSError``."""
         key = (loader, rel)
         if key not in self._loaded:
             try:
                 self._loaded[key] = (loader(self.pkg.root / rel), None)
-            except errors as exc:
+            except (ToolError, OSError) as exc:
                 self._loaded[key] = (None, str(exc))
         return self._loaded[key]
 
@@ -231,11 +224,11 @@ class _Context:
         dictionaries.  Nothing declared means an empty set, not a default."""
         declared: set[str] = set()
         for ref in self.json_metadata_refs(ds):
-            schema, _ = self.load(_load_schema, ref.path, _SCHEMA_ERRORS)
+            schema, _ = self.load(_load_schema, ref.path)
             if schema is not None:
                 declared |= schema.missing_values
         for ref in self.dataset_dictionary_refs(ds):
-            dictionary, _ = self.load(_load_dictionary, ref.path, _READ_ERRORS)
+            dictionary, _ = self.load(_load_dictionary, ref.path)
             if dictionary is not None:
                 for entry in dictionary.entries:
                     declared |= entry.missing_codes
@@ -244,7 +237,7 @@ class _Context:
     def dataset_tables(self, ds: Dataset) -> list[tuple[FileRef, CsvTable]]:
         out = []
         for ref in ds.data_files:
-            table, _ = self.load(_load_table, ref.path, _READ_ERRORS)
+            table, _ = self.load(_load_table, ref.path)
             if table is not None:
                 out.append((ref, table))
         return out
@@ -307,14 +300,14 @@ def _eval_r03(ctx: _Context) -> Iterator[Finding]:
 def _eval_r04(ctx: _Context) -> Iterator[Finding]:
     pkg = ctx.pkg
     for ref in ctx.all_dictionary_refs():
-        _, error = ctx.load(_load_dictionary, ref.path, _READ_ERRORS)
+        _, error = ctx.load(_load_dictionary, ref.path)
         if error is not None:
             yield _f(f"data dictionary cannot be parsed: {error}", path=ref.path)
     for ds in pkg.datasets:
         refs = ctx.dataset_dictionary_refs(ds)
         if not refs:
             continue
-        parsed = [ctx.load(_load_dictionary, ref.path, _READ_ERRORS)[0] for ref in refs]
+        parsed = [ctx.load(_load_dictionary, ref.path)[0] for ref in refs]
         dictionaries = [d for d in parsed if d is not None]
         if not dictionaries:
             continue
@@ -349,7 +342,7 @@ def _eval_r06(ctx: _Context) -> Iterator[Finding]:
         )
 
 
-_DOI_RE = re.compile(r"\b10\.[0-9]{4,}(?:\.[0-9]+)*/[^\s\"<>]+")
+_DOI_RE = re.compile(r"\b" + DOI_PATTERN)
 
 
 def _eval_r07(ctx: _Context) -> Iterator[Finding]:
@@ -390,7 +383,7 @@ def _eval_r09(ctx: _Context) -> Iterator[Finding]:
     ]
     jobs += [(ref, None) for ref in ctx.json_metadata_refs(pkg.pool)]
     for ref, ds in jobs:
-        schema, error = ctx.load(_load_schema, ref.path, _SCHEMA_ERRORS)
+        schema, error = ctx.load(_load_schema, ref.path)
         if schema is None:
             yield _f(f"not valid schema JSON: {error}", path=ref.path)
             continue
@@ -410,7 +403,7 @@ def _eval_r09(ctx: _Context) -> Iterator[Finding]:
             target = min(data.path for data in ds.data_files)
         if target is None:
             continue
-        table, error = ctx.load(_load_table, target, _READ_ERRORS)
+        table, error = ctx.load(_load_table, target)
         if table is None:
             yield _f(f"table {target} cannot be parsed: {error}", path=ref.path)
             continue
@@ -455,7 +448,7 @@ def _eval_r12(ctx: _Context) -> Iterator[Finding]:
         yield _f("no analysis-ready tables under data/")
     for ds in pkg.datasets:
         for ref in ds.data_files:
-            _, error = ctx.load(_load_table, ref.path, _READ_ERRORS)
+            _, error = ctx.load(_load_table, ref.path)
             if error is not None:
                 yield _f(f"table cannot be parsed: {error}", path=ref.path)
     for ref in pkg.pool.data_files:
@@ -516,7 +509,7 @@ def _eval_r14(ctx: _Context) -> Iterator[Finding]:
                 shapes = column.shapes(excluded)
                 if not shapes or not all(map(_looks_dateish, shapes)):
                     continue
-                bad = (column.values(shapes - {DATE_SHAPE}) | column.bad_dates) - excluded
+                bad = failing_values(column, "date", excluded)
                 if bad:
                     offending = [c for c in column.cells if c in bad]
                     yield _f(
@@ -603,7 +596,7 @@ def _eval_r17(ctx: _Context) -> Iterator[Finding]:
 def _eval_r18(ctx: _Context) -> Iterator[Finding]:
     groups: dict[frozenset[str], list[tuple[str, dict[str, str]]]] = {}
     for ref in ctx.all_dictionary_refs():
-        dictionary, _ = ctx.load(_load_dictionary, ref.path, _READ_ERRORS)
+        dictionary, _ = ctx.load(_load_dictionary, ref.path)
         if dictionary is None:
             continue
         for entry in dictionary.entries:

@@ -25,6 +25,10 @@ RAW_DIR = "data-raw"
 METADATA_DIR = "metadata"
 CHECKSUMS_NAME = "checksums.txt"
 
+#: A DOI, which ``init`` accepts only in full and lint's R07 finds by search:
+#: its suffix holds no whitespace, double quote or angle bracket.
+DOI_PATTERN = r'10\.[0-9]{4,}(?:\.[0-9]+)*/[^\s"<>]+'
+
 _DICTIONARY_SUFFIX = "-dictionary"
 
 
@@ -250,7 +254,7 @@ def _special_rank(name: str) -> tuple[int, str]:
     return (2, name)
 
 
-def _is_dictionary_stem(stem: str) -> bool:
+def is_dictionary_stem(stem: str) -> bool:
     return stem == "dictionary" or stem.endswith(_DICTIONARY_SUFFIX)
 
 
@@ -337,7 +341,7 @@ def scan_package(root: str | Path) -> DataPackage:
         {
             ref.stem
             for ref in data_children
-            if ref.kind is FileKind.PLAIN_TEXT_TABLE and not _is_dictionary_stem(ref.stem)
+            if ref.kind is FileKind.PLAIN_TEXT_TABLE and not is_dictionary_stem(ref.stem)
         }
     )
 
@@ -356,7 +360,7 @@ def scan_package(root: str | Path) -> DataPackage:
         attach(ref, "dictionary_files", datasets.get(_dictionary_prefix(ref.stem), pool))
 
     for ref in data_children:
-        if ref.kind is FileKind.PLAIN_TEXT_TABLE and _is_dictionary_stem(ref.stem):
+        if ref.kind is FileKind.PLAIN_TEXT_TABLE and is_dictionary_stem(ref.stem):
             attach_dictionary(ref)
         elif ref.kind is FileKind.PLAIN_TEXT_TABLE:
             attach(ref, "data_files", datasets[ref.stem])
@@ -367,7 +371,7 @@ def scan_package(root: str | Path) -> DataPackage:
         attach(ref, "scripts" if ref.kind is FileKind.SCRIPT else "raw_files", by_prefix(ref))
 
     for ref in direct_children(METADATA_DIR):
-        if ref.kind is FileKind.PLAIN_TEXT_TABLE and _is_dictionary_stem(ref.stem):
+        if ref.kind is FileKind.PLAIN_TEXT_TABLE and is_dictionary_stem(ref.stem):
             attach_dictionary(ref)
         elif ref.kind is FileKind.METADATA:
             attach(ref, "metadata_files", by_prefix(ref))

@@ -16,7 +16,7 @@ from pathlib import Path
 from .errors import ScaffoldError, ToolError
 from .integrity import ChecksumManifest, ManifestEntry, md5_hex, publish, serialize_manifest
 from .licenses import SPDX_IDS, LicenseKind, license_text
-from .model import DataPackage, scan_package
+from .model import CHECKSUMS_NAME, DOI_PATTERN, DataPackage, is_dictionary_stem, scan_package
 from .schema import (
     DataDictionary,
     FieldDescriptor,
@@ -31,7 +31,7 @@ from .tabular import parse_csvy
 
 _SAFE_NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 _ORCID_RE = re.compile(r"[0-9]{4}-[0-9]{4}-[0-9]{4}-[0-9]{3}[0-9X]")
-_DOI_RE = re.compile(r"10\.[0-9]{4,}(?:\.[0-9]+)*/\S+")
+_DOI_RE = re.compile(DOI_PATTERN)
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class ScaffoldRequest:
                 raise ScaffoldError(
                     f"dataset name must be filesystem-safe (letters, digits, . _ -): {name!r}"
                 )
-            if name == "dictionary" or name.endswith("-dictionary"):
+            if is_dictionary_stem(name):
                 raise ScaffoldError(
                     f"dataset name {name!r} would collide with dictionary file naming"
                 )
@@ -297,7 +297,7 @@ def scaffold(request: ScaffoldRequest, destination: str | Path) -> DataPackage:
             ManifestEntry(path=rel, md5=md5_hex(data)) for rel, data in planned.items()
         ]
     )
-    planned["checksums.txt"] = serialize_manifest(manifest)
+    planned[CHECKSUMS_NAME] = serialize_manifest(manifest)
 
     try:
         publish({destination / rel: planned[rel] for rel in sorted(planned)}, parents=True)

@@ -148,7 +148,7 @@ def _infer(column: ColumnShapes, missing: frozenset[str]) -> str:
     return "string"
 
 
-def _failing_values(column: ColumnShapes, type_name: str, missing: frozenset[str]) -> set[str]:
+def failing_values(column: ColumnShapes, type_name: str, missing: frozenset[str]) -> set[str]:
     """The distinct non-missing values of a column that fail the type's check."""
     check = _SHAPE_CHECKS[type_name]
     bad = column.values({shape for shape in column.shapes(missing) if not check(shape)})
@@ -217,7 +217,7 @@ def validate_table(table: CsvTable, schema: TableSchema) -> ValidationReport:
         type_name = schema.field(name).type
         if type_name == "string":
             continue
-        bad = _failing_values(table.shapes[index], type_name, schema.missing_values)
+        bad = failing_values(table.shapes[index], type_name, schema.missing_values)
         if bad:
             failing.append((index, name, {cell: _violation_kind(cell, type_name) for cell in bad}))
     for row_number, row in enumerate(table.rows, start=1):

@@ -18,9 +18,9 @@ paths give the same records, so record numbers in errors do not depend on
 which one ran.  The quote-free path splits about a mebibyte of lines at a
 time, so only one block's line strings are alive at once.
 
-A parsed ``CsvTable`` builds its ``columns`` once, on first use, and one
-``ColumnShapes`` per column: how many cells have each digit shape, a cell
-with every ASCII digit mapped to ``0``.  The type checks here use
+A parsed ``CsvTable`` builds one ``ColumnShapes`` per column on first use:
+the column's cells, and how many of them have each digit shape, a cell with
+every ASCII digit mapped to ``0``.  The type checks here use
 ``[0-9]`` classes only, so a value passes one exactly when its shape does,
 and ``schema`` and ``lint`` judge a column of a million numbers by its few
 shapes instead of by each value.
@@ -36,12 +36,9 @@ from functools import cache, cached_property
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import CsvError, EncodingError, FrontMatterError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from .schema import TableSchema
 
 LF = "\n"
 CRLF = "\r\n"
@@ -262,19 +259,14 @@ class CsvTable:
         return 0
 
     @cached_property
-    def columns(self) -> tuple[tuple[str, ...], ...]:
-        """The cells column by column: ``columns[j]`` holds cell ``j`` of
-        every row, in row order.  Built on first use and then kept, so the
+    def shapes(self) -> tuple[ColumnShapes, ...]:
+        """One ``ColumnShapes`` per column: ``shapes[j].cells`` holds cell
+        ``j`` of every row, in row order.  Built on first use and then kept,
+        so inference, validation and lint classify a column once, and the
         rows must not be changed after that."""
         # Not zip(*rows): it makes one iterator per row, and allocating those
         # sets off repeated garbage collections on large tables.
-        return tuple(tuple(map(itemgetter(j), self.rows)) for j in range(self.width))
-
-    @cached_property
-    def shapes(self) -> tuple[ColumnShapes, ...]:
-        """One ``ColumnShapes`` per column, each summarized on first use and
-        then kept, so inference, validation and lint classify a column once."""
-        return tuple(map(ColumnShapes, self.columns))
+        return tuple(ColumnShapes(tuple(map(itemgetter(j), self.rows))) for j in range(self.width))
 
     def column(self, name: str) -> list[str]:
         """All cells under the named column, in row order."""
@@ -283,7 +275,7 @@ class CsvTable:
             index = names.index(name.strip())
         except ValueError:
             raise CsvError(f"no column named {name!r}; have {names}") from None
-        return list(self.columns[index])
+        return list(self.shapes[index].cells)
 
 
 @dataclass(frozen=True)
@@ -292,13 +284,12 @@ class FrontMatter:
 
     ``raw_yaml`` holds the verbatim text between the fences so a parse and
     re-serialize round trip reproduces the input byte for byte.  ``mapping``
-    is the parsed value and ``schema`` is extracted from it when the mapping
-    carries a ``schema`` block with ``fields``.
+    is the parsed value.  A ``schema`` block in it is not checked here;
+    ``schema.schema_from_front_matter(mapping)`` reads it on request.
     """
 
     raw_yaml: str = ""
     mapping: dict = field(default_factory=dict)
-    schema: "TableSchema | None" = None
 
     def __post_init__(self):
         if _FENCE_LINE.search(self.raw_yaml):
@@ -589,15 +580,10 @@ def parse_csvy(data: bytes) -> tuple[FrontMatter, CsvTable]:
     """
     raw_yaml, body = _split_front_matter(_decode(data))
     mapping: dict = {}
-    schema = None
     if raw_yaml:
         mapping = _load_front_matter_mapping(raw_yaml)
-        if "schema" in mapping:
-            from .schema import schema_from_front_matter
 
-            schema = schema_from_front_matter(mapping)
-
-    front = FrontMatter(raw_yaml=raw_yaml, mapping=mapping, schema=schema)
+    front = FrontMatter(raw_yaml=raw_yaml, mapping=mapping)
 
     stripped = body.strip("\r\n")
     if not stripped:

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from tidypack import serialize_manifest, compute_manifest
+from tidypack import SchemaError, compute_manifest, parse_csvy, schema_from_front_matter, serialize_manifest
 from tidypack.cli import EXIT_FINDINGS, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 
@@ -103,6 +103,15 @@ def test_init_full_options(tmp_path, capsys, package):
     assert readme.startswith("# demo\n")
     assert "Released under CC-BY-4.0" in readme
     assert "Attribution 4.0 International" in (package / "LICENSE").read_text()
+
+
+def test_init_refuses_a_doi_lint_would_not_find(tmp_path, capsys):
+    dest = tmp_path / "p"
+    code, out, err = run(capsys, "init", str(dest), "--dataset", "obs", "--doi", "10.1234/<x>")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: DOI must look like 10.NNNN/suffix: '10.1234/<x>'\n"
+    assert not dest.exists()
 
 
 def test_init_name_override(tmp_path, capsys):
@@ -348,6 +357,66 @@ def test_chunk_and_unchunk_roundtrip(tmp_path, capsys):
     )
     doc = one_json(out)
     assert doc == {"output": str(output), "bytes": len(original)}
+
+
+_NAMELESS_SCHEMA = b"""---
+title: Field notes
+schema:
+  fields:
+    - name: id
+      type: integer
+    - name: day
+      type: date
+---
+id,day
+1,2020-01-02
+2,2020-01-03
+3,2020-01-04
+"""
+
+
+@pytest.fixture()
+def nameless_schema(tmp_path):
+    """A csvy table whose front matter has a schema block but no ``name``:
+    ``schema_from_front_matter`` refuses it, and the table commands, which
+    do not read that block, take it as it is."""
+    table = tmp_path / "notes.csvy"
+    table.write_bytes(_NAMELESS_SCHEMA)
+    with pytest.raises(SchemaError, match="^front matter: missing required key 'name'$"):
+        schema_from_front_matter(parse_csvy(_NAMELESS_SCHEMA)[0].mapping)
+    return table
+
+
+def test_nameless_schema_csvy_chunks_and_unchunks_byte_exactly(nameless_schema, tmp_path, capsys):
+    code, out, err = run(capsys, "chunk", str(nameless_schema), "--max-rows", "2", "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    chunks = one_json(out)["chunks"]
+    assert len(chunks) == 2
+    merged = tmp_path / "merged.csvy"
+    code, _, err = run(capsys, "unchunk", *chunks, "--output", str(merged))
+    assert (code, err) == (EXIT_OK, "")
+    assert merged.read_bytes() == _NAMELESS_SCHEMA
+
+
+def test_nameless_schema_csvy_infers(nameless_schema, capsys):
+    code, out, err = run(capsys, "schema", "infer", str(nameless_schema))
+    assert (code, err) == (EXIT_OK, "")
+    assert [(f["name"], f["type"]) for f in one_json(out)["schema"]["fields"]] == [
+        ("id", "integer"),
+        ("day", "date"),
+    ]
+
+
+def test_nameless_schema_csvy_seeds_a_package_that_lints(nameless_schema, tmp_path, capsys):
+    package = tmp_path / "pkg"
+    code, _, err = run(capsys, "init", str(package), "--dataset", "notes", "--seed", str(nameless_schema))
+    assert (code, err) == (EXIT_OK, "")
+    assert (package / "data" / "notes.csvy").read_bytes() == _NAMELESS_SCHEMA
+    code, out, err = run(capsys, "lint", str(package), "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    report = one_json(out)
+    assert report["pass"] is True
+    assert [f["rule_id"] for f in report["findings"] if f["rule_id"] in ("R09", "R12")] == []
 
 
 def test_unchunk_to_stdout(tmp_path, capsysbinary):

@@ -80,12 +80,15 @@ BASE = {"tidypack.cli", "tidypack.errors", "tidypack.licenses", "tidypack.model"
 
 @pytest.fixture(scope="module")
 def tables(tmp_path_factory):
-    """A package seeded with a plain CSV, and a csvy table with front matter."""
+    """A package seeded with a plain CSV, and two csvy tables with front matter,
+    one with a schema block."""
     root = tmp_path_factory.mktemp("imports")
     plain = root / "plain.csv"
     plain.write_bytes(b"id,score\n1,2.5\n2,3.5\n")
     csvy = root / "fronted.csvy"
     csvy.write_bytes(b"---\nname: fronted\n---\nid,score\n1,2.5\n2,3.5\n")
+    nameless = root / "nameless.csvy"
+    nameless.write_bytes(b"---\ntitle: t\nschema:\n  fields:\n    - name: id\n---\nid\n1\n2\n")
     assert main(["init", str(root / "pkg"), "--dataset", "obs", "--seed", str(plain), "--format", "json"]) == EXIT_OK
     return root
 
@@ -102,8 +105,13 @@ def tables(tmp_path_factory):
         (["schema", "infer", "{root}/plain.csv"], {"tidypack.schema"}),
         (["init", "{root}/fresh", "--dataset", "obs"], {"tidypack.scaffold", "tidypack.schema"}),
         (["chunk", "{root}/fronted.csvy", "--max-rows", "1"], {"yaml"}),
+        # A schema block in the front matter is not read by a command that does not use it.
+        (["chunk", "{root}/nameless.csvy", "--max-rows", "1"], {"yaml"}),
     ],
-    ids=["help", "checksum", "verify", "chunk-plain", "lint", "pack-require-lint", "schema-infer", "init", "chunk-csvy"],
+    ids=[
+        "help", "checksum", "verify", "chunk-plain", "lint", "pack-require-lint", "schema-infer", "init", "chunk-csvy",
+        "chunk-csvy-schema",
+    ],
 )
 def test_each_command_imports_only_what_it_runs(tables, argv, extra):
     code, modules = json.loads(_child(_COMMAND, *(arg.format(root=tables) for arg in argv)))

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import importlib
+from dataclasses import replace
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tidypack import (
     Author,
     LicenseKind,
     ScaffoldError,
     ScaffoldRequest,
+    lint,
     lint_package,
     parse_manifest,
     scaffold,
@@ -156,6 +162,24 @@ def test_scaffold_lints_clean(tmp_path):
     assert report.passed
     assert report.counts == {"error": 0, "warning": 0, "info": 1}
     assert [f.rule_id for f in report.findings] == ["R10"]
+
+
+@pytest.mark.parametrize("doi", ["10.1234/abcd", "10.12345.6/x(y)-z;1", "10.1234/ä}b"])
+def test_an_accepted_doi_gets_no_r07(tmp_path, doi):
+    package = scaffold(replace(_FULL, doi=doi), tmp_path / "pkg")
+    assert [f.rule_id for f in lint_package(package).findings] == ["R10"]
+
+
+@given(st.text(alphabet=st.sampled_from(list('ab1/.<>"{}() \t\nä')), max_size=8))
+def test_lint_finds_every_doi_init_accepts(suffix):
+    try:
+        request = replace(_FULL, doi="10.1234/" + suffix)
+    except ScaffoldError as exc:
+        assert repr("10.1234/" + suffix) in str(exc)
+        return
+    citation = importlib.import_module("tidypack.scaffold")._render_citation(request)
+    found = lint._DOI_RE.search(citation)
+    assert found is not None and found.group().startswith(request.doi)
 
 
 def test_scaffold_without_doi_lints_with_citation_nudge(tmp_path):

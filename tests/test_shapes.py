@@ -35,7 +35,12 @@ from tidypack.schema import (
 from tidypack.tabular import MISSING_WATCHLIST, MissingProfile, is_date_token
 
 # ---------------------------------------------------------------------------
-# References: the per-value code, verbatim
+# References: the per-value code, verbatim, reading cells from ``table.rows``
+
+
+def _columns(table: CsvTable) -> list[list[str]]:
+    """Each column's cells in row order, straight from the rows."""
+    return [[row[j] for row in table.rows] for j in range(table.width)]
 
 
 def _reference_infer_field_type(
@@ -78,7 +83,7 @@ def _reference_validate_table(table: CsvTable, schema: TableSchema) -> Validatio
         check = _TYPE_CHECKS[type_name]
         kinds = {
             cell: _violation_kind(cell, type_name)
-            for cell in set(table.columns[index]).difference(schema.missing_values)
+            for cell in {row[index] for row in table.rows}.difference(schema.missing_values)
             if not check(cell)
         }
         if kinds:
@@ -118,7 +123,7 @@ def _reference_eval_r14(ctx):
     for ds in ctx.pkg.datasets:
         declared = ctx.declared_missing(ds)
         for ref, table in ctx.dataset_tables(ds):
-            for name, cells in zip(table.column_names, table.columns):
+            for name, cells in zip(table.column_names, _columns(table)):
                 # Each distinct value is tested once; the column is walked
                 # again only to count and order the offending cells.
                 considered = set(cells).difference(declared, ("",))
@@ -141,7 +146,7 @@ def _reference_eval_r15(ctx):
         declared = ctx.declared_missing(ds)
         for ref, table in ctx.dataset_tables(ds):
             suspicious: list[str] = []
-            for name, cells in zip(table.column_names, table.columns):
+            for name, cells in zip(table.column_names, _columns(table)):
                 profile = _reference_detect_missing_tokens(cells, declared)
                 if profile.suspects:
                     tokens = ", ".join(repr(t) for t in sorted(profile.suspects))
@@ -245,7 +250,7 @@ def test_validation_matches_the_per_value_checks(table, types, missing, slice_si
         assert validate_table(table, schema) == _reference_validate_table(table, schema)
         inferred = infer_schema(table, missing_values=missing)
     assert [f.type for f in inferred.fields] == [
-        _reference_infer_field_type(cells, missing) for cells in table.columns
+        _reference_infer_field_type(cells, missing) for cells in _columns(table)
     ]
 
 

@@ -20,6 +20,7 @@ from tidypack import (
     EncodingError,
     FrontMatter,
     FrontMatterError,
+    SchemaError,
     detect_dialect,
     detect_missing_tokens,
     is_boolean_token,
@@ -28,6 +29,7 @@ from tidypack import (
     is_number_token,
     parse_csvy,
     parse_table,
+    schema_from_front_matter,
     serialize_csvy,
     serialize_table,
     tabular,
@@ -296,8 +298,9 @@ def test_csvy_parses_front_matter_and_schema():
     front, table = parse_csvy(_CSVY)
     assert front.raw_yaml == "name: teaching\nschema:\n  fields:\n    - name: age\n      type: integer\n"
     assert front.mapping["name"] == "teaching"
-    assert front.schema is not None
-    assert [(f.name, f.type) for f in front.schema.fields] == [("age", "integer")]
+    schema = schema_from_front_matter(front.mapping)
+    assert schema.name == "teaching"
+    assert [(f.name, f.type) for f in schema.fields] == [("age", "integer")]
     assert table.header == ["age"]
     assert table.rows == [["12"]]
 
@@ -309,9 +312,11 @@ def test_csvy_round_trips_byte_exactly():
 
 def test_plain_table_has_empty_front_matter():
     front, table = parse_csvy(b"a,b\n1,2\n")
+    assert front == FrontMatter()
     assert front.raw_yaml == ""
     assert front.mapping == {}
-    assert front.schema is None
+    with pytest.raises(SchemaError, match="front matter: missing required key 'name'"):
+        schema_from_front_matter(front.mapping)
     assert table.rows == [["1", "2"]]
 
 
@@ -372,10 +377,13 @@ def test_front_matter_raw_yaml_may_not_contain_a_fence_line():
 
 
 def test_front_matter_schema_block_must_be_complete():
-    from tidypack import SchemaError
-
-    with pytest.raises(SchemaError):
-        parse_csvy(b"---\nschema: nope\n---\na\n1\n")
+    front, table = parse_csvy(b"---\nschema: nope\n---\na\n1\n")
+    assert front.mapping == {"schema": "nope"}
+    assert (table.header, table.rows) == (["a"], [["1"]])
+    with pytest.raises(SchemaError, match="front matter: missing required key 'name'"):
+        schema_from_front_matter(front.mapping)
+    with pytest.raises(SchemaError, match="front matter: missing required key 'schema'"):
+        schema_from_front_matter({**front.mapping, "name": "t"})
 
 
 def test_first_cell_fence_lookalike_round_trips():
@@ -559,10 +567,15 @@ def test_quotes_and_bare_cr_reach_the_state_machine(monkeypatch, text):
 
 def test_columns_are_built_once():
     table = parse_table(b"a,b\n1,2\n3,4\n", Dialect())
-    assert table.columns == (("1", "3"), ("2", "4"))
-    assert table.columns is table.columns
+    assert table.shapes is table.shapes
+    assert [column.cells for column in table.shapes] == [("1", "3"), ("2", "4")]
     assert table.column("b") == ["2", "4"]
-    assert CsvTable(header=["a", "b"], rows=[]).columns == ((), ())
+    assert table.column(" a ") == ["1", "3"]
+    with pytest.raises(CsvError, match="no column named 'c'"):
+        table.column("c")
+    empty = CsvTable(header=["a", "b"], rows=[])
+    assert [column.cells for column in empty.shapes] == [(), ()]
+    assert empty.column("a") == []
 
 
 @given(
