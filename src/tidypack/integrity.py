@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import BinaryIO, Callable, Mapping, Sequence
 
-from .errors import ChunkError, ManifestError, PackError
+from .errors import ChunkError, CsvError, EncodingError, FrontMatterError, ManifestError, PackError
 from .model import CHECKSUMS_NAME, escapes_root, walk_files
 from .tabular import CsvTable, is_number_token, read_csvy, serialize_csvy
 
@@ -336,7 +336,8 @@ def unchunk(chunk_paths: Sequence[str | Path]) -> bytes:
 
     The chunks must share one stem and extension, be numbered contiguously
     from 1 in the order given, and agree on header, front matter, and
-    delimiter; the first offending file is named in the error.  Returns the
+    delimiter; the first offending file is named in the error, also when it
+    does not parse (``r-2.csv: row 3: unterminated quoted field``).  Returns the
     canonical serialization (LF endings) of the concatenated table.
     """
     if not chunk_paths:
@@ -369,7 +370,11 @@ def unchunk(chunk_paths: Sequence[str | Path]) -> bytes:
     merged: CsvTable | None = None
     rows: list[list[str]] = []
     for path in paths:
-        front, table = read_csvy(path)
+        try:
+            front, table = read_csvy(path)
+        except (CsvError, EncodingError, FrontMatterError) as exc:
+            exc.args = (f"{path.name}: {exc}",)
+            raise
         if merged is None:
             front0, merged = front, table
         else:

@@ -1,22 +1,25 @@
 """Delimited plain-text tables: dialect detection, parsing, and csvy front matter.
 
-Tables are parsed here rather than by the stdlib ``csv`` module so that
-errors carry 1-based record numbers, cells round-trip byte-exactly, and the
-quoting rules stay pinned to what this package serializes: a field that
-starts with a double quote runs, delimiters and newlines included, until the
-matching close quote, and a doubled quote inside it is a literal quote
-(RFC 4180, narrowed to these rules).
+The quoting rules are pinned to what this package serializes, so that
+errors carry 1-based record numbers and cells round-trip byte-exactly: a
+field that starts with a double quote runs, delimiters and newlines
+included, until the matching close quote, and a doubled quote inside it is
+a literal quote (RFC 4180, narrowed to these rules).
 
 Most tables hold no quote at all.  When the decoded text has no double
 quote and no bare CR (a CR that no LF follows), its records are simply its
 non-empty lines, split on LF after CRLF is folded to LF, and its cells are
-those lines split on the delimiter.  Other text is read by one compiled
-regex per delimiter, one match per token: the quote-free rest of a record,
-which is split on the delimiter, or a single field.  Only LF and CRLF break
-lines on either path, never form feeds or Unicode line separators.  Both
-paths give the same records, so record numbers in errors do not depend on
-which one ran.  The quote-free path splits about a mebibyte of lines at a
-time, so only one block's line strings are alive at once.
+those lines split on the delimiter, about a mebibyte of lines at a time, so
+only one block's line strings are alive at once.  A full parse of text with
+quotes but no bare CR is read by the stdlib's C ``csv`` reader in strict
+mode, which reads valid text by these same rules and refuses, rather than
+repairs, what they read differently: text after a close quote and an
+unterminated quote.  Whatever it refuses, text with a bare CR, and the
+leading records that detection samples are read by one compiled regex per
+delimiter, one match per token: the quote-free rest of a record, which is
+split on the delimiter, or a single field.  Only LF and CRLF break lines on
+any path, never form feeds or Unicode line separators.  All paths give the
+same records, so record numbers in errors do not depend on which one ran.
 
 A parsed ``CsvTable`` builds one ``ColumnShapes`` per column on first use:
 the column's cells, and how many of them have each digit shape, a cell with
@@ -29,11 +32,12 @@ shapes instead of by each value.
 from __future__ import annotations
 
 import datetime
+import io
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import AbstractSet, Iterable, Iterator, Sequence
@@ -325,10 +329,11 @@ def _split_records(
 
     Text with no double quote and no bare CR (one not followed by LF) can
     hold no quoted field and no line break other than LF or CRLF, so its
-    records are its non-empty lines split on the delimiter; everything
-    else goes through the tokenizer, ``_split_quoted``.  With ``limit``
+    records are its non-empty lines split on the delimiter.  With ``limit``
     only the text up to the last record wanted is checked, since that is
-    all the tokenizer would read.
+    all the tokenizer would read.  A full parse of other text with no bare
+    CR goes to the C ``csv`` reader, ``_read_quoted``; everything else, and
+    what that reader refuses, to the tokenizer, ``_split_quoted``.
     """
     head = text
     if limit is not None:  # the tokenizer stops reading after the limit-th record
@@ -338,6 +343,10 @@ def _split_records(
         lines = head.replace(CRLF, LF) if "\r" in head else head
         if "\r" not in lines:  # a CR left over would be one that no LF follows
             return _split_lines(lines, delimiter)
+    elif limit is None and text.count("\r") == text.count(CRLF):
+        records = _read_quoted(text, delimiter)
+        if records is not None:
+            return records
     return _split_quoted(text, delimiter, lenient=lenient, limit=limit)
 
 
@@ -345,17 +354,47 @@ def _split_records(
 _BLOCK_CHARS = 1 << 20
 
 
-def _split_lines(text: str, delimiter: str) -> list[list[str]]:
-    """Quote-free LF text's non-empty lines split on the delimiter.  The
-    text is cut after the first LF past every ``_BLOCK_CHARS`` characters,
-    so only one block's line strings are alive at a time."""
-    records: list[list[str]] = []
+def _blocks(text: str, size: int) -> Iterator[str]:
+    """``text`` cut after the first LF past every ``size`` characters."""
     start = 0
     while start < len(text):
-        end = text.find(LF, start + _BLOCK_CHARS) + 1 or len(text)
-        records += [line.split(delimiter) for line in text[start:end].split(LF) if line]
+        end = text.find(LF, start + size) + 1 or len(text)
+        yield text[start:end]
         start = end
+
+
+def _split_lines(text: str, delimiter: str) -> list[list[str]]:
+    """Quote-free LF text's non-empty lines split on the delimiter, a block
+    of ``_BLOCK_CHARS`` at a time, so only one block's line strings are
+    alive at once."""
+    records: list[list[str]] = []
+    for block in _blocks(text, _BLOCK_CHARS):
+        records += [line.split(delimiter) for line in block.split(LF) if line]
     return records
+
+
+#: Characters per block fed to the ``csv`` reader: ``StringIO`` may keep four bytes per character.
+_READER_BLOCK_CHARS = 1 << 16
+
+
+def _read_quoted(text: str, delimiter: str) -> list[list[str]] | None:
+    """The non-empty records of text with no bare CR as the C ``csv`` reader
+    reads them, or None when it refuses the text.
+
+    Strict mode refuses just what these rules read differently: text after
+    a close quote (``"ab"cd``) and an unterminated quote, which non-strict
+    mode would silently close.  The reader also refuses a field over
+    ``csv.field_size_limit()`` and, before Python 3.11, a NUL.  The text is
+    fed in blocks cut after an LF; the reader carries an open quote across
+    a block edge itself.
+    """
+    import csv  # only quoted text is read with it
+
+    lines = chain.from_iterable(io.StringIO(b, newline="") for b in _blocks(text, _READER_BLOCK_CHARS))
+    try:
+        return [record for record in csv.reader(lines, delimiter=delimiter, strict=True) if record]
+    except csv.Error:
+        return None
 
 
 @cache  # compiled on first use: most runs read no quoted text

@@ -440,6 +440,36 @@ def test_unchunk_json_requires_output(tmp_path, capsys):
     assert doc["error"]["message"] == "--output is required with --format json"
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (b'id,name\n1,ada\n2,"bob\n', "row 3: unterminated quoted field"),
+        # Past the 20 records that dialect detection reads.
+        (b"id,name\n" + b"".join(b"%d,x\n" % k for k in range(25)) + b"25,x,y\n", "row 27: expected 2 cells, found 3"),
+        (
+            b"id,name\n1,\xff\n",
+            "input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte",
+        ),
+        (b"---\nname: t\nid,name\n1,ada\n", "front matter fence '---' is never closed"),
+    ],
+    ids=["unterminated-quote", "ragged-row", "invalid-utf8", "unclosed-front-matter"],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_unchunk_names_the_chunk_that_does_not_parse(tmp_path, capsys, body, message, fmt):
+    (tmp_path / "r-1.csv").write_bytes(b"id,name\n0,zed\n")
+    (tmp_path / "r-2.csv").write_bytes(body)
+    output = tmp_path / "merged.csv"
+    code, out, err = run(
+        capsys, "unchunk", str(tmp_path / "r-1.csv"), str(tmp_path / "r-2.csv"), "--output", str(output), "--format", fmt
+    )
+    assert code == EXIT_USAGE
+    if fmt == "json":
+        assert (one_json(out), err) == ({"error": {"code": EXIT_USAGE, "message": f"r-2.csv: {message}"}}, "")
+    else:
+        assert (out, err) == ("", f"error: r-2.csv: {message}\n")
+    assert not output.exists()
+
+
 def test_chunk_usage_errors(tmp_path, capsys):
     table = tmp_path / "t.csv"
     table.write_bytes(b"id\n1\n")

@@ -71,7 +71,7 @@ try:
 except SystemExit as exc:  # --help
     code = exc.code
 print()
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("tidypack.") or m == "yaml")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("tidypack.") or m in ("yaml", "csv", "_csv"))]))
 """
 
 #: What every command loads: the CLI and the checksum and table code it binds at import.
@@ -80,8 +80,8 @@ BASE = {"tidypack.cli", "tidypack.errors", "tidypack.licenses", "tidypack.model"
 
 @pytest.fixture(scope="module")
 def tables(tmp_path_factory):
-    """A package seeded with a plain CSV, and two csvy tables with front matter,
-    one with a schema block."""
+    """A package seeded with a plain CSV, and three csvy tables with front
+    matter: one with a schema block, one with quoted cells."""
     root = tmp_path_factory.mktemp("imports")
     plain = root / "plain.csv"
     plain.write_bytes(b"id,score\n1,2.5\n2,3.5\n")
@@ -89,6 +89,8 @@ def tables(tmp_path_factory):
     csvy.write_bytes(b"---\nname: fronted\n---\nid,score\n1,2.5\n2,3.5\n")
     nameless = root / "nameless.csvy"
     nameless.write_bytes(b"---\ntitle: t\nschema:\n  fields:\n    - name: id\n---\nid\n1\n2\n")
+    quoted = root / "quoted.csvy"
+    quoted.write_bytes(b'---\nname: quoted\n---\nid,note\r\n1,"a, b"\r\n2,"say ""hi"""\r\n')
     assert main(["init", str(root / "pkg"), "--dataset", "obs", "--seed", str(plain), "--format", "json"]) == EXIT_OK
     return root
 
@@ -107,10 +109,12 @@ def tables(tmp_path_factory):
         (["chunk", "{root}/fronted.csvy", "--max-rows", "1"], {"yaml"}),
         # A schema block in the front matter is not read by a command that does not use it.
         (["chunk", "{root}/nameless.csvy", "--max-rows", "1"], {"yaml"}),
+        # Only quoted text is read with the stdlib csv reader.
+        (["chunk", "{root}/quoted.csvy", "--max-rows", "1"], {"yaml", "csv", "_csv"}),
     ],
     ids=[
         "help", "checksum", "verify", "chunk-plain", "lint", "pack-require-lint", "schema-infer", "init", "chunk-csvy",
-        "chunk-csvy-schema",
+        "chunk-csvy-schema", "chunk-quoted-csvy",
     ],
 )
 def test_each_command_imports_only_what_it_runs(tables, argv, extra):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import re
 import string
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -558,11 +559,59 @@ def test_quote_free_text_skips_the_state_machine(monkeypatch, newline):
         parse_table(data.replace(b";2", b";2;2"), dialect)
 
 
-@pytest.mark.parametrize("text", ['a,b\n"x",1\n', 'a,b\nx"y,1\n', "a,b\rx,1\n", "a,b\r\nx,1\r"])
-def test_quotes_and_bare_cr_reach_the_state_machine(monkeypatch, text):
+@pytest.mark.parametrize(
+    "text, records",
+    [
+        ('a,b\n"x",1\n', [["a", "b"], ["x", "1"]]),
+        ('a,b\nx"y,1\n', [["a", "b"], ['x"y', "1"]]),
+        ('a,b\r\n\r\n"x\r\n""y""",1\r\n"",\r\n', [["a", "b"], ['x\r\n"y"', "1"], ["", ""]]),
+    ],
+    ids=["quoted", "quote-inside-a-field", "crlf-and-doubled-quotes"],
+)
+def test_full_parse_of_quoted_text_skips_the_state_machine(monkeypatch, text, records):
+    monkeypatch.setattr(tabular, "_split_quoted", _no_state_machine)
+    table = parse_table(text.encode(), Dialect())
+    assert [table.header, *table.rows] == records
+
+
+@pytest.mark.parametrize("text", ["a,b\rx,1\n", "a,b\r\nx,1\r", 'a,b\r"x",1\n', 'a,b\n"x\ry",1\n'])
+def test_bare_cr_reaches_the_state_machine(monkeypatch, text):
     monkeypatch.setattr(tabular, "_split_quoted", _no_state_machine)
     with pytest.raises(AssertionError, match="state machine reached"):
         parse_table(text.encode(), Dialect())
+
+
+def test_limited_splits_reach_the_state_machine(monkeypatch):
+    monkeypatch.setattr(tabular, "_split_quoted", _no_state_machine)
+    with pytest.raises(AssertionError, match="state machine reached"):
+        tabular._split_records('a,b\n"x",1\n', ",", limit=20)
+    with pytest.raises(AssertionError, match="state machine reached"):
+        detect_dialect(b'a,b\n"x",1\n')
+
+
+@pytest.mark.parametrize(
+    "text, outcome, tokenized",
+    [
+        ('a,b\n"x"y,1\n', [["a", "b"], ["xy", "1"]], True),
+        ('a,b\n1,"x\n2,y\n', ("error", "row 2: unterminated quoted field", 2), True),
+        ('a,b\n"' + "x" * 200_000 + '",1\n', [["a", "b"], ["x" * 200_000, "1"]], True),
+        # The C reader takes NUL as any other character from Python 3.11 on.
+        ('a,b\n"x\x00y",1\n', [["a", "b"], ["x\x00y", "1"]], sys.version_info < (3, 11)),
+    ],
+    ids=["text-after-close-quote", "unterminated", "field-over-the-reader-limit", "nul"],
+)
+def test_what_the_reader_refuses_reaches_the_state_machine(monkeypatch, text, outcome, tokenized):
+    calls = []
+    split_quoted = tabular._split_quoted
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return split_quoted(*args, **kwargs)
+
+    monkeypatch.setattr(tabular, "_split_quoted", spy)
+    assert _split_outcome(tabular._split_records, text, ",", False, None) == outcome
+    assert _split_outcome(_reference_split, text, ",", False, None) == outcome
+    assert bool(calls) == tokenized
 
 
 def test_columns_are_built_once():
@@ -756,6 +805,26 @@ def test_tokenizer_matches_the_reference(text, delimiter, lenient, limit):
     )
 
 
+_READER_CHARS = ['"', '""', ",", ";", "\t", "\n", "\r\n", "\r", "\x00", " ", "\x0c", "\u2028", "a", "b"]
+
+
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(_READER_CHARS), max_size=40),
+        st.lists(st.sampled_from([c for c in _READER_CHARS if c != "\r"]), max_size=40),
+    ).map("".join),
+    st.sampled_from(tabular.DELIMITERS),
+    st.booleans(),
+    st.integers(1, 6),
+)
+def test_full_split_matches_the_reference(text, delimiter, lenient, block):
+    # Blocks of a few characters make quoted fields straddle block edges.
+    with mock.patch.object(tabular, "_READER_BLOCK_CHARS", block):
+        assert _split_outcome(tabular._split_records, text, delimiter, lenient, None) == _split_outcome(
+            _reference_split, text, delimiter, lenient, None
+        )
+
+
 _BIG = 100_000
 
 
@@ -775,9 +844,9 @@ _BIG = 100_000
 def test_tokenizer_matches_the_reference_at_scale(make, delimiter):
     text = make(delimiter)
     for lenient in (False, True):
-        assert _split_outcome(tabular._split_quoted, text, delimiter, lenient, None) == _split_outcome(
-            _reference_split, text, delimiter, lenient, None
-        )
+        expected = _split_outcome(_reference_split, text, delimiter, lenient, None)
+        assert _split_outcome(tabular._split_quoted, text, delimiter, lenient, None) == expected
+        assert _split_outcome(tabular._split_records, text, delimiter, lenient, None) == expected
 
 
 def _reference_front_matter(text: str) -> tuple[str, str]:
