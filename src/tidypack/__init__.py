@@ -33,7 +33,7 @@ _EXPORTS = {
         "parse_config", "report_to_json", "report_to_text",
     ),
     "model": (
-        "DataPackage", "Dataset", "DocumentRef", "FileKind", "FileRef", "LicenseRef", "PackagePool",
+        "DataPackage", "Dataset", "FileKind", "FileRef", "LicenseRef", "PackagePool",
         "classify_file", "iter_files", "scan_package",
     ),
     "scaffold": ("Author", "ScaffoldRequest", "scaffold"),

@@ -8,6 +8,12 @@ every regular file exactly once: into a dataset, the package-level pool,
 one of the special top-level slots, or the unclassified list.  A dataset
 and the pool share one bucket type, ``PackagePool``, so each of the five
 file buckets is declared once.
+
+Each file has one reference, the ``FileRef`` the walk built: a slot holds
+that same object (the license slot a ``LicenseRef`` copy that adds what
+its content was recognized as), and one pass over the walk sorts the files
+into the top-level names and the direct children of the three layout
+directories before anything is claimed.
 """
 
 from __future__ import annotations
@@ -88,13 +94,6 @@ def escapes_root(path: str) -> bool:
     return path.startswith("/") or ".." in path.split("/")
 
 
-def _check_relative(path: str) -> None:
-    if not path:
-        raise ScanError("file path must be non-empty")
-    if escapes_root(path):
-        raise ScanError(f"file path must be relative and stay inside the package: {path!r}")
-
-
 @dataclass(frozen=True)
 class FileRef:
     """One regular file inside a package, by root-relative POSIX path."""
@@ -104,7 +103,10 @@ class FileRef:
     kind: FileKind
 
     def __post_init__(self):
-        _check_relative(self.path)
+        if not self.path:
+            raise ScanError("file path must be non-empty")
+        if escapes_root(self.path):
+            raise ScanError(f"file path must be relative and stay inside the package: {self.path!r}")
         if self.size_bytes < 0:
             raise ScanError(f"negative size for {self.path!r}")
 
@@ -118,21 +120,10 @@ class FileRef:
 
 
 @dataclass(frozen=True)
-class DocumentRef:
-    """A top-level documentation file (README, citation, checksums)."""
-
-    path: str
-    size_bytes: int
-
-    def __post_init__(self):
-        _check_relative(self.path)
-
-
-@dataclass(frozen=True)
-class LicenseRef(DocumentRef):
+class LicenseRef(FileRef):
     """The package's license file plus what its content was recognized as."""
 
-    detected: LicenseKind
+    detected: LicenseKind = field(kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -170,14 +161,18 @@ class Dataset(PackagePool):
 
 @dataclass(frozen=True)
 class DataPackage:
-    """Everything the scanner found, with each file in exactly one place."""
+    """Everything the scanner found, with each file in exactly one place.
+
+    The documentation slots ``readme``, ``citation`` and ``checksums`` are
+    each a ``FileRef`` or None, and ``license`` a ``LicenseRef`` or None.
+    """
 
     root: Path
     datasets: list[Dataset]
-    readme: DocumentRef | None
+    readme: FileRef | None
     license: LicenseRef | None
-    citation: DocumentRef | None
-    checksums: DocumentRef | None
+    citation: FileRef | None
+    checksums: FileRef | None
     pool: PackagePool = field(default_factory=PackagePool)
     unclassified: list[FileRef] = field(default_factory=list)
 
@@ -187,16 +182,12 @@ class DataPackage:
                 return ds
         raise KeyError(f"no dataset named {name!r}")
 
-    def all_file_refs(self) -> list[FileRef]:
-        """Every FileRef in the inventory (documentation slots excluded)."""
-        refs = [ref for owner in (*self.datasets, self.pool) for ref in owner.file_refs()]
-        return refs + self.unclassified
-
-    def all_refs(self) -> list[FileRef | DocumentRef]:
+    def all_refs(self) -> list[FileRef]:
         """Every inventoried file, documentation slots included, sorted by path."""
+        refs = [ref for owner in (*self.datasets, self.pool) for ref in owner.file_refs()]
         slots = (self.readme, self.license, self.citation, self.checksums)
         documents = [doc for doc in slots if doc is not None]
-        return sorted(self.all_file_refs() + documents, key=lambda ref: ref.path)
+        return sorted(refs + self.unclassified + documents, key=lambda ref: ref.path)
 
     def all_paths(self) -> list[str]:
         """Every inventoried path, documentation slots included, sorted."""
@@ -242,7 +233,7 @@ def iter_files(root: str | Path) -> list[Path]:
     return [root / rel for rel, _ in walk_files(root)]
 
 
-_SPECIAL_STEMS = {"readme": "readme", "license": "license", "citation": "citation"}
+_SPECIAL_STEMS = ("readme", "license", "citation")
 
 
 def _special_rank(name: str) -> tuple[int, str]:
@@ -285,62 +276,55 @@ def scan_package(root: str | Path) -> DataPackage:
         for rel, size in walk_files(root)
     }
 
-    claimed: set[str] = set()
+    # The one pass over every file: the layout names only top-level files
+    # and the direct children of its three directories.  Deeper paths follow
+    # no layout rule.
+    top_level: list[str] = []
+    children: dict[str, list[FileRef]] = {DATA_DIR: [], RAW_DIR: [], METADATA_DIR: []}
+    for rel, ref in refs.items():
+        directory, _, name = rel.partition("/")
+        if not name:
+            top_level.append(rel)
+        elif directory in children and "/" not in name:
+            children[directory].append(ref)
 
     def claim(rel: str) -> FileRef:
-        claimed.add(rel)
-        return refs[rel]
+        """The file's reference, taken out of ``refs``: what is left there is unclassified."""
+        return refs.pop(rel)
 
     # Special top-level slots.  Among case-insensitive stem matches, prefer
     # .md, then no extension, then anything else (alphabetically).
-    special: dict[str, str] = {}
+    special: dict[str, FileRef] = {}
     for slot in _SPECIAL_STEMS:
         candidates = [
-            rel
-            for rel, ref in refs.items()
-            if "/" not in rel and PurePosixPath(rel).stem.casefold() == slot
+            rel for rel in top_level if PurePosixPath(rel).stem.casefold() == slot
         ]
         if candidates:
-            special[slot] = min(candidates, key=_special_rank)
+            special[slot] = claim(min(candidates, key=_special_rank))
 
-    def document(rel: str | None) -> DocumentRef | None:
-        if rel is None:
-            return None
-        ref = claim(rel)
-        return DocumentRef(path=ref.path, size_bytes=ref.size_bytes)
-
-    readme = document(special.get("readme"))
-    citation = document(special.get("citation"))
     license_ref = None
     if "license" in special:
-        ref = claim(special["license"])
+        ref = special["license"]
         try:
             text = (root / ref.path).read_bytes().decode("utf-8", errors="replace")
             detected = detect_license(text)
         except OSError:
             detected = LicenseKind.UNKNOWN
-        license_ref = LicenseRef(path=ref.path, size_bytes=ref.size_bytes, detected=detected)
+        license_ref = LicenseRef(
+            path=ref.path, size_bytes=ref.size_bytes, kind=ref.kind, detected=detected
+        )
 
-    checksum_candidates = (
-        rel for rel in refs if "/" not in rel and rel.casefold() == CHECKSUMS_NAME
-    )
-    checksums = document(min(checksum_candidates, default=None))
-
-    def direct_children(directory: str) -> list[FileRef]:
-        prefix = directory + "/"
-        return [
-            ref
-            for rel, ref in refs.items()
-            if rel.startswith(prefix) and "/" not in rel[len(prefix):]
-        ]
+    checksum_candidates = [
+        rel for rel in top_level if rel.casefold() == CHECKSUMS_NAME
+    ]
+    checksums = claim(min(checksum_candidates)) if checksum_candidates else None
 
     # Datasets are named by table stems directly under data/, dictionaries
     # excluded.
-    data_children = direct_children(DATA_DIR)
     dataset_names = sorted(
         {
             ref.stem
-            for ref in data_children
+            for ref in children[DATA_DIR]
             if ref.kind is FileKind.PLAIN_TEXT_TABLE and not is_dictionary_stem(ref.stem)
         }
     )
@@ -359,7 +343,7 @@ def scan_package(root: str | Path) -> DataPackage:
     def attach_dictionary(ref: FileRef) -> None:
         attach(ref, "dictionary_files", datasets.get(_dictionary_prefix(ref.stem), pool))
 
-    for ref in data_children:
+    for ref in children[DATA_DIR]:
         if ref.kind is FileKind.PLAIN_TEXT_TABLE and is_dictionary_stem(ref.stem):
             attach_dictionary(ref)
         elif ref.kind is FileKind.PLAIN_TEXT_TABLE:
@@ -367,10 +351,10 @@ def scan_package(root: str | Path) -> DataPackage:
         else:
             attach(ref, "data_files", pool)
 
-    for ref in direct_children(RAW_DIR):
+    for ref in children[RAW_DIR]:
         attach(ref, "scripts" if ref.kind is FileKind.SCRIPT else "raw_files", by_prefix(ref))
 
-    for ref in direct_children(METADATA_DIR):
+    for ref in children[METADATA_DIR]:
         if ref.kind is FileKind.PLAIN_TEXT_TABLE and is_dictionary_stem(ref.stem):
             attach_dictionary(ref)
         elif ref.kind is FileKind.METADATA:
@@ -387,15 +371,13 @@ def scan_package(root: str | Path) -> DataPackage:
                 getattr(only, bucket.name).extend(getattr(pool, bucket.name))
         pool = PackagePool(data_files=pool.data_files)
 
-    unclassified = [ref for rel, ref in refs.items() if rel not in claimed]
-
     return DataPackage(
         root=root,
         datasets=[datasets[name] for name in dataset_names],
-        readme=readme,
+        readme=special.get("readme"),
         license=license_ref,
-        citation=citation,
+        citation=special.get("citation"),
         checksums=checksums,
         pool=pool,
-        unclassified=unclassified,
+        unclassified=list(refs.values()),
     )

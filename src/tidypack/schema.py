@@ -499,10 +499,11 @@ def dictionary_from_table(table: CsvTable) -> DataDictionary:
                 f"dictionary table needs a {required!r} column; found: {have}"
             )
 
-    def cells(key: str) -> list[str] | None:
+    def cells(key: str) -> list[str]:
+        """The column's cells; an absent optional column reads as empty cells."""
         if key in lowered:
             return table.column(lowered[key])
-        return None
+        return [""] * len(table.rows)
 
     variables = cells("variable")
     classes = cells("class")
@@ -511,22 +512,15 @@ def dictionary_from_table(table: CsvTable) -> DataDictionary:
     missing_cells = cells("missing_codes")
 
     entries = []
-    assert variables is not None and classes is not None
     for index, variable in enumerate(variables):
         variable = variable.strip()
         entries.append(
             DictionaryEntry(
                 variable_name=variable,
                 class_name=normalize_class(classes[index]),
-                description=(descriptions[index].strip() if descriptions else ""),
-                codes=(
-                    _parse_codes_cell(codes_cells[index], variable)
-                    if codes_cells
-                    else {}
-                ),
-                missing_codes=(
-                    _parse_missing_cell(missing_cells[index]) if missing_cells else frozenset()
-                ),
+                description=descriptions[index].strip(),
+                codes=_parse_codes_cell(codes_cells[index], variable),
+                missing_codes=_parse_missing_cell(missing_cells[index]),
             )
         )
     return DataDictionary(entries=entries)

@@ -472,14 +472,14 @@ def _detect_from_text(text: str) -> Dialect:
     # and settles LF-only text, the common case, on its own.
     line_ending = CRLF if "\r" in text and CRLF in text else LF
 
+    # One split per candidate: 20 records score it, and the winner's 21 feed the header test.
+    samples: dict[str, list[list[str]]] = {}
     consistent: dict[str, int] = {}
     for delimiter in DELIMITERS:
-        counts = [len(cells) for cells in _split_records(text, delimiter, lenient=True, limit=20)]
-        if not counts:
-            continue
-        modal = max(set(counts), key=lambda value: (counts.count(value), value))
-        if counts.count(modal) == len(counts):
-            consistent[delimiter] = modal
+        samples[delimiter] = _split_records(text, delimiter, lenient=True, limit=21)
+        widths = {len(cells) for cells in samples[delimiter][:20]}
+        if len(widths) == 1:
+            consistent[delimiter] = widths.pop()
 
     fallback = False
     if consistent:
@@ -489,7 +489,7 @@ def _detect_from_text(text: str) -> Dialect:
         delimiter = ","
         fallback = True
 
-    records = _split_records(text, delimiter, lenient=True, limit=21)
+    records = samples[delimiter]
     has_header = False
     if len(records) >= 2:
         first = records[0]

@@ -9,7 +9,6 @@ import pytest
 from tidypack import (
     ConfigError,
     DataPackage,
-    DocumentRef,
     FileKind,
     FileRef,
     LicenseKind,
@@ -497,8 +496,10 @@ def test_r17_covers_documentation_slots(tmp_path):
     package = DataPackage(
         root=tmp_path,
         datasets=[],
-        readme=DocumentRef(path="README.md", size_bytes=size),
-        license=LicenseRef(path="LICENSE", size_bytes=size, detected=LicenseKind.CC0_1),
+        readme=FileRef(path="README.md", size_bytes=size, kind=FileKind.DOCUMENT),
+        license=LicenseRef(
+            path="LICENSE", size_bytes=size, kind=FileKind.OTHER, detected=LicenseKind.CC0_1
+        ),
         citation=None,
         checksums=None,
     )

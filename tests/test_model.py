@@ -2,22 +2,39 @@
 
 from __future__ import annotations
 
-from pathlib import PurePosixPath
+import tempfile
+from dataclasses import fields
+from pathlib import Path, PurePosixPath
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tidypack import (
     DataPackage,
     FileKind,
     FileRef,
     LicenseKind,
+    LicenseRef,
+    PackagePool,
     ScanError,
     classify_file,
+    detect_license,
     iter_files,
     scan_package,
 )
 from tidypack.licenses import license_text
-from tidypack.model import escapes_root, walk_files
+from tidypack.model import (
+    CHECKSUMS_NAME,
+    DATA_DIR,
+    METADATA_DIR,
+    RAW_DIR,
+    _dictionary_prefix,
+    _special_rank,
+    escapes_root,
+    is_dictionary_stem,
+    walk_files,
+)
 
 
 def _write(root, rel: str, data: bytes = b"x\n") -> None:
@@ -308,3 +325,185 @@ def test_dataset_lookup_raises_for_unknown_name(tmp_path):
     with pytest.raises(KeyError):
         package.dataset("missing")
     assert isinstance(package, DataPackage)
+
+
+def test_documentation_slots_are_scanned_file_refs(tmp_path):
+    _single_dataset_tree(tmp_path)
+    package = scan_package(tmp_path)
+    slots = (package.readme, package.license, package.citation, package.checksums)
+    assert None not in slots
+    assert isinstance(package.license, LicenseRef)
+    refs = package.all_refs()
+    for slot in slots:
+        assert isinstance(slot, FileRef)
+        assert slot.kind is classify_file(slot.path), slot.path
+        assert sum(ref is slot for ref in refs) == 1, slot.path
+
+
+# ---------------------------------------------------------------------------
+# The scanner against the eight-pass reference
+
+
+def _paths(owner: PackagePool) -> dict[str, list[str]]:
+    return {
+        bucket.name: [ref.path for ref in getattr(owner, bucket.name)] for bucket in fields(PackagePool)
+    }
+
+
+def _summary(package: DataPackage) -> dict:
+    """What a scan found, as plain values."""
+    license_ref = package.license
+    return {
+        "readme": package.readme and package.readme.path,
+        "license": license_ref and (license_ref.path, license_ref.detected),
+        "citation": package.citation and package.citation.path,
+        "checksums": package.checksums and package.checksums.path,
+        "datasets": [(ds.name, _paths(ds)) for ds in package.datasets],
+        "pool": _paths(package.pool),
+        "unclassified": [ref.path for ref in package.unclassified],
+    }
+
+
+def _reference_scan(root: Path) -> dict:
+    """``scan_package`` as it was before the one-pass grouping, as a summary.
+
+    Each slot search, each layout directory and the unclaimed filter make
+    their own pass over every path.
+    """
+    refs = {
+        rel: FileRef(path=rel, size_bytes=size, kind=classify_file(rel))
+        for rel, size in walk_files(root)
+    }
+    claimed: set[str] = set()
+
+    def claim(rel: str) -> FileRef:
+        claimed.add(rel)
+        return refs[rel]
+
+    special: dict[str, str] = {}
+    for slot in ("readme", "license", "citation"):
+        candidates = [
+            rel
+            for rel in refs
+            if "/" not in rel and PurePosixPath(rel).stem.casefold() == slot
+        ]
+        if candidates:
+            special[slot] = min(candidates, key=_special_rank)
+    for rel in special.values():
+        claim(rel)
+    license_ref = None
+    if "license" in special:
+        text = (root / special["license"]).read_bytes().decode("utf-8", errors="replace")
+        license_ref = (special["license"], detect_license(text))
+    checksum_candidates = (
+        rel for rel in refs if "/" not in rel and rel.casefold() == CHECKSUMS_NAME
+    )
+    checksums = min(checksum_candidates, default=None)
+    if checksums is not None:
+        claim(checksums)
+
+    def direct_children(directory: str) -> list[FileRef]:
+        prefix = directory + "/"
+        return [
+            ref
+            for rel, ref in refs.items()
+            if rel.startswith(prefix) and "/" not in rel[len(prefix):]
+        ]
+
+    data_children = direct_children(DATA_DIR)
+    dataset_names = sorted(
+        {
+            ref.stem
+            for ref in data_children
+            if ref.kind is FileKind.PLAIN_TEXT_TABLE and not is_dictionary_stem(ref.stem)
+        }
+    )
+    datasets = {name: PackagePool() for name in dataset_names}
+    pool = PackagePool()
+
+    def attach(ref: FileRef, bucket: str, owner: PackagePool) -> None:
+        getattr(owner, bucket).append(claim(ref.path))
+
+    def by_prefix(ref: FileRef) -> PackagePool:
+        matches = [name for name in dataset_names if ref.stem.startswith(name)]
+        return datasets[max(matches, key=len)] if matches else pool
+
+    def attach_dictionary(ref: FileRef) -> None:
+        attach(ref, "dictionary_files", datasets.get(_dictionary_prefix(ref.stem), pool))
+
+    for ref in data_children:
+        if ref.kind is FileKind.PLAIN_TEXT_TABLE and is_dictionary_stem(ref.stem):
+            attach_dictionary(ref)
+        elif ref.kind is FileKind.PLAIN_TEXT_TABLE:
+            attach(ref, "data_files", datasets[ref.stem])
+        else:
+            attach(ref, "data_files", pool)
+    for ref in direct_children(RAW_DIR):
+        attach(ref, "scripts" if ref.kind is FileKind.SCRIPT else "raw_files", by_prefix(ref))
+    for ref in direct_children(METADATA_DIR):
+        if ref.kind is FileKind.PLAIN_TEXT_TABLE and is_dictionary_stem(ref.stem):
+            attach_dictionary(ref)
+        elif ref.kind is FileKind.METADATA:
+            attach(ref, "metadata_files", by_prefix(ref))
+
+    if len(datasets) == 1:
+        (only,) = datasets.values()
+        for bucket in fields(PackagePool):
+            if bucket.name != "data_files":
+                getattr(only, bucket.name).extend(getattr(pool, bucket.name))
+        pool = PackagePool(data_files=pool.data_files)
+
+    return {
+        "readme": special.get("readme"),
+        "license": license_ref,
+        "citation": special.get("citation"),
+        "checksums": checksums,
+        "datasets": [(name, _paths(datasets[name])) for name in dataset_names],
+        "pool": _paths(pool),
+        "unclassified": [rel for rel in refs if rel not in claimed],
+    }
+
+
+_TOP_LEVEL = st.builds(
+    str.__add__,
+    st.sampled_from(
+        ["README", "readme", "ReadMe", "LICENSE", "license", "Licence", "citation", "CITATION",
+         "checksums", "CHECKSUMS", "notes"]
+    ),
+    st.sampled_from(["", ".md", ".MD", ".txt", ".TXT", ".rst", ".cff", ".md.bak", "."]),
+)
+_STEMS = st.sampled_from(
+    ["alpha", "alpha-v2", "alpha-v2-raw", "alpha-dictionary", "alpha-v2-dictionary", "beta", "dictionary",
+     "gamma-dictionary", "00-shared", "readme"]
+)
+_SUFFIXES = st.sampled_from([".csv", ".TSV", ".txt", ".csvy", ".rds", ".R", ".py", ".json", ".yml", ".md", ""])
+#: Direct children of the layout directories, which the layout rules sort.
+_IN_LAYOUT = st.builds(
+    "{}/{}{}".format, st.sampled_from([DATA_DIR, RAW_DIR, METADATA_DIR]), _STEMS, _SUFFIXES
+)
+#: Paths that follow no layout rule: nested, or under another directory.
+_ELSEWHERE = st.builds(
+    "{}/{}{}".format,
+    st.sampled_from(
+        [f"{DATA_DIR}/nested", f"{RAW_DIR}/nested/deeper", f"{METADATA_DIR}/nested", "Data", "extras"]
+    ),
+    _STEMS,
+    _SUFFIXES,
+)
+_CONTENTS = st.sampled_from(
+    [b"", b"x\n", license_text(LicenseKind.CC_BY_4).encode(), license_text(LicenseKind.CC0_1).encode()]
+)
+
+
+@given(
+    st.sets(st.sampled_from(["alpha", "alpha-v2", "beta"])),
+    st.dictionaries(st.one_of(_TOP_LEVEL, _IN_LAYOUT, _IN_LAYOUT, _ELSEWHERE), _CONTENTS, max_size=30),
+)
+def test_scan_matches_the_reference(tables, tree):
+    # The tables name the datasets that most other files attach to.
+    tree = {f"{DATA_DIR}/{stem}.csv": b"x\n" for stem in tables} | tree
+    with tempfile.TemporaryDirectory() as directory:
+        root = Path(directory)
+        for rel, data in tree.items():
+            _write(root, rel, data)
+        assert _summary(scan_package(root)) == _reference_scan(root)
