@@ -13,9 +13,8 @@ stdout, or text the stdout encoding cannot carry, exits 3 with one
 emitted, so ``NO_COLOR`` has nothing to strip.
 
 Handlers return a ``_Result`` and write nothing: ``_render`` is the only
-code that writes to stdout or stderr.  Each handler imports the ``lint``,
-``schema`` and ``scaffold`` code it runs, so a command loads no module it
-does not use.
+code that writes to stdout or stderr.  Each handler imports the code it
+runs, so a command loads no module it does not use.
 """
 
 from __future__ import annotations
@@ -28,19 +27,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ToolError
-from .integrity import (
-    chunk_table,
-    compute_manifest,
-    pack,
-    parse_manifest,
-    publish,
-    serialize_manifest,
-    unchunk,
-    verify_manifest,
-)
 from .licenses import CLI_CHOICES
-from .model import CHECKSUMS_NAME, scan_package
-from .tabular import read_csvy
+
+#: ``model.CHECKSUMS_NAME``, which a test holds equal: the parser names it
+#: without loading the scanner.
+_CHECKSUMS_NAME = "checksums.txt"
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -118,6 +109,7 @@ def _cmd_init(args) -> _Result:
 
 def _cmd_lint(args) -> _Result:
     from .lint import LintConfig, lint_package, load_config, report_to_json, report_to_text
+    from .model import scan_package
 
     config = load_config(args.config) if args.config else LintConfig()
     package = scan_package(args.target)
@@ -128,6 +120,7 @@ def _cmd_lint(args) -> _Result:
 
 def _cmd_schema_infer(args) -> _Result:
     from .schema import infer_schema, schema_to_json
+    from .tabular import read_csvy
 
     _, table = read_csvy(args.table)
     schema = infer_schema(
@@ -139,6 +132,7 @@ def _cmd_schema_infer(args) -> _Result:
 
 def _cmd_schema_validate(args) -> _Result:
     from .schema import schema_from_json, validate_table
+    from .tabular import read_csvy
 
     schema = schema_from_json(Path(args.schema).read_bytes())
     _, table = read_csvy(args.table)
@@ -199,12 +193,14 @@ def _inside(path: Path, root: Path) -> str | None:
 
 def _manifest_path(args) -> Path:
     """The manifest ``verify`` and ``pack`` read: ``--manifest``, or the root's own."""
-    return Path(args.manifest) if args.manifest else Path(args.root) / CHECKSUMS_NAME
+    return Path(args.manifest) if args.manifest else Path(args.root) / _CHECKSUMS_NAME
 
 
 def _cmd_checksum(args) -> _Result:
+    from .integrity import compute_manifest, publish, serialize_manifest
+
     root = Path(args.root)
-    excluded = {CHECKSUMS_NAME}
+    excluded = {_CHECKSUMS_NAME}
     output = Path(args.output) if args.output else None
     if output is not None:
         excluded.add(_inside(output, root))
@@ -221,6 +217,8 @@ def _cmd_checksum(args) -> _Result:
 
 
 def _cmd_verify(args) -> _Result:
+    from .integrity import parse_manifest, verify_manifest
+
     root = Path(args.root)
     manifest_path = _manifest_path(args)
     manifest = parse_manifest(manifest_path.read_bytes())
@@ -242,6 +240,8 @@ def _cmd_verify(args) -> _Result:
 
 
 def _cmd_chunk(args) -> _Result:
+    from .integrity import chunk_table
+
     plan = chunk_table(args.table, args.max_rows)
     document = {
         "source": plan.source,
@@ -260,6 +260,8 @@ def _cmd_chunk(args) -> _Result:
 def _cmd_unchunk(args) -> _Result:
     if args.format == "json" and not args.output:
         raise _UsageError("--output is required with --format json")
+    from .integrity import publish, unchunk
+
     data = unchunk(args.chunks)
     if not args.output:
         return _Result(EXIT_OK, None, data)
@@ -272,6 +274,9 @@ def _cmd_unchunk(args) -> _Result:
 
 
 def _cmd_pack(args) -> _Result:
+    from .integrity import pack, parse_manifest
+    from .model import scan_package
+
     root = Path(args.root)
     if args.require_lint:
         from .lint import RULES, LintConfig, lint_package
@@ -288,7 +293,7 @@ def _cmd_pack(args) -> _Result:
     return _Result(
         EXIT_OK,
         {"archive": str(archive), "files": len(manifest.entries) + 1},
-        _lines(f"wrote {archive} ({len(manifest.entries)} files plus {CHECKSUMS_NAME})"),
+        _lines(f"wrote {archive} ({len(manifest.entries)} files plus {_CHECKSUMS_NAME})"),
     )
 
 
@@ -350,7 +355,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="verify a tree against its manifest")
     p.add_argument("root", help="directory to verify")
-    p.add_argument("--manifest", help=f"manifest file (default: <root>/{CHECKSUMS_NAME})")
+    p.add_argument("--manifest", help=f"manifest file (default: <root>/{_CHECKSUMS_NAME})")
     _add_command(p, _cmd_verify)
 
     p = sub.add_parser("chunk", help="split a table into row-limited chunks")
@@ -366,7 +371,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pack", help="write a reproducible tar archive of a package")
     p.add_argument("root", help="package root directory")
     p.add_argument("--output", help="archive path (default: <root-name>.tar)")
-    p.add_argument("--manifest", help=f"manifest to pack from (default: <root>/{CHECKSUMS_NAME})")
+    p.add_argument("--manifest", help=f"manifest to pack from (default: <root>/{_CHECKSUMS_NAME})")
     p.add_argument("--require-lint", action="store_true", help="refuse to pack unless lint passes")
     _add_command(p, _cmd_pack)
 

@@ -25,13 +25,13 @@ import os
 import re
 from collections import Counter
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, Callable, Mapping, Sequence
 
-from .errors import ChunkError, CsvError, EncodingError, FrontMatterError, ManifestError, PackError
-from .model import CHECKSUMS_NAME, escapes_root, walk_files
-from .tabular import CsvTable, is_number_token, read_csvy, serialize_csvy
+from .errors import ChunkError, CsvError, EncodingError, FrontMatterError, ManifestError, PackError, ScanError
+from .model import CHECKSUMS_NAME, escapes_root, printable_path, walk_files
 
 _MD5_HEX_RE = re.compile(r"[0-9a-f]{32}")
 _MANIFEST_LINE_RE = re.compile(r"(?:(?P<algo>[a-z0-9]+):)?(?P<hex>[0-9a-fA-F]+)  (?P<path>.+)")
@@ -197,6 +197,16 @@ def parse_manifest(data: bytes) -> ChecksumManifest:
     return ChecksumManifest(entries=entries)
 
 
+def _named_files(root: str | Path) -> list[str]:
+    """The relative paths ``walk_files`` finds, refusing with ``ScanError``
+    a name that is not UTF-8, which a manifest line could not hold."""
+    paths = [rel for rel, _ in walk_files(root)]
+    for rel in paths:
+        if printable_path(rel) != rel:
+            raise ScanError(f"file name is not valid UTF-8: {printable_path(rel)}")
+    return paths
+
+
 def compute_manifest(
     root: str | Path, include: Callable[[str], bool] | None = None
 ) -> ChecksumManifest:
@@ -204,11 +214,12 @@ def compute_manifest(
 
     ``include`` filters by root-relative POSIX path; by default everything
     is checksummed, including any existing ``checksums.txt`` (callers that
-    maintain a package manifest exclude it themselves).
+    maintain a package manifest exclude it themselves).  A file name that
+    is not UTF-8 raises ``ScanError``, naming it with backslash escapes.
     """
     entries = [
         ManifestEntry(path=rel, md5=_md5_file(os.path.join(root, rel)))
-        for rel, _ in walk_files(root)
+        for rel in _named_files(root)
         if include is None or include(rel)
     ]
     return ChecksumManifest(entries=entries)
@@ -241,11 +252,13 @@ def verify_manifest(
     """Recompute digests under ``root`` and compare with the manifest.
 
     One walk: files the manifest lists are hashed, extras are only named.
+    A file name that is not UTF-8 raises ``ScanError``, as in
+    ``compute_manifest``.
     """
     expected = {entry.path: entry.md5 for entry in manifest.entries}
     mismatched: list[str] = []
     extra: list[str] = []
-    for rel, _ in walk_files(root):
+    for rel in _named_files(root):
         if include is not None and not include(rel):
             continue
         if rel not in expected:
@@ -296,6 +309,8 @@ def chunk_table(source: str | Path, max_rows_per_chunk: int) -> ChunkPlan:
     if any target chunk path exists, or appears while the chunks are
     written, no chunk is left behind.
     """
+    from .tabular import CsvTable, is_number_token, read_csvy, serialize_csvy
+
     if max_rows_per_chunk < 1:
         raise ChunkError("max_rows_per_chunk must be at least 1")
     source = Path(source)
@@ -308,15 +323,16 @@ def chunk_table(source: str | Path, max_rows_per_chunk: int) -> ChunkPlan:
             "(its first record contains numeric cells); chunking needs one"
         )
 
-    count = max(1, math.ceil(len(table.rows) / max_rows_per_chunk))
+    count = max(1, math.ceil(table.height / max_rows_per_chunk))
     targets = [
         source.with_name(_chunk_name(source.stem, index, source.suffix))
         for index in range(1, count + 1)
     ]
 
     def piece(start: int) -> Callable[[BinaryIO], object]:
-        rows = table.rows[start : start + max_rows_per_chunk]
-        return lambda out: out.write(serialize_csvy(front, replace(table, rows=rows, source=None)))
+        columns = tuple(column[start : start + max_rows_per_chunk] for column in table.columns)
+        chunk = CsvTable(header=table.header, dialect=table.dialect, columns=columns)
+        return lambda out: out.write(serialize_csvy(front, chunk))
 
     try:
         publish({target: piece(index * max_rows_per_chunk) for index, target in enumerate(targets)})
@@ -326,7 +342,7 @@ def chunk_table(source: str | Path, max_rows_per_chunk: int) -> ChunkPlan:
     return ChunkPlan(
         source=str(source),
         max_rows_per_chunk=max_rows_per_chunk,
-        data_rows=len(table.rows),
+        data_rows=table.height,
         chunk_paths=[str(target) for target in targets],
     )
 
@@ -366,28 +382,32 @@ def unchunk(chunk_paths: Sequence[str | Path]) -> bytes:
                 f"got {path.name}"
             )
 
-    front0 = None
-    merged: CsvTable | None = None
-    rows: list[list[str]] = []
+    from .tabular import CsvTable, read_csvy, serialize_csvy
+
+    front0 = first = None
+    parts: list[list[tuple[str, ...]]] = []  # per column, each chunk's cells
     for path in paths:
         try:
             front, table = read_csvy(path)
         except (CsvError, EncodingError, FrontMatterError) as exc:
             exc.args = (f"{path.name}: {exc}",)
             raise
-        if merged is None:
-            front0, merged = front, table
+        if first is None:
+            front0, first = front, table
+            parts = [[] for _ in table.columns]
         else:
-            if table.header != merged.header:
+            if table.header != first.header:
                 raise ChunkError(f"{path.name} has a different header than the first chunk")
             if front.raw_yaml != front0.raw_yaml:
                 raise ChunkError(f"{path.name} has different front matter than the first chunk")
-            if table.dialect.delimiter != merged.dialect.delimiter:
+            if table.dialect.delimiter != first.dialect.delimiter:
                 raise ChunkError(f"{path.name} uses a different delimiter than the first chunk")
-        rows.extend(table.rows)
+        for part, column in zip(parts, table.columns):
+            part.append(column)
 
-    assert merged is not None and front0 is not None
-    return serialize_csvy(front0, replace(merged, rows=rows, source=None))
+    assert first is not None and front0 is not None
+    columns = tuple(tuple(chain.from_iterable(part)) for part in parts)
+    return serialize_csvy(front0, CsvTable(header=first.header, dialect=first.dialect, columns=columns))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .model import (
     FileRef,
     PackagePool,
     escapes_root,
+    printable_path,
 )
 from .licenses import LicenseKind
 from .schema import (
@@ -85,6 +86,8 @@ RULES: tuple[LintRule, ...] = (
 RULES_BY_ID = {rule.id: rule for rule in RULES}
 
 _CATCHALL_ANCHOR = "internal"
+
+_UNNAMED_DETAIL = "file name is not valid UTF-8; rename it so that manifests and reports can name it"
 
 
 @dataclass(frozen=True)
@@ -631,7 +634,8 @@ def lint_package(pkg: DataPackage, config: LintConfig | None = None) -> LintRepo
     ordered by severity (errors first), rule id, path, and detail, so the
     same package always yields the same report.  A rule evaluator that
     crashes becomes a single ``R00`` warning naming the rule instead of
-    taking the whole run down.
+    taking the whole run down, and each file whose name is not UTF-8 an
+    ``R00`` error.
     """
     config = config or LintConfig()
     ctx = _Context(pkg)
@@ -657,6 +661,16 @@ def lint_package(pkg: DataPackage, config: LintConfig | None = None) -> LintRepo
             final_rank = max(_SEVERITY_RANK[effective], _SEVERITY_RANK[declared])
             findings.append(replace(finding, rule_id=rule.id, severity=SEVERITIES[final_rank]))
 
+    # A file name that is not UTF-8 fits in no manifest or report: it fails
+    # the package, and every finding names such files with backslash escapes.
+    unnamed = [path for path in pkg.all_paths() if printable_path(path) != path]
+    if unnamed:
+        findings += [
+            Finding(rule_id=_CATCHALL_RULE_ID, severity="error", detail=_UNNAMED_DETAIL, path=path) for path in unnamed
+        ]
+        findings = [
+            replace(f, path=f.path and printable_path(f.path), detail=printable_path(f.detail)) for f in findings
+        ]
     findings.sort(
         key=lambda f: (_SEVERITY_RANK[f.severity], f.rule_id, f.path or "", f.detail)
     )

@@ -223,6 +223,14 @@ def walk_files(root: str | Path) -> list[tuple[str, int]]:
     return files
 
 
+def printable_path(path: str) -> str:
+    """``path`` with the bytes of a name that is not UTF-8 as backslash
+    escapes (``bad\\xff.txt``).  ``os.scandir`` decodes such bytes to lone
+    surrogates, which no UTF-8 output can carry; any other path is returned
+    as it is."""
+    return path if path.isascii() else path.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+
+
 def iter_files(root: str | Path) -> list[Path]:
     """All regular files under ``root`` as paths, sorted by relative POSIX path.
 

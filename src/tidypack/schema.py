@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import compress, count
 from pathlib import PurePath
 from typing import Any, Iterable, Mapping
 
@@ -207,9 +208,9 @@ def validate_table(table: CsvTable, schema: TableSchema) -> ValidationReport:
         if column_name not in schema_names:
             violations.append(Violation(kind="unknown_column", field=column_name))
 
-    # Each column is judged by its cells' digit shapes; only columns
-    # holding a bad value are walked again, row by row, to keep the
-    # violation order.
+    # Each column is judged by its cells' digit shapes.  The rows of the
+    # few failing values are found column by column, at C speed, and then
+    # sorted into row-major order.
     failing = []
     for index, name in enumerate(names):
         if name not in schema_names:
@@ -219,14 +220,14 @@ def validate_table(table: CsvTable, schema: TableSchema) -> ValidationReport:
             continue
         bad = failing_values(table.shapes[index], type_name, schema.missing_values)
         if bad:
-            failing.append((index, name, {cell: _violation_kind(cell, type_name) for cell in bad}))
-    for row_number, row in enumerate(table.rows, start=1):
-        for index, name, kinds in failing:
-            kind = kinds.get(row[index])
-            if kind is not None:
-                violations.append(
-                    Violation(kind=kind, field=name, row=row_number, value=row[index])
-                )
+            kinds = {cell: _violation_kind(cell, type_name) for cell in bad}
+            column = table.columns[index]
+            for row in compress(count(), map(kinds.__contains__, column)):
+                failing.append((row, index, name, kinds[column[row]], column[row]))
+    failing.sort()
+    violations += [
+        Violation(kind=kind, field=name, row=row + 1, value=value) for row, _, name, kind, value in failing
+    ]
     return ValidationReport(violations=violations)
 
 
@@ -503,7 +504,7 @@ def dictionary_from_table(table: CsvTable) -> DataDictionary:
         """The column's cells; an absent optional column reads as empty cells."""
         if key in lowered:
             return table.column(lowered[key])
-        return [""] * len(table.rows)
+        return [""] * table.height
 
     variables = cells("variable")
     classes = cells("class")

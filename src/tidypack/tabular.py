@@ -6,15 +6,24 @@ field that starts with a double quote runs, delimiters and newlines
 included, until the matching close quote, and a doubled quote inside it is
 a literal quote (RFC 4180, narrowed to these rules).
 
+A ``CsvTable`` is stored by column: one tuple of cells per column, in row
+order.  Every reader here reads columns (digit shapes, ``column()``,
+validation, serializing, chunking), so a parse builds the columns straight
+from each block of text, and ``CsvTable.rows`` is a view built on request.
+
 Most tables hold no quote at all.  When the decoded text has no double
 quote and no bare CR (a CR that no LF follows), its records are simply its
-non-empty lines, split on LF after CRLF is folded to LF, and its cells are
-those lines split on the delimiter, about a mebibyte of lines at a time, so
-only one block's line strings are alive at once.  A full parse of text with
-quotes but no bare CR is read by the stdlib's C ``csv`` reader in strict
-mode, which reads valid text by these same rules and refuses, rather than
-repairs, what they read differently: text after a close quote and an
-unterminated quote.  Whatever it refuses, text with a bare CR, and the
+non-empty lines, split on LF after CRLF is folded to LF, about a mebibyte
+at a time.  Each block's widths are checked exactly, by counting every
+line's delimiters; a block that passes is split into cells in one call and
+sliced into its columns, and only a block that fails, or holds an empty
+line, is split line by line, which keeps the record number of a ragged row.
+A full parse of text with quotes but no bare CR is read by the stdlib's C
+``csv`` reader in strict mode, a batch of records at a time, and each batch
+is transposed into columns.  The reader reads valid text by these same
+rules and refuses, rather than repairs, what they read differently: text
+after a close quote and an unterminated quote.  Whatever it refuses, from
+the end of the last batch it completed on, text with a bare CR, and the
 leading records that detection samples are read by one compiled regex per
 delimiter, one match per token: the quote-free rest of a record, which is
 split on the delimiter, or a single field.  Only LF and CRLF break lines on
@@ -34,11 +43,10 @@ from __future__ import annotations
 import datetime
 import io
 import re
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
@@ -55,6 +63,9 @@ QUOTE = '"'
 # A line that is a record when the text has no quote and no bare CR: any
 # line but an empty one or the lone CR of a CRLF.
 _RECORD_LINE_RE = re.compile(r"(?!\r\n)[^\n]+")
+
+# A bare CR, one that no LF follows: only the tokenizer reads text holding one.
+_BARE_CR_RE = re.compile(r"\r(?!\n)")
 
 #: Tokens that commonly stand in for a missing value.  Cells equal to one of
 #: these are flagged when they are not declared as missing codes.
@@ -217,32 +228,50 @@ class Dialect:
             raise CsvError(f"unsupported line ending {self.line_ending!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CsvTable:
-    """An in-memory table: a header row plus data rows of equal width.
+    """An in-memory table: a header row plus equal-length columns.
 
     Cells are kept verbatim; nothing is trimmed or type-coerced here.
+    ``columns`` holds one tuple per column, in row order, and every reader
+    in this package reads columns.  A parse checks every record's width
+    as it splits, a block at a time, and passes ``columns=``: the
+    constructor then checks only the column count against the header and
+    the column lengths, so its cost grows with the width, not the rows.
+    ``CsvTable(header, rows)`` builds the columns from rows and checks each
+    row's width.  ``rows`` is a view built from the columns on each access,
+    ``rows[i][j]`` being cell ``j`` of row ``i``; nothing here reads it.
     ``header`` may be empty for headerless input, in which case all rows
     share the width of the first row.
     """
 
     header: list[str]
-    rows: list[list[str]]
-    dialect: Dialect = field(default_factory=Dialect)
-    source: str | None = None
+    columns: tuple[tuple[str, ...], ...]
+    dialect: Dialect
+    source: str | None
 
-    def __post_init__(self):
-        # Widths before names: a parse reports a ragged row ahead of a
-        # duplicate column name.
-        width = self.width
-        if self.rows and width == 0:
-            raise CsvError("rows must have at least one cell")
-        offset = 1 if self.header else 0
-        for index, row in enumerate(self.rows, start=1):
-            if len(row) != width:
-                raise CsvError(
-                    f"expected {width} cells, found {len(row)}", row=index + offset
-                )
+    def __init__(
+        self,
+        header: list[str],
+        rows: Sequence[Sequence[str]] = (),
+        dialect: Dialect | None = None,
+        source: str | None = None,
+        *,
+        columns: tuple[tuple[str, ...], ...] | None = None,
+    ):
+        if columns is None:
+            width = len(header) if header else len(rows[0]) if rows else 0
+            if rows and width == 0:
+                raise CsvError("rows must have at least one cell")
+            columns = _transpose(rows, width, 1 if header else 0)
+        elif header and len(columns) != len(header):
+            raise CsvError(f"expected {len(header)} columns, found {len(columns)}")
+        elif len(set(map(len, columns))) > 1:
+            raise CsvError("columns must all have the same length")
+        object.__setattr__(self, "header", header)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "dialect", Dialect() if dialect is None else dialect)
+        object.__setattr__(self, "source", source)
         seen: set[str] = set()
         for name in self.column_names:
             if name in seen:
@@ -256,21 +285,23 @@ class CsvTable:
 
     @property
     def width(self) -> int:
-        if self.header:
-            return len(self.header)
-        if self.rows:
-            return len(self.rows[0])
-        return 0
+        return len(self.columns)
+
+    @property
+    def height(self) -> int:
+        """The number of data rows."""
+        return len(self.columns[0]) if self.columns else 0
+
+    @property
+    def rows(self) -> list[list[str]]:
+        """The data rows, built from the columns on each access."""
+        return [list(row) for row in zip(*self.columns)]
 
     @cached_property
     def shapes(self) -> tuple[ColumnShapes, ...]:
-        """One ``ColumnShapes`` per column: ``shapes[j].cells`` holds cell
-        ``j`` of every row, in row order.  Built on first use and then kept,
-        so inference, validation and lint classify a column once, and the
-        rows must not be changed after that."""
-        # Not zip(*rows): it makes one iterator per row, and allocating those
-        # sets off repeated garbage collections on large tables.
-        return tuple(ColumnShapes(tuple(map(itemgetter(j), self.rows))) for j in range(self.width))
+        """One ``ColumnShapes`` per column.  Built on first use and then
+        kept, so inference, validation and lint classify a column once."""
+        return tuple(map(ColumnShapes, self.columns))
 
     def column(self, name: str) -> list[str]:
         """All cells under the named column, in row order."""
@@ -279,7 +310,17 @@ class CsvTable:
             index = names.index(name.strip())
         except ValueError:
             raise CsvError(f"no column named {name!r}; have {names}") from None
-        return list(self.shapes[index].cells)
+        return list(self.columns[index])
+
+
+def _transpose(rows: Sequence[Sequence[str]], width: int, before: int) -> tuple[tuple[str, ...], ...]:
+    """``rows`` as ``width`` column tuples.  A row of another width raises
+    ``CsvError`` naming its record number, ``before`` records coming ahead
+    of ``rows``."""
+    if not {width}.issuperset(map(len, rows)):
+        index = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise CsvError(f"expected {width} cells, found {len(rows[index])}", row=before + index + 1)
+    return tuple(zip(*rows)) if rows else ((),) * width
 
 
 @dataclass(frozen=True)
@@ -312,45 +353,72 @@ def _decode(data: bytes) -> str:
         raise EncodingError(f"input is not valid UTF-8: {exc}") from None
 
 
-def _split_records(
-    text: str,
-    delimiter: str,
-    *,
-    lenient: bool = False,
-    limit: int | None = None,
-) -> list[list[str]]:
-    """Split text into records, each a list of cells.
+def _split_records(text: str, delimiter: str, limit: int) -> list[list[str]]:
+    """The first ``limit`` records of text, each a list of cells, for
+    detection to sample.
 
     Lines with no characters at all are skipped, so a trailing newline does
-    not produce a phantom empty record.  With ``lenient`` set, an
-    unterminated quote at end of input closes the field instead of raising
-    (detection uses this on truncated samples).  ``limit`` stops after that
-    many records.
-
-    Text with no double quote and no bare CR (one not followed by LF) can
-    hold no quoted field and no line break other than LF or CRLF, so its
-    records are its non-empty lines split on the delimiter.  With ``limit``
-    only the text up to the last record wanted is checked, since that is
-    all the tokenizer would read.  A full parse of other text with no bare
-    CR goes to the C ``csv`` reader, ``_read_quoted``; everything else, and
-    what that reader refuses, to the tokenizer, ``_split_quoted``.
+    not produce a phantom empty record, and an unterminated quote at the
+    end of the text closes its field, as a truncated sample may hold one.
+    Only the text up to the last record wanted is checked for quotes and
+    bare CRs, since that is all the tokenizer would read.
     """
-    head = text
-    if limit is not None:  # the tokenizer stops reading after the limit-th record
-        found = list(islice(_RECORD_LINE_RE.finditer(text), limit))
-        head = text[: found[-1].end() + 1] if found else ""
+    found = list(islice(_RECORD_LINE_RE.finditer(text), limit))
+    head = text[: found[-1].end() + 1] if found else ""
     if QUOTE not in head:
         lines = head.replace(CRLF, LF) if "\r" in head else head
         if "\r" not in lines:  # a CR left over would be one that no LF follows
-            return _split_lines(lines, delimiter)
-    elif limit is None and text.count("\r") == text.count(CRLF):
-        records = _read_quoted(text, delimiter)
-        if records is not None:
-            return records
-    return _split_quoted(text, delimiter, lenient=lenient, limit=limit)
+            return [line.split(delimiter) for line in lines.split(LF) if line]
+    return _split_quoted(text, delimiter, lenient=True, limit=limit)
 
 
-#: Characters per block of ``_split_lines``.
+def _split_table(text: str, delimiter: str, has_header: bool) -> tuple[list[str], tuple[tuple[str, ...], ...]]:
+    """Split text into its first record, when ``has_header``, and the
+    columns of the records after it, or of every record.
+
+    Lines with no characters at all are skipped.  Every record must have
+    the first record's width: ``CsvError`` names the first one that does
+    not, and an unterminated quote, with their 1-based record numbers.  The
+    header is empty when the text holds no record.
+
+    Text with no double quote and no bare CR (one not followed by LF) can
+    hold no quoted field and no line break other than LF or CRLF, so its
+    records are its non-empty lines, ``_line_columns``.  Other text with no
+    bare CR goes to the C ``csv`` reader, ``_read_quoted``; text with a
+    bare CR to the tokenizer, ``_split_quoted``.
+    """
+    if QUOTE not in text:
+        lines = text.replace(CRLF, LF) if "\r" in text else text
+        if "\r" not in lines:
+            return _gather(_line_columns(lines, delimiter), has_header)
+    if _BARE_CR_RE.search(text) is None:
+        batches = _read_quoted(text, delimiter)
+    else:
+        batches = iter([_split_quoted(text, delimiter)])
+    return _gather(_record_columns(batches), has_header)
+
+
+def _gather(
+    batches: Iterator[Sequence[Sequence[str]]], has_header: bool
+) -> tuple[list[str], tuple[tuple[str, ...], ...]]:
+    """Join batches of columns, the first of which starts with the first
+    record, into one tuple per column."""
+    columns: list[list[str]] = []
+    for batch in batches:
+        if not columns:  # a list in the first batch is taken over as it is
+            columns = [column if isinstance(column, list) else list(column) for column in batch]
+            continue
+        for cells, column in zip(columns, batch):
+            cells += column
+    header = [cells[0] for cells in columns] if has_header else []
+    for index, cells in enumerate(columns):  # one list at a time is alive next to its tuple
+        if header:
+            del cells[0]
+        columns[index] = tuple(cells)
+    return header, tuple(columns)
+
+
+#: Characters per block of ``_line_columns``.
 _BLOCK_CHARS = 1 << 20
 
 
@@ -363,38 +431,100 @@ def _blocks(text: str, size: int) -> Iterator[str]:
         start = end
 
 
-def _split_lines(text: str, delimiter: str) -> list[list[str]]:
-    """Quote-free LF text's non-empty lines split on the delimiter, a block
-    of ``_BLOCK_CHARS`` at a time, so only one block's line strings are
-    alive at once."""
-    records: list[list[str]] = []
+def _line_columns(text: str, delimiter: str) -> Iterator[Sequence[Sequence[str]]]:
+    """The columns of quote-free LF text's non-empty lines split on the
+    delimiter, a block of ``_BLOCK_CHARS`` at a time, so only one block's
+    line strings are alive at once.
+
+    A block of whole lines that each hold one delimiter fewer than the
+    table's width is split in one call, and column ``j`` is every
+    ``width``-th cell from cell ``j``.  Any other block (one with an empty
+    or a ragged line, the last line of text with no final LF, or any block
+    of a one-column table, whose lines hold no delimiter, empty or not) is
+    split line by line, which skips empty lines and pins a ragged line's
+    record number.
+    """
+    first = _RECORD_LINE_RE.search(text)
+    if first is None:
+        return
+    width = first.group().count(delimiter) + 1
+    before = 0  # records in the blocks already split
     for block in _blocks(text, _BLOCK_CHARS):
-        records += [line.split(delimiter) for line in block.split(LF) if line]
-    return records
+        lines = block.split(LF)
+        # An empty line holds no delimiter, so it fails the width check too.
+        if width > 1 and not lines[-1]:
+            lines.pop()
+            if {width - 1}.issuperset(map(str.count, lines, repeat(delimiter))):
+                before += len(lines)
+                del lines  # before the cells are made
+                cells = block.replace(LF, delimiter).split(delimiter)
+                cells.pop()  # the empty cell after the final LF
+                yield [cells[j::width] for j in range(width)]
+                continue
+        rows = [line.split(delimiter) for line in lines if line]
+        del lines
+        if rows:
+            yield _transpose(rows, width, before)
+            before += len(rows)
+
+
+def _record_columns(batches: Iterator[list[list[str]]]) -> Iterator[Sequence[Sequence[str]]]:
+    """Batches of non-empty records as batches of columns, every record
+    checked against the first one's width.  A ragged record is reported
+    only once the remaining batches have been read, so an unterminated
+    quote later in the text is reported first, as a split that reads the
+    whole text before any width reports it."""
+    width = before = 0
+    for rows in batches:
+        if not rows:
+            continue
+        width = width or len(rows[0])
+        try:
+            columns = _transpose(rows, width, before)
+        except CsvError:
+            deque(batches, maxlen=0)
+            raise
+        yield columns
+        before += len(rows)
 
 
 #: Characters per block fed to the ``csv`` reader: ``StringIO`` may keep four bytes per character.
 _READER_BLOCK_CHARS = 1 << 16
 
+#: Records per batch read from the ``csv`` reader.
+_READER_BATCH = 2048
 
-def _read_quoted(text: str, delimiter: str) -> list[list[str]] | None:
-    """The non-empty records of text with no bare CR as the C ``csv`` reader
-    reads them, or None when it refuses the text.
+
+def _read_quoted(text: str, delimiter: str) -> Iterator[list[list[str]]]:
+    """Batches of the non-empty records of text with no bare CR, as the C
+    ``csv`` reader reads them; when it refuses the text, the tokenizer
+    reads on from the end of the last batch the reader completed.
 
     Strict mode refuses just what these rules read differently: text after
     a close quote (``"ab"cd``) and an unterminated quote, which non-strict
     mode would silently close.  The reader also refuses a field over
     ``csv.field_size_limit()`` and, before Python 3.11, a NUL.  The text is
     fed in blocks cut after an LF; the reader carries an open quote across
-    a block edge itself.
+    a block edge itself.  It reads no further than the record it returns,
+    and it splits lines only at LF here, so a batch ends after the
+    ``reader.line_num``-th LF.
     """
     import csv  # only quoted text is read with it
 
     lines = chain.from_iterable(io.StringIO(b, newline="") for b in _blocks(text, _READER_BLOCK_CHARS))
+    reader = csv.reader(lines, delimiter=delimiter, strict=True)
+    records = done = 0  # records and lines in the batches read so far
     try:
-        return [record for record in csv.reader(lines, delimiter=delimiter, strict=True) if record]
+        while batch := list(islice(reader, _READER_BATCH)):
+            rows = list(filter(None, batch))  # a blank line reads as []
+            yield rows
+            records += len(rows)
+            done = reader.line_num
     except csv.Error:
-        return None
+        start = 0
+        for _ in range(done):
+            start = text.index(LF, start) + 1
+        yield _split_quoted(text, delimiter, start=start, before=records)
 
 
 @cache  # compiled on first use: most runs read no quoted text
@@ -420,13 +550,18 @@ def _split_quoted(
     *,
     lenient: bool = False,
     limit: int | None = None,
+    start: int = 0,
+    before: int = 0,
 ) -> list[list[str]]:
-    """``_split_records`` for any text: a token regex that honors quoted
-    fields and raises ``CsvError`` with the 1-based record number of an
-    unterminated quote."""
+    """The non-empty records of any text from offset ``start``, a record
+    boundary that ``before`` records precede, or its first ``limit``
+    records: a token regex that honors quoted fields and raises
+    ``CsvError`` with the 1-based record number of an unterminated quote.
+    With ``lenient`` set, an unterminated quote at end of input closes the
+    field instead."""
     records: list[list[str]] = []
     cells: list[str] = []  # the open record's cells so far
-    for match in _token_re(delimiter).finditer(text):
+    for match in _token_re(delimiter).finditer(text, start):
         tail, quoted, closed, plain, end = match.groups()
         if tail is not None:
             if not (tail or cells):
@@ -436,7 +571,7 @@ def _split_quoted(
             if quoted is None:
                 cells.append(plain)
             elif closed is None and not lenient:
-                raise CsvError("unterminated quoted field", row=len(records) + 1)
+                raise CsvError("unterminated quoted field", row=before + len(records) + 1)
             else:
                 cells.append(quoted.replace('""', QUOTE) + plain)
             if end == delimiter:
@@ -449,13 +584,11 @@ def _split_quoted(
 
 
 def _table_from_text(text: str, dialect: Dialect) -> CsvTable:
-    """Split decoded text into a table; ``CsvTable`` checks the row widths."""
-    records = _split_records(text, dialect.delimiter)
-    if not dialect.has_header:
-        return CsvTable(header=[], rows=records, dialect=dialect)
-    if not records:
+    """Split decoded text into a table."""
+    header, columns = _split_table(text, dialect.delimiter, dialect.has_header)
+    if dialect.has_header and not header:
         raise CsvError("table is empty; expected a header row")
-    return CsvTable(header=records[0], rows=records[1:], dialect=dialect)
+    return CsvTable(header=header, dialect=dialect, columns=columns)
 
 
 def parse_table(data: bytes, dialect: Dialect) -> CsvTable:
@@ -476,7 +609,7 @@ def _detect_from_text(text: str) -> Dialect:
     samples: dict[str, list[list[str]]] = {}
     consistent: dict[str, int] = {}
     for delimiter in DELIMITERS:
-        samples[delimiter] = _split_records(text, delimiter, lenient=True, limit=21)
+        samples[delimiter] = _split_records(text, delimiter, 21)
         widths = {len(cells) for cells in samples[delimiter][:20]}
         if len(widths) == 1:
             consistent[delimiter] = widths.pop()
@@ -624,8 +757,7 @@ def parse_csvy(data: bytes) -> tuple[FrontMatter, CsvTable]:
 
     front = FrontMatter(raw_yaml=raw_yaml, mapping=mapping)
 
-    stripped = body.strip("\r\n")
-    if not stripped:
+    if not body.lstrip("\r\n"):  # a body with a first record is not copied
         return front, CsvTable(header=[], rows=[])
     dialect = replace(_detect_from_text(body), has_header=True)
     return front, _table_from_text(body, dialect)
@@ -641,7 +773,7 @@ def _render_cell(cell: str, delimiter: str) -> str:
     return cell
 
 
-def _render_column(cells: tuple[str, ...], delimiter: str) -> Iterable[str]:
+def _render_column(cells: Sequence[str], delimiter: str) -> Iterable[str]:
     # One scan of the whole column: most columns need no quoting at all.
     if _needs_quotes("".join(cells), delimiter):
         return [_render_cell(cell, delimiter) for cell in cells]
@@ -657,16 +789,13 @@ def serialize_table(table: CsvTable) -> bytes:
     Output always ends with a newline unless the table is completely empty.
     """
     delimiter = table.dialect.delimiter
-    rows = [table.header, *table.rows] if table.header else table.rows
-    if not rows:
-        return b""
-    columns = [
-        _render_column(tuple(map(itemgetter(j), rows)), delimiter) for j in range(len(rows[0]))
-    ]
-    lines = map(delimiter.join, zip(*columns))
-    if len(columns) == 1:
+    lines = map(delimiter.join, zip(*(_render_column(column, delimiter) for column in table.columns)))
+    if table.header:
+        lines = chain([delimiter.join(_render_column(table.header, delimiter))], lines)
+    if table.width == 1:
         lines = (line or '""' for line in lines)
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    text = LF.join(lines)
+    return (text + LF).encode("utf-8") if text else b""
 
 
 def serialize_csvy(front: FrontMatter | None, table: CsvTable) -> bytes:

@@ -618,12 +618,13 @@ def test_deep_tree_keeps_the_json_contract(tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch, fmt):
-    from tidypack import cli
+    from tidypack import integrity
 
     def crash(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "compute_manifest", crash)
+    # The handler imports it when it runs, so the home module's name is patched.
+    monkeypatch.setattr(integrity, "compute_manifest", crash)
     code, out, err = run(capsys, "checksum", str(tmp_path), "--format", fmt)
     assert code == EXIT_IO
     if fmt == "json":
@@ -633,6 +634,28 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch
     else:
         assert out == ""
         assert err == "error: internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command, code", [("lint", EXIT_FINDINGS), ("checksum", EXIT_USAGE), ("verify", EXIT_USAGE)])
+def test_a_file_name_that_is_not_utf8_is_named_with_escapes(package, capsys, command, code, fmt):
+    (package / os.fsdecode(b"data-raw/bad\xff.txt")).write_bytes(b"x")
+    escaped = "data-raw/bad\\xff.txt"
+    got, out, err = run(capsys, command, str(package), "--format", fmt)
+    assert got == code
+    if command == "lint":
+        # An error finding fails the package; the checksum rule cannot run.
+        finding = {"rule_id": "R00", "severity": "error", "path": escaped}
+        if fmt == "json":
+            assert finding.items() <= one_json(out)["findings"][0].items()
+        else:
+            assert out.startswith("FAIL: 1 error(s)")
+            assert f"  {escaped}: R00 [internal] file name is not valid UTF-8" in out
+            assert f"could not be evaluated: file name is not valid UTF-8: {escaped}" in out
+    elif fmt == "json":
+        assert one_json(out) == {"error": {"code": code, "message": f"file name is not valid UTF-8: {escaped}"}}
+    else:
+        assert (out, err) == ("", f"error: file name is not valid UTF-8: {escaped}\n")
 
 
 # One row per handler and outcome; the exit code is the README's table:

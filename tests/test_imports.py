@@ -74,8 +74,13 @@ print()
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("tidypack.") or m in ("yaml", "csv", "_csv"))]))
 """
 
-#: What every command loads: the CLI and the checksum and table code it binds at import.
-BASE = {"tidypack.cli", "tidypack.errors", "tidypack.licenses", "tidypack.model", "tidypack.integrity", "tidypack.tabular"}
+#: What every command loads: the CLI and its error and license-choice tables.
+CLI = {"tidypack.cli", "tidypack.errors", "tidypack.licenses"}
+#: The walk and the checksum code.
+TREE = {"tidypack.model", "tidypack.integrity"}
+TABLE = {"tidypack.tabular"}
+SCHEMA = TABLE | {"tidypack.schema"}
+LINT = TREE | SCHEMA | {"tidypack.lint"}
 
 
 @pytest.fixture(scope="module")
@@ -96,31 +101,38 @@ def tables(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "argv, extra",
+    "argv, expected",
     [
-        (["--help"], set()),
-        (["checksum", "{root}/pkg"], set()),
-        (["verify", "{root}/pkg"], set()),
-        (["chunk", "{root}/plain.csv", "--max-rows", "1"], set()),
-        (["lint", "{root}/pkg"], {"tidypack.lint", "tidypack.schema"}),
-        (["pack", "{root}/pkg", "--output", "{root}/pkg.tar", "--require-lint"], {"tidypack.lint", "tidypack.schema"}),
-        (["schema", "infer", "{root}/plain.csv"], {"tidypack.schema"}),
-        (["init", "{root}/fresh", "--dataset", "obs"], {"tidypack.scaffold", "tidypack.schema"}),
-        (["chunk", "{root}/fronted.csvy", "--max-rows", "1"], {"yaml"}),
+        (["--help"], CLI),
+        (["checksum", "{root}/pkg"], CLI | TREE),
+        (["verify", "{root}/pkg"], CLI | TREE),
+        (["chunk", "{root}/plain.csv", "--max-rows", "1"], CLI | TREE | TABLE),
+        (["lint", "{root}/pkg"], CLI | LINT),
+        (["pack", "{root}/pkg", "--output", "{root}/pkg.tar", "--require-lint"], CLI | LINT),
+        (["schema", "infer", "{root}/plain.csv"], CLI | SCHEMA),
+        (["schema", "validate", "{root}/plain.csv", "{root}/pkg/metadata/obs.json"], CLI | SCHEMA),
+        (["init", "{root}/fresh", "--dataset", "obs"], CLI | TREE | SCHEMA | {"tidypack.scaffold"}),
+        (["chunk", "{root}/fronted.csvy", "--max-rows", "1"], CLI | TREE | TABLE | {"yaml"}),
         # A schema block in the front matter is not read by a command that does not use it.
-        (["chunk", "{root}/nameless.csvy", "--max-rows", "1"], {"yaml"}),
+        (["chunk", "{root}/nameless.csvy", "--max-rows", "1"], CLI | TREE | TABLE | {"yaml"}),
         # Only quoted text is read with the stdlib csv reader.
-        (["chunk", "{root}/quoted.csvy", "--max-rows", "1"], {"yaml", "csv", "_csv"}),
+        (["chunk", "{root}/quoted.csvy", "--max-rows", "1"], CLI | TREE | TABLE | {"yaml", "csv", "_csv"}),
     ],
     ids=[
-        "help", "checksum", "verify", "chunk-plain", "lint", "pack-require-lint", "schema-infer", "init", "chunk-csvy",
-        "chunk-csvy-schema", "chunk-quoted-csvy",
+        "help", "checksum", "verify", "chunk-plain", "lint", "pack-require-lint", "schema-infer", "schema-validate",
+        "init", "chunk-csvy", "chunk-csvy-schema", "chunk-quoted-csvy",
     ],
 )
-def test_each_command_imports_only_what_it_runs(tables, argv, extra):
+def test_each_command_imports_only_what_it_runs(tables, argv, expected):
     code, modules = json.loads(_child(_COMMAND, *(arg.format(root=tables) for arg in argv)))
     assert code == EXIT_OK
-    assert set(modules) == BASE | extra
+    assert set(modules) == expected
+
+
+def test_the_parser_names_the_manifest_the_scanner_claims():
+    from tidypack import cli, model
+
+    assert cli._CHECKSUMS_NAME == model.CHECKSUMS_NAME
 
 
 # ---------------------------------------------------------------------------

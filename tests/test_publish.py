@@ -18,7 +18,7 @@ from tidypack import (
     pack,
     scaffold,
 )
-from tidypack import integrity
+from tidypack import integrity, tabular
 from tidypack.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 _TABLE = b"id,name\n1,ann\n2,bob\n3,cat\n4,dan\n5,eve\n"
@@ -68,14 +68,15 @@ def test_chunk_target_created_while_staging_keeps_its_bytes(tmp_path, monkeypatc
     source = tmp_path / "people.csv"
     source.write_bytes(_TABLE)
     theirs = tmp_path / "people-2.csv"
-    real_serialize = integrity.serialize_csvy
+    real_serialize = tabular.serialize_csvy
 
     def racing_serialize(*args, **kwargs):
         if not theirs.exists():
             theirs.write_bytes(b"theirs")
         return real_serialize(*args, **kwargs)
 
-    monkeypatch.setattr(integrity, "serialize_csvy", racing_serialize)
+    # chunk_table imports it when it runs, so the home module's name is patched.
+    monkeypatch.setattr(tabular, "serialize_csvy", racing_serialize)
     with pytest.raises(ChunkError, match=f"refusing to overwrite existing file {theirs}"):
         chunk_table(source, max_rows_per_chunk=2)
     assert theirs.read_bytes() == b"theirs"

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import csv
+import datetime
+import gc
+import io
 import itertools
+import random
 import re
 import string
 import sys
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -493,9 +499,55 @@ def test_headerless_tokenizer_round_trip(table):
 
 
 # ---------------------------------------------------------------------------
-# Record splitting: the quote-free fast path against the state machine
+# Record splitting: the column split against the row-wise split it replaced
 
 _SPLITTER_CHARS = [",", ";", "\t", '"', "\r", "\n", "a"]
+
+
+def _rowwise_split(text: str, delimiter: str) -> list[list[str]]:
+    """The row-wise split the column split replaced: quote-free LF lines
+    split one by one, other text with no bare CR read by the C ``csv``
+    reader, and the rest, or what the reader refuses, by the per-character
+    state machine from the start of the text."""
+    if '"' not in text:
+        lines = text.replace("\r\n", "\n")
+        if "\r" not in lines:
+            return [line.split(delimiter) for line in lines.split("\n") if line]
+    elif text.count("\r") == text.count("\r\n"):
+        try:
+            return [r for r in csv.reader(io.StringIO(text, newline=""), delimiter=delimiter, strict=True) if r]
+        except csv.Error:
+            pass
+    return _reference_split(text, delimiter)
+
+
+def _rowwise_table(text: str, delimiter: str, has_header: bool, split=_rowwise_split):
+    """What the row-wise parse gave: header and rows, checked row by row
+    after the whole split, or the error and its record number."""
+    try:
+        records = split(text, delimiter)
+        if has_header and not records:
+            raise CsvError("table is empty; expected a header row")
+        for number, record in enumerate(records, start=1):
+            if len(record) != len(records[0]):
+                raise CsvError(f"expected {len(records[0])} cells, found {len(record)}", row=number)
+        header, rows = (records[0], records[1:]) if has_header else ([], records)
+        names = [name.strip() for name in header]
+        for index, name in enumerate(names):
+            if name in names[:index]:
+                raise CsvError(f"duplicate column name {name!r}")
+    except CsvError as exc:
+        return ("error", str(exc), exc.row)
+    return ("table", header, rows)
+
+
+def _column_outcome(text: str, delimiter: str, has_header: bool):
+    try:
+        table = tabular._table_from_text(text, Dialect(delimiter=delimiter, has_header=has_header))
+    except CsvError as exc:
+        return ("error", str(exc), exc.row)
+    assert all(type(column) is tuple for column in table.columns)
+    return ("table", table.header, table.rows)
 
 
 def _parse_outcome(data: bytes, dialect: Dialect):
@@ -513,6 +565,15 @@ def _detect_outcome(data: bytes):
         return ("error", str(exc), exc.row)
 
 
+def _tokenized_sample(text: str, delimiter: str, limit: int) -> list[list[str]]:
+    return tabular._split_quoted(text, delimiter, lenient=True, limit=limit)
+
+
+def _tokenized_table(text: str, delimiter: str, has_header: bool):
+    records = tabular._split_quoted(text, delimiter)
+    return tabular._gather(tabular._record_columns(iter([records])), has_header)
+
+
 @given(
     st.one_of(
         st.text(alphabet=st.sampled_from(_SPLITTER_CHARS), max_size=30),
@@ -528,15 +589,15 @@ def test_fast_path_matches_the_state_machine(text):
         for has_header in (True, False)
     ]
     fast = [_parse_outcome(data, d) for d in dialects] + [_detect_outcome(data)]
-    with mock.patch.object(tabular, "_split_records", tabular._split_quoted):
+    with mock.patch.object(tabular, "_split_table", _tokenized_table), mock.patch.object(
+        tabular, "_split_records", _tokenized_sample
+    ):
         forced = [_parse_outcome(data, d) for d in dialects] + [_detect_outcome(data)]
     assert fast == forced
     # Detection reads a few leading records; a short limit reaches them here.
     for delimiter in tabular.DELIMITERS:
         for limit in (1, 2, 3):
-            assert tabular._split_records(
-                text, delimiter, lenient=True, limit=limit
-            ) == tabular._split_quoted(text, delimiter, lenient=True, limit=limit)
+            assert tabular._split_records(text, delimiter, limit) == _tokenized_sample(text, delimiter, limit)
 
 
 def _no_state_machine(*args, **kwargs):
@@ -589,6 +650,19 @@ def test_limited_splits_reach_the_state_machine(monkeypatch):
         detect_dialect(b'a,b\n"x",1\n')
 
 
+def _spy_on_the_tokenizer(monkeypatch) -> list[dict]:
+    """Record the keyword arguments of each tokenizer call."""
+    calls: list[dict] = []
+    split_quoted = tabular._split_quoted
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return split_quoted(*args, **kwargs)
+
+    monkeypatch.setattr(tabular, "_split_quoted", spy)
+    return calls
+
+
 @pytest.mark.parametrize(
     "text, outcome, tokenized",
     [
@@ -601,46 +675,134 @@ def test_limited_splits_reach_the_state_machine(monkeypatch):
     ids=["text-after-close-quote", "unterminated", "field-over-the-reader-limit", "nul"],
 )
 def test_what_the_reader_refuses_reaches_the_state_machine(monkeypatch, text, outcome, tokenized):
-    calls = []
-    split_quoted = tabular._split_quoted
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return split_quoted(*args, **kwargs)
-
-    monkeypatch.setattr(tabular, "_split_quoted", spy)
-    assert _split_outcome(tabular._split_records, text, ",", False, None) == outcome
-    assert _split_outcome(_reference_split, text, ",", False, None) == outcome
+    calls = _spy_on_the_tokenizer(monkeypatch)
+    expected = outcome if isinstance(outcome, tuple) else ("table", [], outcome)
+    assert _column_outcome(text, ",", False) == expected
+    assert _rowwise_table(text, ",", False) == expected
     assert bool(calls) == tokenized
+
+
+def _tokenized_outcome(text: str, delimiter: str, has_header: bool):
+    """The tokenizer-only parse of the whole text."""
+    try:
+        header, columns = _tokenized_table(text, delimiter, has_header)
+    except CsvError as exc:
+        return ("error", str(exc), exc.row)
+    return ("table", header, [list(row) for row in zip(*columns)])
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("batch", [1, 3, 2048])
+def test_the_tokenizer_resumes_where_the_reader_stopped(monkeypatch, where, batch):
+    # "ab"cd in one record makes the C reader refuse the text.
+    rows = [[str(i), f'"n{i}, x"', f'"say ""{i}"""'] for i in range(5_000)]
+    refused = {"first": 0, "middle": 2_500, "last": 4_999}[where]
+    rows[refused][1] = '"ab"cd'
+    text = "id,name,note\r\n\r\n" + "".join(",".join(row) + "\r\n" for row in rows)
+    expected = _tokenized_outcome(text, ",", True)
+    assert expected[2][refused][1] == "abcd"
+
+    calls = _spy_on_the_tokenizer(monkeypatch)
+    monkeypatch.setattr(tabular, "_READER_BATCH", batch)
+    monkeypatch.setattr(tabular, "_READER_BLOCK_CHARS", 64)
+    assert _column_outcome(text, ",", True) == expected
+    # The tokenizer starts after the last batch the reader completed: a
+    # record boundary that fewer than a batch of records separate from the
+    # refused one, which the header and the rows before it precede.
+    (call,) = calls
+    start, before = call.get("start", 0), call.get("before", 0)
+    assert start == 0 or text[start - 2 : start] == "\r\n"
+    assert len(_rowwise_split(text[:start], ",")) == before
+    assert 0 <= refused + 1 - before < batch
+
+    # An unterminated quote after the refusal keeps its record number.
+    calls.clear()
+    broken = text + '5000,"open\r\n'
+    assert _column_outcome(broken, ",", True) == ("error", "row 5002: unterminated quoted field", 5002)
+    assert _tokenized_outcome(broken, ",", True) == ("error", "row 5002: unterminated quoted field", 5002)
 
 
 def test_columns_are_built_once():
     table = parse_table(b"a,b\n1,2\n3,4\n", Dialect())
+    assert table.columns == (("1", "3"), ("2", "4"))
     assert table.shapes is table.shapes
     assert [column.cells for column in table.shapes] == [("1", "3"), ("2", "4")]
+    assert all(shapes.cells is column for shapes, column in zip(table.shapes, table.columns))
     assert table.column("b") == ["2", "4"]
     assert table.column(" a ") == ["1", "3"]
     with pytest.raises(CsvError, match="no column named 'c'"):
         table.column("c")
+    # Rows are a view built from the columns on each access.
+    assert (table.height, table.rows) == (2, [["1", "2"], ["3", "4"]])
+    assert table.rows is not table.rows
+    assert CsvTable(header=table.header, rows=table.rows) == table
     empty = CsvTable(header=["a", "b"], rows=[])
     assert [column.cells for column in empty.shapes] == [(), ()]
     assert empty.column("a") == []
+    assert (empty.height, empty.rows) == (0, [])
+
+
+def test_a_table_of_columns_checks_only_their_count_and_lengths():
+    assert CsvTable(header=["a"], columns=(("1", "2"),)).rows == [["1"], ["2"]]
+    with pytest.raises(CsvError, match="expected 2 columns, found 1"):
+        CsvTable(header=["a", "b"], columns=(("1",),))
+    with pytest.raises(CsvError, match="columns must all have the same length"):
+        CsvTable(header=["a", "b"], columns=(("1",), ("2", "3")))
+    with pytest.raises(CsvError, match="duplicate column name 'a'"):
+        CsvTable(header=["a", "a"], columns=((), ()))
 
 
 @given(
     st.lists(st.sampled_from(["a", "b1", ",", ";", "\t", "\n", "\r\n", "\x0c", "\u2028"]), max_size=40).map("".join),
     st.sampled_from(tabular.DELIMITERS),
-    st.sampled_from([None, 1, 2, 5]),
+    st.sampled_from([1, 2, 5]),
     st.integers(1, 6),
 )
 @settings(max_examples=400)
 def test_quote_free_split_is_the_same_in_tiny_blocks(text, delimiter, limit, block):
-    whole = tabular._split_records(text, delimiter, limit=limit)
     head = text.replace("\r\n", "\n")
     unblocked = [line.split(delimiter) for line in head.split("\n") if line]
-    assert whole == unblocked[:limit]
-    with mock.patch.object(tabular, "_BLOCK_CHARS", block):
-        assert tabular._split_records(text, delimiter, limit=limit) == whole
+    assert tabular._split_records(text, delimiter, limit) == unblocked[:limit]
+    for has_header in (True, False):
+        whole = _column_outcome(text, delimiter, has_header)
+        assert whole == _rowwise_table(text, delimiter, has_header)
+        with mock.patch.object(tabular, "_BLOCK_CHARS", block):
+            assert _column_outcome(text, delimiter, has_header) == whole
+
+
+#: Cells for the split property: quote-free ones, ones the C reader reads,
+#: ones it refuses (text after a close quote, an unterminated quote), and a
+#: bare CR, which only the tokenizer reads.
+_PLAIN_CELLS = ["", "a", "12", "a;b", "a\tb", "a,b", "\x0c"]
+_QUOTED_CELLS = ['"q"', '"a,b"', '"x""y"', '"l\nm"', '"r\r\ns"', '""', '"ab"cd', '"open', "x\ry"]
+
+
+@st.composite
+def _split_cases(draw):
+    """Tables written line by line: mostly rows of the header's width, with
+    blank lines and ragged rows among them, LF or CRLF, with or without a
+    final line break, quote-free or not."""
+    delimiter = draw(st.sampled_from(tabular.DELIMITERS))
+    width = draw(st.integers(1, 4))
+    cell = st.sampled_from(_PLAIN_CELLS + (_QUOTED_CELLS if draw(st.booleans()) else []))
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(["row"] * 6 + ["blank", "ragged"]), max_size=12)):
+        count = width if kind == "row" else 0 if kind == "blank" else draw(st.integers(1, width + 2))
+        lines.append(delimiter.join(draw(cell) for _ in range(count)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""])), delimiter
+
+
+@given(_split_cases(), st.booleans(), st.integers(1, 24), st.integers(1, 6), st.integers(1, 3))
+@settings(max_examples=1000)
+def test_column_split_matches_the_row_wise_reference(case, has_header, block, reader_block, batch):
+    text, delimiter = case
+    expected = _rowwise_table(text, delimiter, has_header)
+    assert _column_outcome(text, delimiter, has_header) == expected
+    # Blocks and batches of a few characters and records put ragged rows
+    # and quoted fields at their edges.
+    with mock.patch.multiple(tabular, _BLOCK_CHARS=block, _READER_BLOCK_CHARS=reader_block, _READER_BATCH=batch):
+        assert _column_outcome(text, delimiter, has_header) == expected
 
 
 def test_column_shapes_are_summarized_once():
@@ -713,7 +875,7 @@ def _reference_split(
     lenient: bool = False,
     limit: int | None = None,
 ) -> list[list[str]]:
-    """``_split_records`` for any text: a per-character state machine that
+    """The tokenizer's records: a per-character state machine that
     honors quoted fields and raises ``CsvError`` with the 1-based record
     number of an unterminated quote."""
     QUOTE = tabular.QUOTE
@@ -817,11 +979,11 @@ _READER_CHARS = ['"', '""', ",", ";", "\t", "\n", "\r\n", "\r", "\x00", " ", "\x
     st.booleans(),
     st.integers(1, 6),
 )
-def test_full_split_matches_the_reference(text, delimiter, lenient, block):
+def test_full_split_matches_the_reference(text, delimiter, has_header, block):
     # Blocks of a few characters make quoted fields straddle block edges.
     with mock.patch.object(tabular, "_READER_BLOCK_CHARS", block):
-        assert _split_outcome(tabular._split_records, text, delimiter, lenient, None) == _split_outcome(
-            _reference_split, text, delimiter, lenient, None
+        assert _column_outcome(text, delimiter, has_header) == _rowwise_table(
+            text, delimiter, has_header, split=_reference_split
         )
 
 
@@ -846,7 +1008,7 @@ def test_tokenizer_matches_the_reference_at_scale(make, delimiter):
     for lenient in (False, True):
         expected = _split_outcome(_reference_split, text, delimiter, lenient, None)
         assert _split_outcome(tabular._split_quoted, text, delimiter, lenient, None) == expected
-        assert _split_outcome(tabular._split_records, text, delimiter, lenient, None) == expected
+    assert _column_outcome(text, delimiter, False) == _rowwise_table(text, delimiter, False, split=_reference_split)
 
 
 def _reference_front_matter(text: str) -> tuple[str, str]:
@@ -951,3 +1113,37 @@ def _render_cases(draw):
 def test_serialize_matches_the_row_wise_reference(case):
     front, table = case
     assert serialize_csvy(front, table) == _reference_serialize_csvy(front, table)
+
+
+# ---------------------------------------------------------------------------
+# Memory
+
+
+def _quote_free_table(rows: int) -> bytes:
+    """A seeded quote-free table: an integer id, a code, a date, a decimal and a flag."""
+    rng = random.Random(1)
+    lines = ["id,code,day,amount,flag"]
+    for index in range(rows):
+        day = datetime.date(2000, 1, 1) + datetime.timedelta(days=rng.randrange(9000))
+        flag = rng.choice(("true", "false", "NA"))
+        lines.append(f"{index * 7},{rng.choice('ABCDEFGH')}{rng.randrange(10_000):04d},{day},{rng.randrange(10**7) / 100:.2f},{flag}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+#: Peak traced allocation of parsing that table, as a multiple of its size.
+#: Column storage peaks at 11.0x (Python 3.11); a list of cells per row
+#: peaked at 15.3x.
+_PARSE_PEAK_LIMIT = 13
+
+
+def test_parsing_a_quote_free_table_peaks_below_a_fixed_multiple_of_its_size():
+    data = _quote_free_table(50_000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _, table = parse_csvy(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.height == 50_000
+    assert peak < _PARSE_PEAK_LIMIT * len(data), f"peak {peak / len(data):.1f}x the file"
