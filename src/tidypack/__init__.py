@@ -40,7 +40,7 @@ _EXPORTS = {
     "schema": (
         "DataDictionary", "DictionaryEntry", "FieldDescriptor", "TableSchema", "ValidationReport", "Violation",
         "dictionary_from_csv", "dictionary_from_schema", "dictionary_from_table", "dictionary_to_csv",
-        "dictionary_to_markdown", "infer_field_type", "infer_schema", "normalize_class",
+        "dictionary_to_markdown", "infer_schema", "normalize_class",
         "schema_from_front_matter", "schema_from_json", "schema_to_json", "validate_table",
     ),
     "tabular": (

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import ScaffoldError, ToolError
+from .errors import ScaffoldError, SchemaError, ToolError
 from .integrity import ChecksumManifest, ManifestEntry, md5_hex, publish, serialize_manifest
 from .licenses import SPDX_IDS, LicenseKind, license_text
 from .model import CHECKSUMS_NAME, DOI_PATTERN, DataPackage, is_dictionary_stem, scan_package
@@ -268,7 +268,10 @@ def scaffold(request: ScaffoldRequest, destination: str | Path) -> DataPackage:
             suffix = seed.suffix if seed.suffix else ".csv"
             filename = f"{name}{suffix}"
             planned[f"data/{filename}"] = raw
-            schema = infer_schema(table, name=name, path=f"data/{filename}")
+            try:
+                schema = infer_schema(table, name=name, path=f"data/{filename}")
+            except SchemaError as exc:
+                raise ScaffoldError(f"seed table {seed}: {exc}") from None
         else:
             filename = f"{name}.csv"
             planned[f"data/{filename}"] = b"value\n"

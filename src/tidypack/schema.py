@@ -128,14 +128,8 @@ class ValidationReport:
         return not self.violations
 
 
-def infer_field_type(
-    cells: Iterable[str], missing_values: Iterable[str] = DEFAULT_MISSING_VALUES
-) -> str:
-    """Pick the most specific field type every non-missing cell satisfies."""
-    return _infer(ColumnShapes(cells), frozenset(missing_values))
-
-
 def _infer(column: ColumnShapes, missing: frozenset[str]) -> str:
+    """The most specific field type every non-missing cell satisfies."""
     # A type fits when every shape left once the missing values are taken
     # out passes its check, and, for dates, every odd date is missing.
     shapes = column.shapes(missing)
@@ -168,10 +162,13 @@ def infer_schema(
     """Infer a schema from a table's header and cells.
 
     Column order follows the table.  Raises ``SchemaError`` for a headerless
-    table.
+    table and for a column with an empty name, naming its 1-based number.
     """
     if not table.header:
         raise SchemaError("table has no header row; cannot infer a schema")
+    names = table.column_names
+    if "" in names:
+        raise SchemaError(f"column {names.index('') + 1} has an empty name")
     if name is None:
         if table.source:
             name = PurePath(table.source).stem
@@ -180,7 +177,7 @@ def infer_schema(
     missing = frozenset(missing_values)
     fields = [
         FieldDescriptor(name=column_name, type=_infer(column, missing))
-        for column_name, column in zip(table.column_names, table.shapes)
+        for column_name, column in zip(names, table.shapes)
     ]
     return TableSchema(name=name, fields=fields, path=path, missing_values=missing)
 

@@ -13,22 +13,23 @@ from each block of text, and ``CsvTable.rows`` is a view built on request.
 
 Most tables hold no quote at all.  When the decoded text has no double
 quote and no bare CR (a CR that no LF follows), its records are simply its
-non-empty lines, split on LF after CRLF is folded to LF, about a mebibyte
-at a time.  Each block's widths are checked exactly, by counting every
-line's delimiters; a block that passes is split into cells in one call and
-sliced into its columns, and only a block that fails, or holds an empty
-line, is split line by line, which keeps the record number of a ragged row.
-A full parse of text with quotes but no bare CR is read by the stdlib's C
-``csv`` reader in strict mode, a batch of records at a time, and each batch
-is transposed into columns.  The reader reads valid text by these same
-rules and refuses, rather than repairs, what they read differently: text
-after a close quote and an unterminated quote.  Whatever it refuses, from
-the end of the last batch it completed on, text with a bare CR, and the
-leading records that detection samples are read by one compiled regex per
-delimiter, one match per token: the quote-free rest of a record, which is
-split on the delimiter, or a single field.  Only LF and CRLF break lines on
-any path, never form feeds or Unicode line separators.  All paths give the
-same records, so record numbers in errors do not depend on which one ran.
+non-empty lines, split on LF after CRLF is folded to LF (``_plain_text``),
+about a mebibyte at a time.  Each block's widths are checked exactly, by
+counting every line's delimiters; a block that passes is split into cells
+in one call and sliced into its columns, and a block that fails names its
+ragged row.  Other text with no bare CR is read by the stdlib's C ``csv``
+reader in strict mode, a batch of records at a time, and each batch is
+transposed into columns.  The reader reads valid text by these same rules
+and refuses, rather than repairs, what they read differently: text after a
+close quote and an unterminated quote.  The tokenizer, one compiled regex
+per delimiter with one match per token (the quote-free rest of a record,
+which is split on the delimiter, or a single field), reads what the reader
+cannot: what it refuses, from the end of the last batch it completed on,
+and text with a bare CR.  Detection samples the first records of text the
+same way, by its lines when they are plain and by the tokenizer otherwise.
+Only LF and CRLF break lines on any path, never form feeds or Unicode line
+separators.  All paths give the same records, so record numbers in errors
+do not depend on which one ran.
 
 A parsed ``CsvTable`` builds one ``ColumnShapes`` per column on first use:
 the column's cells, and how many of them have each digit shape, a cell with
@@ -214,7 +215,6 @@ class Dialect:
     """
 
     delimiter: str = ","
-    quote: str = QUOTE
     line_ending: str = LF
     has_header: bool = True
     fallback: bool = False
@@ -222,8 +222,6 @@ class Dialect:
     def __post_init__(self):
         if self.delimiter not in DELIMITERS:
             raise CsvError(f"unsupported delimiter {self.delimiter!r}; use comma, tab, or semicolon")
-        if self.quote != QUOTE:
-            raise CsvError(f"unsupported quote character {self.quote!r}")
         if self.line_ending not in (LF, CRLF):
             raise CsvError(f"unsupported line ending {self.line_ending!r}")
 
@@ -353,23 +351,15 @@ def _decode(data: bytes) -> str:
         raise EncodingError(f"input is not valid UTF-8: {exc}") from None
 
 
-def _split_records(text: str, delimiter: str, limit: int) -> list[list[str]]:
-    """The first ``limit`` records of text, each a list of cells, for
-    detection to sample.
-
-    Lines with no characters at all are skipped, so a trailing newline does
-    not produce a phantom empty record, and an unterminated quote at the
-    end of the text closes its field, as a truncated sample may hold one.
-    Only the text up to the last record wanted is checked for quotes and
-    bare CRs, since that is all the tokenizer would read.
-    """
-    found = list(islice(_RECORD_LINE_RE.finditer(text), limit))
-    head = text[: found[-1].end() + 1] if found else ""
-    if QUOTE not in head:
-        lines = head.replace(CRLF, LF) if "\r" in head else head
-        if "\r" not in lines:  # a CR left over would be one that no LF follows
-            return [line.split(delimiter) for line in lines.split(LF) if line]
-    return _split_quoted(text, delimiter, lenient=True, limit=limit)
+def _plain_text(text: str) -> str | None:
+    """``text`` with CRLF folded to LF when it holds no double quote and no
+    bare CR (one not followed by LF), and so no quoted field and no line
+    break but LF: its records are then its non-empty lines.  None for any
+    other text."""
+    if QUOTE in text:
+        return None
+    lines = text.replace(CRLF, LF) if "\r" in text else text
+    return None if "\r" in lines else lines
 
 
 def _split_table(text: str, delimiter: str, has_header: bool) -> tuple[list[str], tuple[tuple[str, ...], ...]]:
@@ -381,21 +371,13 @@ def _split_table(text: str, delimiter: str, has_header: bool) -> tuple[list[str]
     not, and an unterminated quote, with their 1-based record numbers.  The
     header is empty when the text holds no record.
 
-    Text with no double quote and no bare CR (one not followed by LF) can
-    hold no quoted field and no line break other than LF or CRLF, so its
-    records are its non-empty lines, ``_line_columns``.  Other text with no
-    bare CR goes to the C ``csv`` reader, ``_read_quoted``; text with a
-    bare CR to the tokenizer, ``_split_quoted``.
+    Plain text is split by its lines, ``_line_columns``; any other text is
+    read by ``_read_quoted``.
     """
-    if QUOTE not in text:
-        lines = text.replace(CRLF, LF) if "\r" in text else text
-        if "\r" not in lines:
-            return _gather(_line_columns(lines, delimiter), has_header)
-    if _BARE_CR_RE.search(text) is None:
-        batches = _read_quoted(text, delimiter)
-    else:
-        batches = iter([_split_quoted(text, delimiter)])
-    return _gather(_record_columns(batches), has_header)
+    lines = _plain_text(text)
+    if lines is not None:
+        return _gather(_line_columns(lines, delimiter), has_header)
+    return _gather(_record_columns(_read_quoted(text, delimiter)), has_header)
 
 
 def _gather(
@@ -432,40 +414,29 @@ def _blocks(text: str, size: int) -> Iterator[str]:
 
 
 def _line_columns(text: str, delimiter: str) -> Iterator[Sequence[Sequence[str]]]:
-    """The columns of quote-free LF text's non-empty lines split on the
+    """The columns of plain LF text's non-empty lines split on the
     delimiter, a block of ``_BLOCK_CHARS`` at a time, so only one block's
     line strings are alive at once.
 
-    A block of whole lines that each hold one delimiter fewer than the
-    table's width is split in one call, and column ``j`` is every
-    ``width``-th cell from cell ``j``.  Any other block (one with an empty
-    or a ragged line, the last line of text with no final LF, or any block
-    of a one-column table, whose lines hold no delimiter, empty or not) is
-    split line by line, which skips empty lines and pins a ragged line's
-    record number.
+    Every line of a block must hold one delimiter fewer than the first
+    line's width: a block with a ragged line goes to ``_transpose``, which
+    raises with its record number.  The lines of a block are joined and
+    split in one call, and column ``j`` is every ``width``-th cell from
+    cell ``j``.
     """
-    first = _RECORD_LINE_RE.search(text)
-    if first is None:
-        return
-    width = first.group().count(delimiter) + 1
-    before = 0  # records in the blocks already split
+    width = before = 0  # before: records in the blocks already split
     for block in _blocks(text, _BLOCK_CHARS):
-        lines = block.split(LF)
-        # An empty line holds no delimiter, so it fails the width check too.
-        if width > 1 and not lines[-1]:
-            lines.pop()
-            if {width - 1}.issuperset(map(str.count, lines, repeat(delimiter))):
-                before += len(lines)
-                del lines  # before the cells are made
-                cells = block.replace(LF, delimiter).split(delimiter)
-                cells.pop()  # the empty cell after the final LF
-                yield [cells[j::width] for j in range(width)]
-                continue
-        rows = [line.split(delimiter) for line in lines if line]
-        del lines
-        if rows:
-            yield _transpose(rows, width, before)
-            before += len(rows)
+        lines = list(filter(None, block.split(LF)))
+        if not lines:
+            continue
+        width = width or lines[0].count(delimiter) + 1
+        if not {width - 1}.issuperset(map(str.count, lines, repeat(delimiter))):
+            _transpose([line.split(delimiter) for line in lines], width, before)  # raises at the ragged line
+        before += len(lines)
+        cells = delimiter.join(lines)
+        del lines  # before the cells are made
+        cells = cells.split(delimiter)
+        yield [cells[j::width] for j in range(width)]
 
 
 def _record_columns(batches: Iterator[list[list[str]]]) -> Iterator[Sequence[Sequence[str]]]:
@@ -496,9 +467,11 @@ _READER_BATCH = 2048
 
 
 def _read_quoted(text: str, delimiter: str) -> Iterator[list[list[str]]]:
-    """Batches of the non-empty records of text with no bare CR, as the C
-    ``csv`` reader reads them; when it refuses the text, the tokenizer
-    reads on from the end of the last batch the reader completed.
+    """Batches of the non-empty records of text, as the C ``csv`` reader
+    reads them.  The tokenizer reads what the reader cannot, and only that:
+    text with a bare CR, which the reader would take as a line break, in
+    one batch; and, when the reader refuses the text, the rest from the end
+    of the last batch it completed.
 
     Strict mode refuses just what these rules read differently: text after
     a close quote (``"ab"cd``) and an unterminated quote, which non-strict
@@ -509,6 +482,9 @@ def _read_quoted(text: str, delimiter: str) -> Iterator[list[list[str]]]:
     and it splits lines only at LF here, so a batch ends after the
     ``reader.line_num``-th LF.
     """
+    if _BARE_CR_RE.search(text) is not None:
+        yield _split_quoted(text, delimiter)
+        return
     import csv  # only quoted text is read with it
 
     lines = chain.from_iterable(io.StringIO(b, newline="") for b in _blocks(text, _READER_BLOCK_CHARS))
@@ -605,11 +581,20 @@ def _detect_from_text(text: str) -> Dialect:
     # and settles LF-only text, the common case, on its own.
     line_ending = CRLF if "\r" in text and CRLF in text else LF
 
+    # The head of the text up to its 21st non-empty line holds the sample
+    # unless it has a quote or a bare CR, and then the tokenizer reads it:
+    # leniently, as a truncated sample may end inside a quoted field.
+    found = list(islice(_RECORD_LINE_RE.finditer(text), 21))
+    lines = _plain_text(text[: found[-1].end() + 1] if found else "")
+
     # One split per candidate: 20 records score it, and the winner's 21 feed the header test.
     samples: dict[str, list[list[str]]] = {}
     consistent: dict[str, int] = {}
     for delimiter in DELIMITERS:
-        samples[delimiter] = _split_records(text, delimiter, 21)
+        if lines is None:
+            samples[delimiter] = _split_quoted(text, delimiter, lenient=True, limit=21)
+        else:
+            samples[delimiter] = [line.split(delimiter) for line in lines.split(LF) if line]
         widths = {len(cells) for cells in samples[delimiter][:20]}
         if len(widths) == 1:
             consistent[delimiter] = widths.pop()
@@ -763,20 +748,16 @@ def parse_csvy(data: bytes) -> tuple[FrontMatter, CsvTable]:
     return front, _table_from_text(body, dialect)
 
 
-def _needs_quotes(text: str, delimiter: str) -> bool:
-    return QUOTE in text or delimiter in text or "\n" in text or "\r" in text
-
-
-def _render_cell(cell: str, delimiter: str) -> str:
-    if _needs_quotes(cell, delimiter):
-        return QUOTE + cell.replace(QUOTE, QUOTE + QUOTE) + QUOTE
-    return cell
-
-
-def _render_column(cells: Sequence[str], delimiter: str) -> Iterable[str]:
-    # One scan of the whole column: most columns need no quoting at all.
-    if _needs_quotes("".join(cells), delimiter):
-        return [_render_cell(cell, delimiter) for cell in cells]
+def _render_column(cells: Sequence[str], delimiter: str) -> Sequence[str]:
+    """The cells as written: one holding a quote, the delimiter or a line
+    break is quoted, its quotes doubled."""
+    text = "".join(cells)  # one scan of the whole column: most need no quoting at all
+    if QUOTE in text or delimiter in text or LF in text or "\r" in text:
+        return [
+            QUOTE + c.replace(QUOTE, QUOTE + QUOTE) + QUOTE if QUOTE in c or delimiter in c or LF in c or "\r" in c
+            else c
+            for c in cells
+        ]
     return cells
 
 

@@ -241,6 +241,26 @@ def test_schema_validate_error_codes(tmp_path, capsys):
     assert code == EXIT_IO
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["schema", "init"])
+def test_an_empty_column_name_is_named(tmp_path, capsys, command, fmt):
+    table = tmp_path / "t.csv"
+    table.write_bytes(b"a,,c\n1,2,3\n")
+    if command == "init":
+        argv = ["init", str(tmp_path / "pkg"), "--dataset", "d", "--seed", str(table)]
+        message = f"seed table {table}: column 2 has an empty name"
+    else:
+        argv = ["schema", "infer", str(table)]
+        message = "column 2 has an empty name"
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == EXIT_USAGE
+    if fmt == "json":
+        assert (one_json(out), err) == ({"error": {"code": EXIT_USAGE, "message": message}}, "")
+    else:
+        assert (out, err) == ("", f"error: {message}\n")
+    assert not (tmp_path / "pkg").exists()
+
+
 # ---------------------------------------------------------------------------
 # dict
 

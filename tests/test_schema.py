@@ -22,7 +22,6 @@ from tidypack import (
     dictionary_from_table,
     dictionary_to_csv,
     dictionary_to_markdown,
-    infer_field_type,
     infer_schema,
     normalize_class,
     parse_table,
@@ -31,7 +30,15 @@ from tidypack import (
     schema_to_json,
     validate_table,
 )
+from tidypack.schema import DEFAULT_MISSING_VALUES
 from tidypack.tabular import Dialect
+
+
+def infer_field_type(cells, missing_values=DEFAULT_MISSING_VALUES) -> str:
+    """The type ``infer_schema`` gives a one-column table of ``cells``."""
+    table = CsvTable(header=["c"], rows=[[cell] for cell in cells])
+    return infer_schema(table, missing_values=missing_values).fields[0].type
+
 
 # ---------------------------------------------------------------------------
 # Type inference
@@ -87,6 +94,9 @@ def test_infer_schema_names_and_errors():
     headerless = CsvTable(header=[], rows=[["1"]], dialect=Dialect(has_header=False))
     with pytest.raises(SchemaError):
         infer_schema(headerless)
+    # A header cell of only spaces is an empty name once trimmed.
+    with pytest.raises(SchemaError, match="^column 2 has an empty name$"):
+        infer_schema(CsvTable(header=["a", " ", "c"], rows=[]))
 
 
 _CELL_POOL = [

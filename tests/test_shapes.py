@@ -18,7 +18,6 @@ from tidypack import (
     CsvTable,
     FieldDescriptor,
     TableSchema,
-    infer_field_type,
     infer_schema,
     lint,
     tabular,
@@ -30,9 +29,16 @@ from tidypack.schema import (
     DEFAULT_MISSING_VALUES,
     ValidationReport,
     Violation,
+    _infer,
     _violation_kind,
 )
-from tidypack.tabular import MISSING_WATCHLIST, MissingProfile, is_date_token
+from tidypack.tabular import MISSING_WATCHLIST, ColumnShapes, MissingProfile, is_date_token
+
+
+def infer_field_type(cells: Iterable[str], missing_values: Iterable[str] = DEFAULT_MISSING_VALUES) -> str:
+    """The shape verdict on one column of cells, as ``infer_schema`` gives it."""
+    return _infer(ColumnShapes(cells), frozenset(missing_values))
+
 
 # ---------------------------------------------------------------------------
 # References: the per-value code, verbatim, reading cells from ``table.rows``

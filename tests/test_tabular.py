@@ -574,6 +574,13 @@ def _tokenized_table(text: str, delimiter: str, has_header: bool):
     return tabular._gather(tabular._record_columns(iter([records])), has_header)
 
 
+def _tokenized_detection(text: str) -> Dialect:
+    """Detection with every candidate's sample read by the tokenizer, as
+    ``_tokenized_sample`` reads it with a limit of 21."""
+    with mock.patch.object(tabular, "_plain_text", lambda text: None):
+        return tabular._detect_from_text(text)
+
+
 @given(
     st.one_of(
         st.text(alphabet=st.sampled_from(_SPLITTER_CHARS), max_size=30),
@@ -590,14 +597,15 @@ def test_fast_path_matches_the_state_machine(text):
     ]
     fast = [_parse_outcome(data, d) for d in dialects] + [_detect_outcome(data)]
     with mock.patch.object(tabular, "_split_table", _tokenized_table), mock.patch.object(
-        tabular, "_split_records", _tokenized_sample
+        tabular, "_plain_text", lambda text: None
     ):
         forced = [_parse_outcome(data, d) for d in dialects] + [_detect_outcome(data)]
     assert fast == forced
-    # Detection reads a few leading records; a short limit reaches them here.
-    for delimiter in tabular.DELIMITERS:
-        for limit in (1, 2, 3):
-            assert tabular._split_records(text, delimiter, limit) == _tokenized_sample(text, delimiter, limit)
+    # Detection samples 21 records; leading records put the text's own
+    # records, quotes and bare CRs at the edge of that head.
+    for before in (19, 20, 21):
+        text_after = "n\n" + "1\n" * before + text
+        assert tabular._detect_from_text(text_after) == _tokenized_detection(text_after)
 
 
 def _no_state_machine(*args, **kwargs):
@@ -643,11 +651,17 @@ def test_bare_cr_reaches_the_state_machine(monkeypatch, text):
 
 
 def test_limited_splits_reach_the_state_machine(monkeypatch):
-    monkeypatch.setattr(tabular, "_split_quoted", _no_state_machine)
-    with pytest.raises(AssertionError, match="state machine reached"):
-        tabular._split_records('a,b\n"x",1\n', ",", limit=20)
-    with pytest.raises(AssertionError, match="state machine reached"):
-        detect_dialect(b'a,b\n"x",1\n')
+    head = "name,n\n" + "".join(f"x{i},{i}\n" for i in range(20))  # 21 records
+    with mock.patch.object(tabular, "_split_quoted", _no_state_machine):
+        with pytest.raises(AssertionError, match="state machine reached"):
+            detect_dialect(b'a,b\n"x",1\n')
+        with pytest.raises(AssertionError, match="state machine reached"):
+            detect_dialect(head.replace("x19", '"x19"').encode())
+        # A quote after the 21st record is not sampled.
+        after = head + '"x;y",20\n'
+        assert detect_dialect(after.encode()) == Dialect(delimiter=",", has_header=True)
+    assert _tokenized_sample(after, ",", 21) == [line.split(",") for line in head.splitlines()]
+    assert tabular._detect_from_text(after) == _tokenized_detection(after)
 
 
 def _spy_on_the_tokenizer(monkeypatch) -> list[dict]:
@@ -755,14 +769,16 @@ def test_a_table_of_columns_checks_only_their_count_and_lengths():
 @given(
     st.lists(st.sampled_from(["a", "b1", ",", ";", "\t", "\n", "\r\n", "\x0c", "\u2028"]), max_size=40).map("".join),
     st.sampled_from(tabular.DELIMITERS),
-    st.sampled_from([1, 2, 5]),
+    st.integers(18, 21),
     st.integers(1, 6),
 )
 @settings(max_examples=400)
-def test_quote_free_split_is_the_same_in_tiny_blocks(text, delimiter, limit, block):
-    head = text.replace("\r\n", "\n")
-    unblocked = [line.split(delimiter) for line in head.split("\n") if line]
-    assert tabular._split_records(text, delimiter, limit) == unblocked[:limit]
+def test_quote_free_split_is_the_same_in_tiny_blocks(text, delimiter, before, block):
+    # Leading records put the text's own at the edge of detection's sample.
+    text_after = "n\n" + "1\n" * before + text
+    assert tabular._detect_from_text(text_after) == _tokenized_detection(text_after)
+    if text:
+        assert detect_dialect(text.encode()) == _tokenized_detection(text)
     for has_header in (True, False):
         whole = _column_outcome(text, delimiter, has_header)
         assert whole == _rowwise_table(text, delimiter, has_header)
