@@ -14,16 +14,19 @@ emitted, so ``NO_COLOR`` has nothing to strip.
 
 Handlers return a ``_Result`` and write nothing: ``_render`` is the only
 code that writes to stdout or stderr.  Each handler imports the code it
-runs, so a command loads no module it does not use.
+runs, so a command loads no module it does not use.  Start-up is the floor
+under every command, so ``--help`` and a text-mode usage error load only
+the parser and the license choices: ``_Result`` is a named tuple, not a
+dataclass (no ``dataclasses`` or ``inspect``), and ``json`` is imported
+only to render a JSON document.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import ToolError
@@ -48,18 +51,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class _Result:
+class _Result(namedtuple("_Result", "code document text error", defaults=("", ""))):
     """One command's exit code and output in both formats.
 
     ``document`` is an object to dump as JSON, or canonical JSON bytes passed
-    on unchanged.  ``text`` and ``error`` are text mode's stdout and stderr.
+    on unchanged.  ``text`` (str or bytes) and ``error`` are text mode's
+    stdout and stderr.
     """
 
-    code: int
-    document: object
-    text: str | bytes = ""
-    error: str = ""
+    __slots__ = ()
 
 
 def _error(code: int, message: str) -> _Result:
@@ -405,6 +405,8 @@ def _render(result: _Result, json_mode: bool) -> int:
     elif isinstance(result.document, bytes):
         out, err = result.document, ""
     else:
+        import json
+
         out, err = (json.dumps(result.document, indent=2, ensure_ascii=False) + "\n").encode("utf-8"), ""
     try:
         if sys.stdout is None or sys.stdout.closed:  # None: started with file descriptor 1 closed

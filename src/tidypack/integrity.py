@@ -8,7 +8,8 @@ digest so stronger hashes can appear later without breaking parsers.
 
 ``pack`` writes each 512-byte ustar header itself from pinned fields, the
 bytes ``tarfile`` writes for the same member, and hashes each file as it
-copies it into the archive.
+copies it into the archive.  ``hashlib`` (and with it OpenSSL) is imported
+by the functions that hash, so ``chunk`` and ``unchunk`` never load it.
 
 ``publish`` is the only code in tidypack that creates an output file.  It
 writes all of a command's files or none: ``init``, ``chunk`` and ``pack``
@@ -19,7 +20,6 @@ their target atomically.
 from __future__ import annotations
 
 import errno
-import hashlib
 import math
 import os
 import re
@@ -99,17 +99,29 @@ def publish(
 
 def md5_hex(data: bytes) -> str:
     """MD5 digest of the given bytes, as lowercase hex."""
+    import hashlib
+
     return hashlib.md5(data).hexdigest()
 
 
 def _md5_file(path: str) -> str:
+    """MD5 of a file's bytes, read 1 MiB at a time with no buffered reader.
+
+    An ``OSError`` names ``path``, whether opening or reading failed (reading
+    a directory fails only at the first read).
+    """
+    import hashlib
+
     digest = hashlib.md5()
-    with open(path, "rb") as handle:
-        while True:
-            block = handle.read(_READ_BLOCK)
-            if not block:
-                break
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        while block := os.read(fd, _READ_BLOCK):
             digest.update(block)
+    except OSError as exc:  # os.read names no file
+        exc.filename = path
+        raise
+    finally:
+        os.close(fd)
     return digest.hexdigest()
 
 
@@ -490,6 +502,8 @@ def pack(
     headers = [_ustar_header(name, size) for name, size, _ in members]
 
     def write(out: BinaryIO) -> None:
+        import hashlib
+
         buffer = memoryview(bytearray(_READ_BLOCK))
         mismatched: list[str] = []
         for (name, size, payload), header in zip(members, headers):

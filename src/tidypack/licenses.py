@@ -1,9 +1,13 @@
-"""License identities, embedded texts, and content-based recognition."""
+"""License identities, embedded texts, and content-based recognition.
+
+The CLI's parser reads ``CLI_CHOICES`` on every run, so this module loads
+only ``enum``; ``importlib.resources`` is imported by ``license_text``, the
+one function that reads a shipped text.
+"""
 
 from __future__ import annotations
 
 import enum
-from importlib import resources
 
 
 class LicenseKind(str, enum.Enum):
@@ -70,4 +74,6 @@ def license_text(kind: LicenseKind) -> str:
     except KeyError:
         options = ", ".join(sorted(k.value for k in _TEXT_FILES))
         raise ValueError(f"no text for license {kind.value!r}; choose one of: {options}") from None
+    from importlib import resources
+
     return resources.files(__package__).joinpath("licenses", filename).read_text(encoding="utf-8")

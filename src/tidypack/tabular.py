@@ -210,8 +210,10 @@ class ColumnShapes:
 class Dialect:
     """How a delimited table is written down.
 
-    ``fallback`` records that detection could not find a consistent
-    delimiter and defaulted to the comma.
+    ``fallback`` records that detection chose a delimiter that does not
+    split its sample consistently: no candidate did (the comma is then
+    taken), or only one-column candidates did while another split the
+    header and a later record into more cells (that one is then taken).
     """
 
     delimiter: str = ","
@@ -599,13 +601,23 @@ def _detect_from_text(text: str) -> Dialect:
         if len(widths) == 1:
             consistent[delimiter] = widths.pop()
 
-    fallback = False
-    if consistent:
-        best = max(consistent.values())
-        delimiter = next(d for d in DELIMITERS if consistent.get(d) == best)
-    else:
-        delimiter = ","
-        fallback = True
+    # When only one-column candidates are consistent, one that splits the
+    # header and another record outranks them: the table is read with it and
+    # its ragged record raises, rather than becoming one column named by the
+    # header line.  A header alone proves nothing: a one-column table may
+    # name its column "a;b".
+    splits = {
+        d: len(records[0])
+        for d, records in samples.items()
+        if records and len(records[0]) > 1 and any(len(cells) > 1 for cells in records[1:20])
+    }
+    scores, fallback = consistent, False
+    if not consistent:
+        scores, fallback = {",": 1}, True
+    elif max(consistent.values()) == 1 and splits:
+        scores, fallback = splits, True
+    best = max(scores.values())
+    delimiter = next(d for d in DELIMITERS if scores.get(d) == best)
 
     records = samples[delimiter]
     has_header = False
@@ -634,7 +646,12 @@ def detect_dialect(sample: bytes) -> Dialect:
     20 records (quote-aware, blank lines skipped): a candidate is consistent
     when every record has the same field count.  Among consistent candidates
     the one with the most fields wins; ties fall to comma, then tab, then
-    semicolon.  When none is consistent the result is comma with
+    semicolon.  When only one-column candidates are consistent but another
+    splits the first record and a later one into more than one cell, the
+    result is the candidate that splits the first record into the most
+    cells (same tie order) with ``fallback=True``, so parsing raises the
+    ragged record rather than reading one column named by the whole header
+    line.  When none is consistent the result is comma with
     ``fallback=True``.  ``has_header`` is set when the first record has no
     numeric cell but at least one full column below it is numeric.
 

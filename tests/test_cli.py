@@ -261,6 +261,22 @@ def test_an_empty_column_name_is_named(tmp_path, capsys, command, fmt):
     assert not (tmp_path / "pkg").exists()
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("row", [6, 31])
+def test_a_ragged_row_is_an_error_inside_the_detection_sample_too(tmp_path, capsys, row, fmt):
+    lines = ["id,code,day,amount,flag", *(f"{k},C1,2020-01-01,1.5,true" for k in range(40))]
+    lines[row - 1] += ",extra"
+    table = tmp_path / "t.csv"
+    table.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "schema", "infer", str(table), "--format", fmt)
+    message = f"row {row}: expected 5 cells, found 6"
+    assert code == EXIT_USAGE
+    if fmt == "json":
+        assert (one_json(out), err) == ({"error": {"code": EXIT_USAGE, "message": message}}, "")
+    else:
+        assert (out, err) == ("", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # dict
 

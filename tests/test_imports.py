@@ -53,10 +53,11 @@ PUBLIC = {
 }
 
 
-def _child(script: str, *argv: str) -> str:
-    """Run ``script`` in a fresh interpreter and return the last line it prints."""
+def _child(script: str, *argv: str, options: tuple[str, ...] = ()) -> str:
+    """Run ``script`` in a fresh interpreter started with ``options`` and
+    return the last line it prints."""
     child = subprocess.run(
-        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120
+        [sys.executable, *options, "-c", script, *argv], capture_output=True, text=True, timeout=120
     )
     assert child.returncode == 0, child.stderr
     return child.stdout.splitlines()[-1]
@@ -73,13 +74,15 @@ try:
 except SystemExit as exc:  # --help
     code = exc.code
 print()
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("tidypack.") or m in ("yaml", "csv", "_csv"))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("tidypack.") or m in ("yaml", "csv", "_csv", "hashlib"))]))
 """
 
 #: What every command loads: the CLI and its error and license-choice tables.
 CLI = {"tidypack.cli", "tidypack.errors", "tidypack.licenses"}
 #: The walk and the checksum code.
 TREE = {"tidypack.model", "tidypack.integrity"}
+#: Loaded only by code that hashes: ``chunk`` and ``unchunk`` load no OpenSSL.
+HASH = {"hashlib"}
 TABLE = {"tidypack.tabular"}
 SCHEMA = TABLE | {"tidypack.schema"}
 LINT = TREE | SCHEMA | {"tidypack.lint"}
@@ -98,6 +101,8 @@ def tables(tmp_path_factory):
     nameless.write_bytes(b"---\ntitle: t\nschema:\n  fields:\n    - name: id\n---\nid\n1\n2\n")
     quoted = root / "quoted.csvy"
     quoted.write_bytes(b'---\nname: quoted\n---\nid,note\r\n1,"a, b"\r\n2,"say ""hi"""\r\n')
+    (root / "piece-1.csv").write_bytes(b"id,score\n1,2.5\n")
+    (root / "piece-2.csv").write_bytes(b"id,score\n2,3.5\n")
     assert main(["init", str(root / "pkg"), "--dataset", "obs", "--seed", str(plain), "--format", "json"]) == EXIT_OK
     return root
 
@@ -106,14 +111,15 @@ def tables(tmp_path_factory):
     "argv, expected",
     [
         (["--help"], CLI),
-        (["checksum", "{root}/pkg"], CLI | TREE),
-        (["verify", "{root}/pkg"], CLI | TREE),
+        (["checksum", "{root}/pkg"], CLI | TREE | HASH),
+        (["verify", "{root}/pkg"], CLI | TREE | HASH),
         (["chunk", "{root}/plain.csv", "--max-rows", "1"], CLI | TREE | TABLE),
-        (["lint", "{root}/pkg"], CLI | LINT),
-        (["pack", "{root}/pkg", "--output", "{root}/pkg.tar", "--require-lint"], CLI | LINT),
+        (["unchunk", "{root}/piece-1.csv", "{root}/piece-2.csv", "--output", "{root}/whole.csv"], CLI | TREE | TABLE),
+        (["lint", "{root}/pkg"], CLI | LINT | HASH),
+        (["pack", "{root}/pkg", "--output", "{root}/pkg.tar", "--require-lint"], CLI | LINT | HASH),
         (["schema", "infer", "{root}/plain.csv"], CLI | SCHEMA),
         (["schema", "validate", "{root}/plain.csv", "{root}/pkg/metadata/obs.json"], CLI | SCHEMA),
-        (["init", "{root}/fresh", "--dataset", "obs"], CLI | TREE | SCHEMA | {"tidypack.scaffold"}),
+        (["init", "{root}/fresh", "--dataset", "obs"], CLI | TREE | SCHEMA | HASH | {"tidypack.scaffold"}),
         (["chunk", "{root}/fronted.csvy", "--max-rows", "1"], CLI | TREE | TABLE | {"yaml"}),
         # A schema block in the front matter is not read by a command that does not use it.
         (["chunk", "{root}/nameless.csvy", "--max-rows", "1"], CLI | TREE | TABLE | {"yaml"}),
@@ -121,14 +127,49 @@ def tables(tmp_path_factory):
         (["chunk", "{root}/quoted.csvy", "--max-rows", "1"], CLI | TREE | TABLE | {"yaml", "csv", "_csv"}),
     ],
     ids=[
-        "help", "checksum", "verify", "chunk-plain", "lint", "pack-require-lint", "schema-infer", "schema-validate",
-        "init", "chunk-csvy", "chunk-csvy-schema", "chunk-quoted-csvy",
+        "help", "checksum", "verify", "chunk-plain", "unchunk", "lint", "pack-require-lint", "schema-infer",
+        "schema-validate", "init", "chunk-csvy", "chunk-csvy-schema", "chunk-quoted-csvy",
     ],
 )
 def test_each_command_imports_only_what_it_runs(tables, argv, expected):
     code, modules = json.loads(_child(_COMMAND, *(arg.format(root=tables) for arg in argv)))
     assert code == EXIT_OK
     assert set(modules) == expected
+
+
+#: Machinery that ``--help`` and a text-mode usage error never run: the
+#: dataclass and JSON libraries, the license-text reader and OpenSSL.
+NOT_AT_START = ("dataclasses", "inspect", "json", "typing", "importlib.resources", "hashlib")
+
+# Its own script: ``_COMMAND`` imports ``json`` itself.
+_START = f"""
+import sys
+from tidypack import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:  # --help
+    code = exc.code
+print()
+print(code, [m for m in {NOT_AT_START!r} if m in sys.modules])
+"""
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["bogus"], 2)], ids=["help", "usage-error"])
+def test_start_up_loads_no_machinery_it_does_not_run(monkeypatch, argv, code):
+    # ``-S``: site hooks may import typing or importlib.resources themselves.
+    monkeypatch.setenv("PYTHONPATH", str(Path(tidypack.__file__).resolve().parents[1]))
+    assert _child(_START, *argv, options=("-S",)) == f"{code} []"
+
+
+def test_a_json_usage_error_in_a_fresh_interpreter_is_one_document():
+    child = subprocess.run(
+        [sys.executable, "-m", "tidypack", "--format", "json", "bogus"], capture_output=True, text=True, timeout=120
+    )
+    assert child.returncode == 2
+    assert child.stderr == ""
+    error = json.loads(child.stdout)["error"]  # a second document would be extra data
+    assert error["code"] == 2
+    assert error["message"].startswith("argument command: invalid choice: ")
 
 
 def test_the_parser_names_the_manifest_the_scanner_claims():

@@ -51,6 +51,41 @@ def test_md5_reference_vectors():
         assert md5_hex(data) == expected
 
 
+def test_a_file_is_hashed_a_mebibyte_at_a_time(tmp_path, monkeypatch):
+    from tidypack import integrity
+
+    data = os.urandom(5 * 512 * 1024)  # two and a half reads
+    (tmp_path / "big.bin").write_bytes(data)
+    sizes = []
+    real_read = os.read
+
+    def recording_read(fd, size):
+        sizes.append(size)
+        return real_read(fd, size)
+
+    monkeypatch.setattr(os, "read", recording_read)
+    assert integrity._md5_file(str(tmp_path / "big.bin")) == hashlib.md5(data).hexdigest()
+    assert sizes == [1024 * 1024] * 4  # the fourth read finds the end
+
+
+def test_a_file_that_cannot_be_hashed_is_named(tmp_path, monkeypatch):
+    from tidypack import integrity
+
+    for path in (tmp_path / "gone.bin", tmp_path):  # open fails; the first read fails
+        with pytest.raises(OSError) as caught:
+            integrity._md5_file(str(path))
+        assert caught.value.filename == str(path)
+
+    (tmp_path / "x.bin").write_bytes(b"x")
+
+    def failing_read(fd, size):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(os, "read", failing_read)
+    with pytest.raises(OSError, match=r"^\[Errno 5\] Input/output error: '.*x\.bin'$"):
+        integrity._md5_file(str(tmp_path / "x.bin"))
+
+
 # ---------------------------------------------------------------------------
 # Manifest format
 

@@ -119,6 +119,38 @@ def test_no_consistent_candidate_falls_back_to_comma():
     assert dialect.fallback is True
 
 
+def test_a_ragged_record_in_the_sample_is_not_read_as_one_column():
+    # Record 6 has six comma cells: only the one-column tab and semicolon
+    # candidates stay consistent, but the comma splits the header into five.
+    lines = [b"id,code,day,amount,flag", *(b"%d,C1,2020-01-01,1.5,true" % k for k in range(30))]
+    lines[5] += b",extra"
+    data = b"\n".join(lines) + b"\n"
+    dialect = detect_dialect(data)
+    assert (dialect.delimiter, dialect.fallback) == (",", True)
+    with pytest.raises(CsvError, match=r"^row 6: expected 5 cells, found 6$"):
+        parse_table(data, dialect)
+    with pytest.raises(CsvError, match=r"^row 6: expected 5 cells, found 6$"):
+        parse_csvy(data)
+
+
+def test_the_candidate_that_splits_the_header_most_is_taken():
+    # Comma and tab read one column throughout; the semicolon splits the header.
+    dialect = detect_dialect(b"a;b;c\n1;2;3\n4;5\n")
+    assert (dialect.delimiter, dialect.fallback) == (";", True)
+
+
+def test_a_one_column_table_keeps_the_commas_in_its_cells():
+    data = b"note\nred, green\nblue\n"
+    dialect = detect_dialect(data)
+    assert dialect.fallback is False
+    assert parse_table(data, dialect).columns == (("note", "red, green", "blue"),)  # no numeric column: no header
+    _, table = parse_csvy(data)
+    assert (table.header, table.columns) == (["note"], (("red, green", "blue"),))
+    # A header that another delimiter splits, with no record below it that does.
+    named = CsvTable(header=["a;b"], rows=[["x"], ["y"]])
+    assert parse_csvy(serialize_table(named))[1] == named
+
+
 def test_quoted_delimiters_do_not_skew_detection():
     data = b'name,note\n"a;b;c;d;e","x\ty\tz"\n"p;q;r;s;t",w\n'
     assert detect_dialect(data).delimiter == ","
