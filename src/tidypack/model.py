@@ -37,6 +37,9 @@ DOI_PATTERN = r'10\.[0-9]{4,}(?:\.[0-9]+)*/[^\s"<>]+'
 
 _DICTIONARY_SUFFIX = "-dictionary"
 
+#: A license is recognized from this much of its file: a title past it is not seen.
+_LICENSE_PREFIX_BYTES = 1 << 20
+
 
 class FileKind(str, enum.Enum):
     """What a file is, judged by extension and location."""
@@ -267,7 +270,7 @@ def _dictionary_prefix(stem: str) -> str | None:
 def scan_package(root: str | Path) -> DataPackage:
     """Inventory a package directory into the domain model.
 
-    Reads the directory tree and the license file's content (for
+    Reads the directory tree and the license file's first MiB (for
     recognition); nothing is written.  Raises ``FileNotFoundError`` or
     ``NotADirectoryError`` for a bad root and lets other ``OSError``s
     propagate.
@@ -314,7 +317,8 @@ def scan_package(root: str | Path) -> DataPackage:
     if "license" in special:
         ref = special["license"]
         try:
-            text = (root / ref.path).read_bytes().decode("utf-8", errors="replace")
+            with open(root / ref.path, "rb") as handle:
+                text = handle.read(_LICENSE_PREFIX_BYTES).decode("utf-8", errors="replace")
             detected = detect_license(text)
         except OSError:
             detected = LicenseKind.UNKNOWN

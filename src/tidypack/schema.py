@@ -25,7 +25,6 @@ from .tabular import (
     MISSING_WATCHLIST,
     ColumnShapes,
     CsvTable,
-    Dialect,
     is_boolean_token,
     is_date_token,
     is_integer_token,
@@ -161,7 +160,7 @@ def infer_schema(
 ) -> TableSchema:
     """Infer a schema from a table's header and cells.
 
-    Column order follows the table.  Raises ``SchemaError`` for a headerless
+    Column order follows the table.  Raises ``SchemaError`` for an empty
     table and for a column with an empty name, naming its 1-based number.
     """
     if not table.header:
@@ -558,7 +557,7 @@ def dictionary_to_csv(dictionary: DataDictionary) -> bytes:
         ]
         for entry in dictionary.entries
     ]
-    table = CsvTable(header=list(_DICTIONARY_COLUMNS), rows=rows, dialect=Dialect())
+    table = CsvTable(header=list(_DICTIONARY_COLUMNS), rows=rows)
     return serialize_table(table)
 
 

@@ -4,7 +4,9 @@ The quoting rules are pinned to what this package serializes, so that
 errors carry 1-based record numbers and cells round-trip byte-exactly: a
 field that starts with a double quote runs, delimiters and newlines
 included, until the matching close quote, and a doubled quote inside it is
-a literal quote (RFC 4180, narrowed to these rules).
+a literal quote (RFC 4180, narrowed to these rules).  A table's first
+record is always its header, so a ``Dialect`` is just the delimiter, and
+detection decides only that.
 
 A ``CsvTable`` is stored by column: one tuple of cells per column, in row
 order.  Every reader here reads columns (digit shapes, ``column()``,
@@ -25,11 +27,11 @@ close quote and an unterminated quote.  The tokenizer, one compiled regex
 per delimiter with one match per token (the quote-free rest of a record,
 which is split on the delimiter, or a single field), reads what the reader
 cannot: what it refuses, from the end of the last batch it completed on,
-and text with a bare CR.  Detection samples the first records of text the
-same way, by its lines when they are plain and by the tokenizer otherwise.
-Only LF and CRLF break lines on any path, never form feeds or Unicode line
-separators.  All paths give the same records, so record numbers in errors
-do not depend on which one ran.
+and text with a bare CR.  Detection reads the widths of the first records
+the same way: from each line's delimiter count when they are plain, and by
+the tokenizer otherwise.  Only LF and CRLF break lines on any path, never
+form feeds or Unicode line separators.  All paths give the same records, so
+record numbers in errors do not depend on which one ran.
 
 A parsed ``CsvTable`` builds one ``ColumnShapes`` per column on first use:
 the column's cells, and how many of them have each digit shape, a cell with
@@ -61,8 +63,8 @@ DELIMITERS = (",", "\t", ";")
 
 QUOTE = '"'
 
-# A line that is a record when the text has no quote and no bare CR: any
-# line but an empty one or the lone CR of a CRLF.
+# Any line but an empty one or the lone CR of a CRLF: a record when the text
+# has no quote and no bare CR.  Text with no such line holds no record.
 _RECORD_LINE_RE = re.compile(r"(?!\r\n)[^\n]+")
 
 # A bare CR, one that no LF follows: only the tokenizer reads text holding one.
@@ -208,24 +210,14 @@ class ColumnShapes:
 
 @dataclass(frozen=True)
 class Dialect:
-    """How a delimited table is written down.
-
-    ``fallback`` records that detection chose a delimiter that does not
-    split its sample consistently: no candidate did (the comma is then
-    taken), or only one-column candidates did while another split the
-    header and a later record into more cells (that one is then taken).
-    """
+    """How a delimited table is written down: its delimiter.  Every table's
+    first record is its header."""
 
     delimiter: str = ","
-    line_ending: str = LF
-    has_header: bool = True
-    fallback: bool = False
 
     def __post_init__(self):
         if self.delimiter not in DELIMITERS:
             raise CsvError(f"unsupported delimiter {self.delimiter!r}; use comma, tab, or semicolon")
-        if self.line_ending not in (LF, CRLF):
-            raise CsvError(f"unsupported line ending {self.line_ending!r}")
 
 
 @dataclass(frozen=True, init=False)
@@ -241,8 +233,8 @@ class CsvTable:
     ``CsvTable(header, rows)`` builds the columns from rows and checks each
     row's width.  ``rows`` is a view built from the columns on each access,
     ``rows[i][j]`` being cell ``j`` of row ``i``; nothing here reads it.
-    ``header`` may be empty for headerless input, in which case all rows
-    share the width of the first row.
+    The header names every column, so it may be empty only for a table
+    with no columns, and rows without a header are refused.
     """
 
     header: list[str]
@@ -260,11 +252,10 @@ class CsvTable:
         columns: tuple[tuple[str, ...], ...] | None = None,
     ):
         if columns is None:
-            width = len(header) if header else len(rows[0]) if rows else 0
-            if rows and width == 0:
-                raise CsvError("rows must have at least one cell")
-            columns = _transpose(rows, width, 1 if header else 0)
-        elif header and len(columns) != len(header):
+            if rows and not header:
+                raise CsvError("rows need a header that names their columns")
+            columns = _transpose(rows, len(header), 1)
+        elif len(columns) != len(header):
             raise CsvError(f"expected {len(header)} columns, found {len(columns)}")
         elif len(set(map(len, columns))) > 1:
             raise CsvError("columns must all have the same length")
@@ -364,9 +355,9 @@ def _plain_text(text: str) -> str | None:
     return None if "\r" in lines else lines
 
 
-def _split_table(text: str, delimiter: str, has_header: bool) -> tuple[list[str], tuple[tuple[str, ...], ...]]:
-    """Split text into its first record, when ``has_header``, and the
-    columns of the records after it, or of every record.
+def _split_table(text: str, delimiter: str) -> tuple[list[str], tuple[tuple[str, ...], ...]]:
+    """Split text into its first record, the header, and the columns of
+    the records after it.
 
     Lines with no characters at all are skipped.  Every record must have
     the first record's width: ``CsvError`` names the first one that does
@@ -378,15 +369,13 @@ def _split_table(text: str, delimiter: str, has_header: bool) -> tuple[list[str]
     """
     lines = _plain_text(text)
     if lines is not None:
-        return _gather(_line_columns(lines, delimiter), has_header)
-    return _gather(_record_columns(_read_quoted(text, delimiter)), has_header)
+        return _gather(_line_columns(lines, delimiter))
+    return _gather(_record_columns(_read_quoted(text, delimiter)))
 
 
-def _gather(
-    batches: Iterator[Sequence[Sequence[str]]], has_header: bool
-) -> tuple[list[str], tuple[tuple[str, ...], ...]]:
+def _gather(batches: Iterator[Sequence[Sequence[str]]]) -> tuple[list[str], tuple[tuple[str, ...], ...]]:
     """Join batches of columns, the first of which starts with the first
-    record, into one tuple per column."""
+    record, into the header and one tuple per column of the rows below it."""
     columns: list[list[str]] = []
     for batch in batches:
         if not columns:  # a list in the first batch is taken over as it is
@@ -394,10 +383,9 @@ def _gather(
             continue
         for cells, column in zip(columns, batch):
             cells += column
-    header = [cells[0] for cells in columns] if has_header else []
+    header = [cells[0] for cells in columns]
     for index, cells in enumerate(columns):  # one list at a time is alive next to its tuple
-        if header:
-            del cells[0]
+        del cells[0]
         columns[index] = tuple(cells)
     return header, tuple(columns)
 
@@ -563,84 +551,57 @@ def _split_quoted(
 
 def _table_from_text(text: str, dialect: Dialect) -> CsvTable:
     """Split decoded text into a table."""
-    header, columns = _split_table(text, dialect.delimiter, dialect.has_header)
-    if dialect.has_header and not header:
+    header, columns = _split_table(text, dialect.delimiter)
+    if not header:
         raise CsvError("table is empty; expected a header row")
     return CsvTable(header=header, dialect=dialect, columns=columns)
 
 
 def parse_table(data: bytes, dialect: Dialect) -> CsvTable:
-    """Parse delimited bytes into a table, honoring the given dialect.
+    """Parse delimited bytes into a table with the given delimiter; the
+    first record is the header.
 
     Raises ``CsvError`` with the offending 1-based record number for ragged
-    rows and unterminated quotes, and ``EncodingError`` for non-UTF-8 input.
+    rows and unterminated quotes, ``CsvError`` for text with no record, and
+    ``EncodingError`` for non-UTF-8 input.
     """
     return _table_from_text(_decode(data), dialect)
 
 
 def _detect_from_text(text: str) -> Dialect:
-    # Scanning for "\r" is far faster than for the two characters of CRLF,
-    # and settles LF-only text, the common case, on its own.
-    line_ending = CRLF if "\r" in text and CRLF in text else LF
-
-    # The head of the text up to its 21st non-empty line holds the sample
+    # The head of the text up to its 20th non-empty line holds the sample
     # unless it has a quote or a bare CR, and then the tokenizer reads it:
     # leniently, as a truncated sample may end inside a quoted field.
-    found = list(islice(_RECORD_LINE_RE.finditer(text), 21))
-    lines = _plain_text(text[: found[-1].end() + 1] if found else "")
+    found = list(islice(_RECORD_LINE_RE.finditer(text), 20))
+    head = _plain_text(text[: found[-1].end() + 1] if found else "")
 
-    # One split per candidate: 20 records score it, and the winner's 21 feed the header test.
-    samples: dict[str, list[list[str]]] = {}
-    consistent: dict[str, int] = {}
+    # Each candidate's widths of the sampled records: a plain line holds one
+    # cell more than it has delimiters, so it need not be split.
+    widths: dict[str, list[int]] = {}
     for delimiter in DELIMITERS:
-        if lines is None:
-            samples[delimiter] = _split_quoted(text, delimiter, lenient=True, limit=21)
+        if head is None:
+            widths[delimiter] = [len(cells) for cells in _split_quoted(text, delimiter, lenient=True, limit=20)]
         else:
-            samples[delimiter] = [line.split(delimiter) for line in lines.split(LF) if line]
-        widths = {len(cells) for cells in samples[delimiter][:20]}
-        if len(widths) == 1:
-            consistent[delimiter] = widths.pop()
+            widths[delimiter] = [line.count(delimiter) + 1 for line in head.split(LF) if line]
+    consistent = {d: w[0] for d, w in widths.items() if len(set(w)) == 1}
 
     # When only one-column candidates are consistent, one that splits the
     # header and another record outranks them: the table is read with it and
     # its ragged record raises, rather than becoming one column named by the
     # header line.  A header alone proves nothing: a one-column table may
     # name its column "a;b".
-    splits = {
-        d: len(records[0])
-        for d, records in samples.items()
-        if records and len(records[0]) > 1 and any(len(cells) > 1 for cells in records[1:20])
-    }
-    scores, fallback = consistent, False
+    splits = {d: w[0] for d, w in widths.items() if w and w[0] > 1 and any(n > 1 for n in w[1:])}
+    scores = consistent
     if not consistent:
-        scores, fallback = {",": 1}, True
+        scores = {",": 1}
     elif max(consistent.values()) == 1 and splits:
-        scores, fallback = splits, True
+        scores = splits
     best = max(scores.values())
-    delimiter = next(d for d in DELIMITERS if scores.get(d) == best)
-
-    records = samples[delimiter]
-    has_header = False
-    if len(records) >= 2:
-        first = records[0]
-        if first and not any(is_number_token(cell) for cell in first):
-            width = len(first)
-            body = [cells for cells in records[1:] if len(cells) == width]
-            if body:
-                for j in range(width):
-                    if all(is_number_token(row[j]) for row in body):
-                        has_header = True
-                        break
-    return Dialect(
-        delimiter=delimiter,
-        line_ending=line_ending,
-        has_header=has_header,
-        fallback=fallback,
-    )
+    return Dialect(next(d for d in DELIMITERS if scores.get(d) == best))
 
 
 def detect_dialect(sample: bytes) -> Dialect:
-    """Guess delimiter, line ending, and headeredness from a sample.
+    """Guess the delimiter of a sample: the ``Dialect`` holds nothing else.
 
     Candidates are comma, tab, and semicolon.  Each is scored over the first
     20 records (quote-aware, blank lines skipped): a candidate is consistent
@@ -648,12 +609,10 @@ def detect_dialect(sample: bytes) -> Dialect:
     the one with the most fields wins; ties fall to comma, then tab, then
     semicolon.  When only one-column candidates are consistent but another
     splits the first record and a later one into more than one cell, the
-    result is the candidate that splits the first record into the most
-    cells (same tie order) with ``fallback=True``, so parsing raises the
-    ragged record rather than reading one column named by the whole header
-    line.  When none is consistent the result is comma with
-    ``fallback=True``.  ``has_header`` is set when the first record has no
-    numeric cell but at least one full column below it is numeric.
+    candidate that splits the first record into the most cells wins (same
+    tie order), so parsing raises the ragged record rather than reading one
+    column named by the whole header line.  When none is consistent the
+    comma wins.
 
     Raises ``CsvError`` on an empty sample.
     """
@@ -744,10 +703,10 @@ def parse_csvy(data: bytes) -> tuple[FrontMatter, CsvTable]:
 
     The front matter, when present, is fenced by lines that are exactly
     ``---``; everything between the fences is kept verbatim in
-    ``FrontMatter.raw_yaml``.  The body's dialect is detected, and the first
-    record is always taken as the header (this format carries named
-    columns; a file whose first record looks numeric is data that lost its
-    header, which ``chunk_table`` and friends reject on their own terms).
+    ``FrontMatter.raw_yaml``.  The body's delimiter is detected, and its
+    first record is the header, as in every table here: the same body
+    parses as ``parse_table(body, detect_dialect(body))``.  A body with no
+    record gives an empty table.
 
     Raises ``FrontMatterError`` for an unclosed fence or YAML outside the
     supported subset, and ``CsvError``/``EncodingError`` for a bad body.
@@ -759,10 +718,9 @@ def parse_csvy(data: bytes) -> tuple[FrontMatter, CsvTable]:
 
     front = FrontMatter(raw_yaml=raw_yaml, mapping=mapping)
 
-    if not body.lstrip("\r\n"):  # a body with a first record is not copied
+    if _RECORD_LINE_RE.search(body) is None:  # only LF and CRLF: no record
         return front, CsvTable(header=[], rows=[])
-    dialect = replace(_detect_from_text(body), has_header=True)
-    return front, _table_from_text(body, dialect)
+    return front, _table_from_text(body, _detect_from_text(body))
 
 
 def _render_column(cells: Sequence[str], delimiter: str) -> Sequence[str]:
@@ -787,9 +745,8 @@ def serialize_table(table: CsvTable) -> bytes:
     Output always ends with a newline unless the table is completely empty.
     """
     delimiter = table.dialect.delimiter
-    lines = map(delimiter.join, zip(*(_render_column(column, delimiter) for column in table.columns)))
-    if table.header:
-        lines = chain([delimiter.join(_render_column(table.header, delimiter))], lines)
+    rows = map(delimiter.join, zip(*(_render_column(column, delimiter) for column in table.columns)))
+    lines = chain([delimiter.join(_render_column(table.header, delimiter))], rows)
     if table.width == 1:
         lines = (line or '""' for line in lines)
     text = LF.join(lines)

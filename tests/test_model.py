@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tempfile
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path, PurePosixPath
 
@@ -278,6 +279,23 @@ def test_scan_detects_each_license(tmp_path):
         root = tmp_path / kind.value
         _write(root, "LICENSE", license_text(kind).encode())
         assert scan_package(root).license.detected is kind
+
+
+def test_a_huge_license_is_recognized_from_its_first_mebibyte(tmp_path):
+    _write(tmp_path, "LICENSE", license_text(LicenseKind.CC0_1).encode() + b"\n" * (16 << 20))
+    tracemalloc.start()
+    try:
+        package = scan_package(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert package.license.detected is LicenseKind.CC0_1
+    assert peak < 8 << 20, f"peak {peak / (1 << 20):.1f} MiB"
+
+
+def test_a_license_title_after_the_first_mebibyte_is_not_recognized(tmp_path):
+    _write(tmp_path, "LICENSE", b"\n" * (1 << 20) + license_text(LicenseKind.CC0_1).encode())
+    assert scan_package(tmp_path).license.detected is LicenseKind.UNKNOWN
 
 
 def test_scan_dictionary_for_unknown_dataset_stays_in_pool(tmp_path):

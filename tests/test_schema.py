@@ -91,9 +91,8 @@ def test_infer_schema_names_and_errors():
     sourced = replace(table, source="data/teaching.csv")
     assert infer_schema(sourced).name == "teaching"
 
-    headerless = CsvTable(header=[], rows=[["1"]], dialect=Dialect(has_header=False))
-    with pytest.raises(SchemaError):
-        infer_schema(headerless)
+    with pytest.raises(SchemaError, match="^table has no header row; cannot infer a schema$"):
+        infer_schema(CsvTable(header=[], rows=[]))
     # A header cell of only spaces is an empty name once trimmed.
     with pytest.raises(SchemaError, match="^column 2 has an empty name$"):
         infer_schema(CsvTable(header=["a", " ", "c"], rows=[]))

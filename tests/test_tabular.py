@@ -17,7 +17,7 @@ from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tidypack import (
@@ -92,11 +92,13 @@ def test_date_tokens():
 
 
 def test_detects_semicolon_with_header():
-    dialect = detect_dialect(b"a;b;c\n1;2;3\n4;5;6\n")
-    assert dialect.delimiter == ";"
-    assert dialect.has_header is True
-    assert dialect.fallback is False
-    assert dialect.line_ending == "\n"
+    assert detect_dialect(b"a;b;c\n1;2;3\n4;5;6\n") == Dialect(delimiter=";")
+
+
+@pytest.mark.parametrize("removed", ["line_ending", "has_header", "fallback"])
+def test_a_dialect_is_only_its_delimiter(removed):
+    with pytest.raises(TypeError):
+        Dialect(**{removed: None})
 
 
 def test_detects_tab():
@@ -114,9 +116,7 @@ def test_more_fields_beats_preference_order():
 
 
 def test_no_consistent_candidate_falls_back_to_comma():
-    dialect = detect_dialect(b"a,b\nc\td\ne;f;g\nh\n")
-    assert dialect.delimiter == ","
-    assert dialect.fallback is True
+    assert detect_dialect(b"a,b\nc\td\ne;f;g\nh\n") == Dialect(delimiter=",")
 
 
 def test_a_ragged_record_in_the_sample_is_not_read_as_one_column():
@@ -126,7 +126,7 @@ def test_a_ragged_record_in_the_sample_is_not_read_as_one_column():
     lines[5] += b",extra"
     data = b"\n".join(lines) + b"\n"
     dialect = detect_dialect(data)
-    assert (dialect.delimiter, dialect.fallback) == (",", True)
+    assert dialect == Dialect(delimiter=",")
     with pytest.raises(CsvError, match=r"^row 6: expected 5 cells, found 6$"):
         parse_table(data, dialect)
     with pytest.raises(CsvError, match=r"^row 6: expected 5 cells, found 6$"):
@@ -135,17 +135,14 @@ def test_a_ragged_record_in_the_sample_is_not_read_as_one_column():
 
 def test_the_candidate_that_splits_the_header_most_is_taken():
     # Comma and tab read one column throughout; the semicolon splits the header.
-    dialect = detect_dialect(b"a;b;c\n1;2;3\n4;5\n")
-    assert (dialect.delimiter, dialect.fallback) == (";", True)
+    assert detect_dialect(b"a;b;c\n1;2;3\n4;5\n") == Dialect(delimiter=";")
 
 
 def test_a_one_column_table_keeps_the_commas_in_its_cells():
     data = b"note\nred, green\nblue\n"
-    dialect = detect_dialect(data)
-    assert dialect.fallback is False
-    assert parse_table(data, dialect).columns == (("note", "red, green", "blue"),)  # no numeric column: no header
     _, table = parse_csvy(data)
     assert (table.header, table.columns) == (["note"], (("red, green", "blue"),))
+    assert parse_table(data, detect_dialect(data)) == table
     # A header that another delimiter splits, with no record below it that does.
     named = CsvTable(header=["a;b"], rows=[["x"], ["y"]])
     assert parse_csvy(serialize_table(named))[1] == named
@@ -156,26 +153,10 @@ def test_quoted_delimiters_do_not_skew_detection():
     assert detect_dialect(data).delimiter == ","
 
 
-def test_header_heuristic_requires_numeric_column():
-    assert detect_dialect(b"age,height\n12,161.5\n").has_header is True
-    assert detect_dialect(b"1,2\n3,4\n").has_header is False  # numeric first row
-    assert detect_dialect(b"a,b\nx,y\n").has_header is False  # nothing numeric below
-    assert detect_dialect(b"age,height\n").has_header is False  # single record
-
-
 def test_blank_lines_do_not_change_detection():
     with_blanks = detect_dialect(b"a;b\n\n1;2\n\n\n3;4\n")
     without = detect_dialect(b"a;b\n1;2\n3;4\n")
     assert with_blanks == without
-
-
-def test_crlf_line_ending_detected():
-    assert detect_dialect(b"a,b\r\n1,2\r\n").line_ending == "\r\n"
-
-
-def test_line_ending_detected_on_mixed_and_bare_cr_text():
-    assert detect_dialect(b"a,b\n1,2\r\n3,4\n").line_ending == "\r\n"
-    assert detect_dialect(b"a,b\n1,2\r3,4\n").line_ending == "\n"
 
 
 def test_empty_sample_is_an_error():
@@ -245,7 +226,7 @@ def test_bom_is_stripped():
 
 
 def test_crlf_input_parses():
-    table = parse_table(b"a,b\r\n1,2\r\n", Dialect(line_ending="\r\n"))
+    table = parse_table(b"a,b\r\n1,2\r\n", Dialect())
     assert table.rows == [["1", "2"]]
 
 
@@ -257,12 +238,6 @@ def test_lone_carriage_return_is_cell_content():
 def test_non_utf8_is_an_encoding_error():
     with pytest.raises(EncodingError):
         parse_table(b"a,b\n\xff\xfe,2\n", Dialect())
-
-
-def test_headerless_dialect_gives_empty_header():
-    table = parse_table(b"1,2\n3,4\n", Dialect(has_header=False))
-    assert table.header == []
-    assert table.rows == [["1", "2"], ["3", "4"]]
 
 
 def test_empty_table_with_header_dialect_is_an_error():
@@ -316,6 +291,13 @@ def test_serialize_empty_table_is_empty_bytes():
 def test_zero_width_rows_rejected():
     with pytest.raises(CsvError):
         CsvTable(header=[], rows=[[]])
+
+
+def test_rows_without_a_header_are_refused():
+    with pytest.raises(CsvError, match="^rows need a header that names their columns$"):
+        CsvTable(header=[], rows=[["1", "2"]])
+    with pytest.raises(CsvError, match="^expected 0 columns, found 1$"):
+        CsvTable(header=[], columns=(("1",),))
 
 
 # ---------------------------------------------------------------------------
@@ -507,29 +489,6 @@ def test_tokenizer_round_trip(table):
     assert again.rows == table.rows
 
 
-@st.composite
-def _headerless_tables(draw):
-    delimiter = draw(st.sampled_from([",", "\t", ";"]))
-    width = draw(st.integers(min_value=1, max_value=4))
-    cell = st.text(alphabet=st.sampled_from(_FULL_CELL_CHARS), max_size=8)
-    rows = draw(
-        st.lists(
-            st.lists(cell, min_size=width, max_size=width), min_size=1, max_size=6
-        )
-    )
-    return CsvTable(
-        header=[], rows=rows, dialect=Dialect(delimiter=delimiter, has_header=False)
-    )
-
-
-@given(_headerless_tables())
-@settings(max_examples=60)
-def test_headerless_tokenizer_round_trip(table):
-    again = parse_table(serialize_table(table), table.dialect)
-    assert again.header == []
-    assert again.rows == table.rows
-
-
 # ---------------------------------------------------------------------------
 # Record splitting: the column split against the row-wise split it replaced
 
@@ -553,17 +512,17 @@ def _rowwise_split(text: str, delimiter: str) -> list[list[str]]:
     return _reference_split(text, delimiter)
 
 
-def _rowwise_table(text: str, delimiter: str, has_header: bool, split=_rowwise_split):
+def _rowwise_table(text: str, delimiter: str, split=_rowwise_split):
     """What the row-wise parse gave: header and rows, checked row by row
     after the whole split, or the error and its record number."""
     try:
         records = split(text, delimiter)
-        if has_header and not records:
+        if not records:
             raise CsvError("table is empty; expected a header row")
         for number, record in enumerate(records, start=1):
             if len(record) != len(records[0]):
                 raise CsvError(f"expected {len(records[0])} cells, found {len(record)}", row=number)
-        header, rows = (records[0], records[1:]) if has_header else ([], records)
+        header, rows = records[0], records[1:]
         names = [name.strip() for name in header]
         for index, name in enumerate(names):
             if name in names[:index]:
@@ -573,9 +532,9 @@ def _rowwise_table(text: str, delimiter: str, has_header: bool, split=_rowwise_s
     return ("table", header, rows)
 
 
-def _column_outcome(text: str, delimiter: str, has_header: bool):
+def _column_outcome(text: str, delimiter: str):
     try:
-        table = tabular._table_from_text(text, Dialect(delimiter=delimiter, has_header=has_header))
+        table = tabular._table_from_text(text, Dialect(delimiter=delimiter))
     except CsvError as exc:
         return ("error", str(exc), exc.row)
     assert all(type(column) is tuple for column in table.columns)
@@ -601,9 +560,9 @@ def _tokenized_sample(text: str, delimiter: str, limit: int) -> list[list[str]]:
     return tabular._split_quoted(text, delimiter, lenient=True, limit=limit)
 
 
-def _tokenized_table(text: str, delimiter: str, has_header: bool):
+def _tokenized_table(text: str, delimiter: str):
     records = tabular._split_quoted(text, delimiter)
-    return tabular._gather(tabular._record_columns(iter([records])), has_header)
+    return tabular._gather(tabular._record_columns(iter([records])))
 
 
 def _tokenized_detection(text: str) -> Dialect:
@@ -622,20 +581,16 @@ def _tokenized_detection(text: str) -> Dialect:
 @settings(max_examples=400)
 def test_fast_path_matches_the_state_machine(text):
     data = text.encode()
-    dialects = [
-        Dialect(delimiter=delimiter, has_header=has_header)
-        for delimiter in tabular.DELIMITERS
-        for has_header in (True, False)
-    ]
+    dialects = [Dialect(delimiter=delimiter) for delimiter in tabular.DELIMITERS]
     fast = [_parse_outcome(data, d) for d in dialects] + [_detect_outcome(data)]
     with mock.patch.object(tabular, "_split_table", _tokenized_table), mock.patch.object(
         tabular, "_plain_text", lambda text: None
     ):
         forced = [_parse_outcome(data, d) for d in dialects] + [_detect_outcome(data)]
     assert fast == forced
-    # Detection samples 21 records; leading records put the text's own
+    # Detection samples 20 records; leading records put the text's own
     # records, quotes and bare CRs at the edge of that head.
-    for before in (19, 20, 21):
+    for before in (18, 19, 20):
         text_after = "n\n" + "1\n" * before + text
         assert tabular._detect_from_text(text_after) == _tokenized_detection(text_after)
 
@@ -652,7 +607,7 @@ def test_quote_free_text_skips_the_state_machine(monkeypatch, newline):
     data = b"\xef\xbb\xbf" + newline.join(lines).encode("utf-8")
     rows = [["x\x0cy", "1"], ["p\u2028q", "2"], ["\x85", "3"]]
     dialect = detect_dialect(data)
-    assert dialect == Dialect(delimiter=";", line_ending=newline, has_header=True)
+    assert dialect == Dialect(delimiter=";")
     table = parse_table(data, dialect)
     assert (table.header, table.rows) == (["name", "n"], rows)
     assert parse_csvy(data)[1] == table
@@ -683,16 +638,16 @@ def test_bare_cr_reaches_the_state_machine(monkeypatch, text):
 
 
 def test_limited_splits_reach_the_state_machine(monkeypatch):
-    head = "name,n\n" + "".join(f"x{i},{i}\n" for i in range(20))  # 21 records
+    head = "name,n\n" + "".join(f"x{i},{i}\n" for i in range(19))  # 20 records
     with mock.patch.object(tabular, "_split_quoted", _no_state_machine):
         with pytest.raises(AssertionError, match="state machine reached"):
             detect_dialect(b'a,b\n"x",1\n')
         with pytest.raises(AssertionError, match="state machine reached"):
-            detect_dialect(head.replace("x19", '"x19"').encode())
-        # A quote after the 21st record is not sampled.
-        after = head + '"x;y",20\n'
-        assert detect_dialect(after.encode()) == Dialect(delimiter=",", has_header=True)
-    assert _tokenized_sample(after, ",", 21) == [line.split(",") for line in head.splitlines()]
+            detect_dialect(head.replace("x18", '"x18"').encode())
+        # A quote after the 20th record is not sampled.
+        after = head + '"x;y",19\n'
+        assert detect_dialect(after.encode()) == Dialect(delimiter=",")
+    assert _tokenized_sample(after, ",", 20) == [line.split(",") for line in head.splitlines()]
     assert tabular._detect_from_text(after) == _tokenized_detection(after)
 
 
@@ -722,16 +677,16 @@ def _spy_on_the_tokenizer(monkeypatch) -> list[dict]:
 )
 def test_what_the_reader_refuses_reaches_the_state_machine(monkeypatch, text, outcome, tokenized):
     calls = _spy_on_the_tokenizer(monkeypatch)
-    expected = outcome if isinstance(outcome, tuple) else ("table", [], outcome)
-    assert _column_outcome(text, ",", False) == expected
-    assert _rowwise_table(text, ",", False) == expected
+    expected = outcome if isinstance(outcome, tuple) else ("table", outcome[0], outcome[1:])
+    assert _column_outcome(text, ",") == expected
+    assert _rowwise_table(text, ",") == expected
     assert bool(calls) == tokenized
 
 
-def _tokenized_outcome(text: str, delimiter: str, has_header: bool):
+def _tokenized_outcome(text: str, delimiter: str):
     """The tokenizer-only parse of the whole text."""
     try:
-        header, columns = _tokenized_table(text, delimiter, has_header)
+        header, columns = _tokenized_table(text, delimiter)
     except CsvError as exc:
         return ("error", str(exc), exc.row)
     return ("table", header, [list(row) for row in zip(*columns)])
@@ -745,13 +700,13 @@ def test_the_tokenizer_resumes_where_the_reader_stopped(monkeypatch, where, batc
     refused = {"first": 0, "middle": 2_500, "last": 4_999}[where]
     rows[refused][1] = '"ab"cd'
     text = "id,name,note\r\n\r\n" + "".join(",".join(row) + "\r\n" for row in rows)
-    expected = _tokenized_outcome(text, ",", True)
+    expected = _tokenized_outcome(text, ",")
     assert expected[2][refused][1] == "abcd"
 
     calls = _spy_on_the_tokenizer(monkeypatch)
     monkeypatch.setattr(tabular, "_READER_BATCH", batch)
     monkeypatch.setattr(tabular, "_READER_BLOCK_CHARS", 64)
-    assert _column_outcome(text, ",", True) == expected
+    assert _column_outcome(text, ",") == expected
     # The tokenizer starts after the last batch the reader completed: a
     # record boundary that fewer than a batch of records separate from the
     # refused one, which the header and the rows before it precede.
@@ -764,8 +719,8 @@ def test_the_tokenizer_resumes_where_the_reader_stopped(monkeypatch, where, batc
     # An unterminated quote after the refusal keeps its record number.
     calls.clear()
     broken = text + '5000,"open\r\n'
-    assert _column_outcome(broken, ",", True) == ("error", "row 5002: unterminated quoted field", 5002)
-    assert _tokenized_outcome(broken, ",", True) == ("error", "row 5002: unterminated quoted field", 5002)
+    assert _column_outcome(broken, ",") == ("error", "row 5002: unterminated quoted field", 5002)
+    assert _tokenized_outcome(broken, ",") == ("error", "row 5002: unterminated quoted field", 5002)
 
 
 def test_columns_are_built_once():
@@ -801,7 +756,7 @@ def test_a_table_of_columns_checks_only_their_count_and_lengths():
 @given(
     st.lists(st.sampled_from(["a", "b1", ",", ";", "\t", "\n", "\r\n", "\x0c", "\u2028"]), max_size=40).map("".join),
     st.sampled_from(tabular.DELIMITERS),
-    st.integers(18, 21),
+    st.integers(17, 20),
     st.integers(1, 6),
 )
 @settings(max_examples=400)
@@ -811,11 +766,10 @@ def test_quote_free_split_is_the_same_in_tiny_blocks(text, delimiter, before, bl
     assert tabular._detect_from_text(text_after) == _tokenized_detection(text_after)
     if text:
         assert detect_dialect(text.encode()) == _tokenized_detection(text)
-    for has_header in (True, False):
-        whole = _column_outcome(text, delimiter, has_header)
-        assert whole == _rowwise_table(text, delimiter, has_header)
-        with mock.patch.object(tabular, "_BLOCK_CHARS", block):
-            assert _column_outcome(text, delimiter, has_header) == whole
+    whole = _column_outcome(text, delimiter)
+    assert whole == _rowwise_table(text, delimiter)
+    with mock.patch.object(tabular, "_BLOCK_CHARS", block):
+        assert _column_outcome(text, delimiter) == whole
 
 
 #: Cells for the split property: quote-free ones, ones the C reader reads,
@@ -841,16 +795,104 @@ def _split_cases(draw):
     return newline.join(lines) + draw(st.sampled_from([newline, ""])), delimiter
 
 
-@given(_split_cases(), st.booleans(), st.integers(1, 24), st.integers(1, 6), st.integers(1, 3))
+@given(_split_cases(), st.integers(1, 24), st.integers(1, 6), st.integers(1, 3))
 @settings(max_examples=1000)
-def test_column_split_matches_the_row_wise_reference(case, has_header, block, reader_block, batch):
+def test_column_split_matches_the_row_wise_reference(case, block, reader_block, batch):
     text, delimiter = case
-    expected = _rowwise_table(text, delimiter, has_header)
-    assert _column_outcome(text, delimiter, has_header) == expected
+    expected = _rowwise_table(text, delimiter)
+    assert _column_outcome(text, delimiter) == expected
     # Blocks and batches of a few characters and records put ragged rows
     # and quoted fields at their edges.
     with mock.patch.multiple(tabular, _BLOCK_CHARS=block, _READER_BLOCK_CHARS=reader_block, _READER_BATCH=batch):
-        assert _column_outcome(text, delimiter, has_header) == expected
+        assert _column_outcome(text, delimiter) == expected
+
+
+def _reference_detection(text: str) -> str:
+    """The delimiter the split-based detection chose: each candidate split
+    the first 21 records, the state machine reading a head with a quote or
+    a bare CR, and the widths of the first 20 scored it."""
+    found = list(itertools.islice(tabular._RECORD_LINE_RE.finditer(text), 21))
+    lines = tabular._plain_text(text[: found[-1].end() + 1] if found else "")
+    samples: dict[str, list[list[str]]] = {}
+    consistent: dict[str, int] = {}
+    for delimiter in tabular.DELIMITERS:
+        if lines is None:
+            samples[delimiter] = _reference_split(text, delimiter, lenient=True, limit=21)
+        else:
+            samples[delimiter] = [line.split(delimiter) for line in lines.split("\n") if line]
+        widths = {len(cells) for cells in samples[delimiter][:20]}
+        if len(widths) == 1:
+            consistent[delimiter] = widths.pop()
+    splits = {
+        d: len(records[0])
+        for d, records in samples.items()
+        if records and len(records[0]) > 1 and any(len(cells) > 1 for cells in records[1:20])
+    }
+    scores = consistent
+    if not consistent:
+        scores = {",": 1}
+    elif max(consistent.values()) == 1 and splits:
+        scores = splits
+    best = max(scores.values())
+    return next(d for d in tabular.DELIMITERS if scores.get(d) == best)
+
+
+@st.composite
+def _detection_cases(draw):
+    """Texts of up to 40 records: rows of one width and one delimiter, with
+    blank lines and ragged rows, on any delimiter, among them; quoted or
+    not; LF, CRLF, or a mix of those and bare CRs."""
+    delimiter = draw(st.sampled_from(tabular.DELIMITERS))
+    width = draw(st.integers(1, 4))
+    # A few cells per text, so that another delimiter inside them can split
+    # every row alike.
+    pool = _PLAIN_CELLS + (_QUOTED_CELLS if draw(st.booleans()) else [])
+    cell = st.sampled_from(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)))
+    newline = st.sampled_from(draw(st.sampled_from([["\n"], ["\r\n"], ["\n", "\r\n", "\r"]])))
+    # Leading rows put the mix at the edge of detection's 20-record sample.
+    lead = draw(st.integers(0, 22))
+    text = ""
+    for kind in ["row"] * lead + draw(st.lists(st.sampled_from(["row"] * 6 + ["blank", "ragged"]), max_size=40 - lead)):
+        if kind == "row":
+            text += delimiter.join(draw(cell) for _ in range(width))
+        elif kind == "ragged":
+            text += draw(st.sampled_from(tabular.DELIMITERS)).join(draw(cell) for _ in range(draw(st.integers(1, 6))))
+        text += draw(newline)
+    return text
+
+
+def _csvy_outcome(data: bytes):
+    try:
+        return ("table", parse_csvy(data)[1])
+    except CsvError as exc:
+        return ("error", str(exc), exc.row)
+
+
+@given(_detection_cases())
+def test_detection_matches_the_split_based_reference(text):
+    delimiter = _reference_detection(text)
+    if text:
+        assert detect_dialect(text.encode()) == Dialect(delimiter=delimiter)
+    expected = _rowwise_table(text, delimiter)
+    if tabular._RECORD_LINE_RE.search(text) is None:
+        expected = ("table", [], [])
+    outcome = _csvy_outcome(text.encode())
+    if outcome[0] == "table":
+        outcome = ("table", outcome[1].header, outcome[1].rows)
+    assert outcome == expected
+
+
+@given(_detection_cases().filter(lambda text: tabular._RECORD_LINE_RE.search(text) is not None))
+@example("note\nred, green\nblue\n")
+@example("\r")
+def test_a_text_has_one_reading(text):
+    # Front matter needs a line of "---", which these texts cannot hold.
+    data = text.encode()
+    try:
+        one = ("table", parse_table(data, detect_dialect(data)))
+    except CsvError as exc:
+        one = ("error", str(exc), exc.row)
+    assert one == _csvy_outcome(data)
 
 
 def test_column_shapes_are_summarized_once():
@@ -1024,15 +1066,12 @@ _READER_CHARS = ['"', '""', ",", ";", "\t", "\n", "\r\n", "\r", "\x00", " ", "\x
         st.lists(st.sampled_from([c for c in _READER_CHARS if c != "\r"]), max_size=40),
     ).map("".join),
     st.sampled_from(tabular.DELIMITERS),
-    st.booleans(),
     st.integers(1, 6),
 )
-def test_full_split_matches_the_reference(text, delimiter, has_header, block):
+def test_full_split_matches_the_reference(text, delimiter, block):
     # Blocks of a few characters make quoted fields straddle block edges.
     with mock.patch.object(tabular, "_READER_BLOCK_CHARS", block):
-        assert _column_outcome(text, delimiter, has_header) == _rowwise_table(
-            text, delimiter, has_header, split=_reference_split
-        )
+        assert _column_outcome(text, delimiter) == _rowwise_table(text, delimiter, split=_reference_split)
 
 
 _BIG = 100_000
@@ -1056,7 +1095,7 @@ def test_tokenizer_matches_the_reference_at_scale(make, delimiter):
     for lenient in (False, True):
         expected = _split_outcome(_reference_split, text, delimiter, lenient, None)
         assert _split_outcome(tabular._split_quoted, text, delimiter, lenient, None) == expected
-    assert _column_outcome(text, delimiter, False) == _rowwise_table(text, delimiter, False, split=_reference_split)
+    assert _column_outcome(text, delimiter) == _rowwise_table(text, delimiter, split=_reference_split)
 
 
 def _reference_front_matter(text: str) -> tuple[str, str]:
@@ -1151,7 +1190,7 @@ def _render_cases(draw):
             st.lists(_RENDER_CELLS, min_size=width, max_size=width, unique_by=str.strip),
         )
     )
-    rows = draw(st.lists(st.lists(_RENDER_CELLS, min_size=width, max_size=width), max_size=6))
+    rows = draw(st.lists(st.lists(_RENDER_CELLS, min_size=width, max_size=width), max_size=6)) if header else []
     front = draw(st.sampled_from([None, FrontMatter(), FrontMatter(raw_yaml="title: x")]))
     return front, CsvTable(header=header, rows=rows, dialect=Dialect(delimiter=delimiter))
 
