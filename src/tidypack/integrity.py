@@ -317,24 +317,18 @@ def chunk_table(source: str | Path, max_rows_per_chunk: int) -> ChunkPlan:
     Chunks are named ``<stem>-<k><ext>`` with ``k`` counting from 1, each
     repeating the source's header (and front matter, if any).  A table of
     ``n`` data rows yields ``ceil(n / max_rows_per_chunk)`` chunks, except
-    that zero rows still yield one header-only chunk.  Refuses to overwrite:
-    if any target chunk path exists, or appears while the chunks are
-    written, no chunk is left behind.
+    that zero rows still yield one header-only chunk.  The first record is
+    the header, whatever it holds, as for every table; a file with no
+    record raises the parser's ``CsvError``.  Refuses to overwrite: if any
+    target chunk path exists, or appears while the chunks are written, no
+    chunk is left behind.
     """
-    from .tabular import CsvTable, is_number_token, read_csvy, serialize_csvy
+    from .tabular import CsvTable, read_csvy, serialize_csvy
 
     if max_rows_per_chunk < 1:
         raise ChunkError("max_rows_per_chunk must be at least 1")
     source = Path(source)
     front, table = read_csvy(source)
-    if not table.header:
-        raise ChunkError(f"{source.name} is empty; nothing to chunk")
-    if any(is_number_token(cell) for cell in table.header):
-        raise ChunkError(
-            f"{source.name} appears to have no header row "
-            "(its first record contains numeric cells); chunking needs one"
-        )
-
     count = max(1, math.ceil(table.height / max_rows_per_chunk))
     targets = [
         source.with_name(_chunk_name(source.stem, index, source.suffix))

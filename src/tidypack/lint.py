@@ -633,9 +633,10 @@ def lint_package(pkg: DataPackage, config: LintConfig | None = None) -> LintRepo
     effective severity and the one the evaluator declared.  Findings are
     ordered by severity (errors first), rule id, path, and detail, so the
     same package always yields the same report.  A rule evaluator that
-    crashes becomes a single ``R00`` warning naming the rule instead of
-    taking the whole run down, and each file whose name is not UTF-8 an
-    ``R00`` error.
+    crashes becomes a single ``R00`` finding naming the rule, at the rule's
+    effective severity, instead of taking the whole run down: a check that
+    could not run does not pass, so a crash in an error rule fails the
+    package.  Each file whose name is not UTF-8 is an ``R00`` error.
     """
     config = config or LintConfig()
     ctx = _Context(pkg)
@@ -650,7 +651,7 @@ def lint_package(pkg: DataPackage, config: LintConfig | None = None) -> LintRepo
             findings.append(
                 Finding(
                     rule_id=_CATCHALL_RULE_ID,
-                    severity="warning",
+                    severity=effective,
                     detail=f"{rule.id} ({rule.title}) could not be evaluated: {exc}",
                     machine_data={"rule": rule.id},
                 )

@@ -16,7 +16,15 @@ from pathlib import Path
 from .errors import ScaffoldError, SchemaError, ToolError
 from .integrity import ChecksumManifest, ManifestEntry, md5_hex, publish, serialize_manifest
 from .licenses import SPDX_IDS, LicenseKind, license_text
-from .model import CHECKSUMS_NAME, DOI_PATTERN, DataPackage, is_dictionary_stem, scan_package
+from .model import (
+    CHECKSUMS_NAME,
+    DOI_PATTERN,
+    DataPackage,
+    FileKind,
+    classify_file,
+    is_dictionary_stem,
+    scan_package,
+)
 from .schema import (
     DataDictionary,
     FieldDescriptor,
@@ -55,10 +63,11 @@ class ScaffoldRequest:
     """Everything needed to lay out a new package.
 
     ``seed_tables`` pairs with the first ``len(seed_tables)`` entries of
-    ``dataset_names``; each seed file is copied verbatim into ``data/`` and
-    its schema inferred.  Datasets without a seed get a one-column
-    placeholder table.  ``year`` feeds the citation; nothing reads the
-    clock, so scaffolding is reproducible.
+    ``dataset_names``; each seed file is copied verbatim into ``data/``
+    (keeping its suffix where lint reads that as a table's, else as
+    ``.csv``) and its schema inferred.  Datasets without a seed get a
+    one-column placeholder table.  ``year`` feeds the citation; nothing
+    reads the clock, so scaffolding is reproducible.
     """
 
     package_name: str
@@ -263,10 +272,9 @@ def scaffold(request: ScaffoldRequest, destination: str | Path) -> DataPackage:
                 _, table = parse_csvy(raw)
             except ToolError as exc:
                 raise ScaffoldError(f"seed table {seed} cannot be parsed: {exc}") from None
-            if not table.header:
-                raise ScaffoldError(f"seed table {seed} is empty; a header row is required")
-            suffix = seed.suffix if seed.suffix else ".csv"
-            filename = f"{name}{suffix}"
+            filename = f"{name}{seed.suffix}"
+            if classify_file(f"data/{filename}") is not FileKind.PLAIN_TEXT_TABLE:
+                filename = f"{name}.csv"
             planned[f"data/{filename}"] = raw
             try:
                 schema = infer_schema(table, name=name, path=f"data/{filename}")

@@ -160,11 +160,10 @@ def infer_schema(
 ) -> TableSchema:
     """Infer a schema from a table's header and cells.
 
-    Column order follows the table.  Raises ``SchemaError`` for an empty
-    table and for a column with an empty name, naming its 1-based number.
+    Column order follows the table, whose header names every column.
+    Raises ``SchemaError`` for a column with an empty name, naming its
+    1-based number.
     """
-    if not table.header:
-        raise SchemaError("table has no header row; cannot infer a schema")
     names = table.column_names
     if "" in names:
         raise SchemaError(f"column {names.index('') + 1} has an empty name")
@@ -269,10 +268,6 @@ def _field_from_obj(obj: Any, where: str) -> FieldDescriptor:
     name = obj.get("name")
     if not isinstance(name, str) or not name.strip():
         raise SchemaError(f"{where} is missing a non-empty 'name'")
-    type_name = obj.get("type", "string")
-    if not isinstance(type_name, str) or type_name not in FIELD_TYPES:
-        allowed = ",".join(FIELD_TYPES)
-        raise SchemaError(f"unknown field type {type_name!r}; allowed: {allowed}")
     description = obj.get("description", "")
     if not isinstance(description, str):
         raise SchemaError(f"{where}: 'description' must be a string")
@@ -282,7 +277,7 @@ def _field_from_obj(obj: Any, where: str) -> FieldDescriptor:
     ):
         raise SchemaError(f"{where}: 'codes' must map strings to strings")
     return FieldDescriptor(
-        name=name, type=type_name, description=description, codes=dict(codes_obj)
+        name=name, type=obj.get("type", "string"), description=description, codes=dict(codes_obj)
     )
 
 
@@ -491,7 +486,7 @@ def dictionary_from_table(table: CsvTable) -> DataDictionary:
     lowered = {name.lower(): name for name in table.column_names}
     for required in ("variable", "class"):
         if required not in lowered:
-            have = ", ".join(table.column_names) or "(none)"
+            have = ", ".join(table.column_names)
             raise DictionaryError(
                 f"dictionary table needs a {required!r} column; found: {have}"
             )

@@ -6,7 +6,9 @@ field that starts with a double quote runs, delimiters and newlines
 included, until the matching close quote, and a doubled quote inside it is
 a literal quote (RFC 4180, narrowed to these rules).  A table's first
 record is always its header, so a ``Dialect`` is just the delimiter, and
-detection decides only that.
+detection decides only that.  Every table has a header: ``CsvTable``
+refuses an empty one, so text with no record raises the same ``CsvError``
+from every reader, and no caller needs to check for a header of its own.
 
 A ``CsvTable`` is stored by column: one tuple of cells per column, in row
 order.  Every reader here reads columns (digit shapes, ``column()``,
@@ -233,8 +235,9 @@ class CsvTable:
     ``CsvTable(header, rows)`` builds the columns from rows and checks each
     row's width.  ``rows`` is a view built from the columns on each access,
     ``rows[i][j]`` being cell ``j`` of row ``i``; nothing here reads it.
-    The header names every column, so it may be empty only for a table
-    with no columns, and rows without a header are refused.
+    The header names every column, and every table has one: a table with
+    no header has no columns, and is refused in every form (``rows=``,
+    ``columns=`` or neither) with the error a text with no record gives.
     """
 
     header: list[str]
@@ -251,9 +254,9 @@ class CsvTable:
         *,
         columns: tuple[tuple[str, ...], ...] | None = None,
     ):
+        if not header:
+            raise CsvError("table is empty; expected a header row")
         if columns is None:
-            if rows and not header:
-                raise CsvError("rows need a header that names their columns")
             columns = _transpose(rows, len(header), 1)
         elif len(columns) != len(header):
             raise CsvError(f"expected {len(header)} columns, found {len(columns)}")
@@ -281,7 +284,7 @@ class CsvTable:
     @property
     def height(self) -> int:
         """The number of data rows."""
-        return len(self.columns[0]) if self.columns else 0
+        return len(self.columns[0])
 
     @property
     def rows(self) -> list[list[str]]:
@@ -362,7 +365,8 @@ def _split_table(text: str, delimiter: str) -> tuple[list[str], tuple[tuple[str,
     Lines with no characters at all are skipped.  Every record must have
     the first record's width: ``CsvError`` names the first one that does
     not, and an unterminated quote, with their 1-based record numbers.  The
-    header is empty when the text holds no record.
+    header is empty when the text holds no record, and ``CsvTable`` refuses
+    it.
 
     Plain text is split by its lines, ``_line_columns``; any other text is
     read by ``_read_quoted``.
@@ -552,8 +556,6 @@ def _split_quoted(
 def _table_from_text(text: str, dialect: Dialect) -> CsvTable:
     """Split decoded text into a table."""
     header, columns = _split_table(text, dialect.delimiter)
-    if not header:
-        raise CsvError("table is empty; expected a header row")
     return CsvTable(header=header, dialect=dialect, columns=columns)
 
 
@@ -705,8 +707,8 @@ def parse_csvy(data: bytes) -> tuple[FrontMatter, CsvTable]:
     ``---``; everything between the fences is kept verbatim in
     ``FrontMatter.raw_yaml``.  The body's delimiter is detected, and its
     first record is the header, as in every table here: the same body
-    parses as ``parse_table(body, detect_dialect(body))``.  A body with no
-    record gives an empty table.
+    parses as ``parse_table(body, detect_dialect(body))``, and a body with
+    no record raises the same ``CsvError``.
 
     Raises ``FrontMatterError`` for an unclosed fence or YAML outside the
     supported subset, and ``CsvError``/``EncodingError`` for a bad body.
@@ -717,9 +719,6 @@ def parse_csvy(data: bytes) -> tuple[FrontMatter, CsvTable]:
         mapping = _load_front_matter_mapping(raw_yaml)
 
     front = FrontMatter(raw_yaml=raw_yaml, mapping=mapping)
-
-    if _RECORD_LINE_RE.search(body) is None:  # only LF and CRLF: no record
-        return front, CsvTable(header=[], rows=[])
     return front, _table_from_text(body, _detect_from_text(body))
 
 
@@ -742,15 +741,15 @@ def serialize_table(table: CsvTable) -> bytes:
     A cell is quoted exactly when it contains the delimiter, a double
     quote, or a line break.  A lone empty cell would render as a blank
     line, which parsers skip, so it is written as a quoted empty instead.
-    Output always ends with a newline unless the table is completely empty.
+    Every table has a header, so the output always holds a line and ends
+    with a newline.
     """
     delimiter = table.dialect.delimiter
     rows = map(delimiter.join, zip(*(_render_column(column, delimiter) for column in table.columns)))
     lines = chain([delimiter.join(_render_column(table.header, delimiter))], rows)
     if table.width == 1:
         lines = (line or '""' for line in lines)
-    text = LF.join(lines)
-    return (text + LF).encode("utf-8") if text else b""
+    return (LF.join(lines) + LF).encode("utf-8")
 
 
 def serialize_csvy(front: FrontMatter | None, table: CsvTable) -> bytes:

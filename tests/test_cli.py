@@ -455,6 +455,19 @@ def test_nameless_schema_csvy_seeds_a_package_that_lints(nameless_schema, tmp_pa
     assert [f["rule_id"] for f in report["findings"] if f["rule_id"] in ("R09", "R12")] == []
 
 
+def test_chunk_reads_any_first_record_as_the_header(tmp_path, capsys):
+    years = tmp_path / "years.csv"
+    years.write_bytes(b"site,2019,2020\na,1,2\nb,3,4\n")
+    code, out, err = run(capsys, "chunk", str(years), "--max-rows", "1", "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    assert one_json(out)["chunks"] == [str(tmp_path / "years-1.csv"), str(tmp_path / "years-2.csv")]
+
+    blank = tmp_path / "blank.csv"
+    blank.write_bytes(b"\n")
+    code, out, err = run(capsys, "chunk", str(blank), "--max-rows", "1")
+    assert (code, out, err) == (EXIT_USAGE, "", "error: table is empty; expected a header row\n")
+
+
 def test_unchunk_to_stdout(tmp_path, capsysbinary):
     table = tmp_path / "t.csv"
     table.write_bytes(b"id\n1\n2\n")
@@ -558,6 +571,20 @@ def test_pack_require_lint(package, tmp_path, capsys):
     assert doc["error"]["code"] == EXIT_FINDINGS
     assert "lint found 1 error(s)" in doc["error"]["message"]
     assert not (tmp_path / "demo.tar").exists()
+
+
+def test_pack_require_lint_refuses_when_rules_crash(package, tmp_path, capsys, monkeypatch):
+    from tidypack import lint
+
+    def boom(ctx):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(lint, "_EVALUATORS", tuple((rule, boom) for rule in lint.RULES))
+    archive = tmp_path / "demo.tar"
+    code, out, err = run(capsys, "pack", str(package), "--require-lint", "--output", str(archive))
+    errors = sum(rule.severity == "error" for rule in lint.RULES)
+    assert (code, out, err) == (EXIT_FINDINGS, "", f"error: lint found {errors} error(s); fix them or drop --require-lint\n")
+    assert not archive.exists()
 
 
 def test_pack_require_lint_opens_each_manifest_file_once(package, tmp_path, capsys, monkeypatch):

@@ -357,6 +357,14 @@ def test_r12_binary_and_broken_tables(tmp_path):
     assert "cannot be parsed" in findings[0].detail
     assert findings[0].path == "data/t.csv"
 
+    # A blank table has no header, so it is no table.
+    _write(tmp_path, "data/t.csv", b"\n\r\n")
+    report = _lint(tmp_path)
+    assert [(f.path, f.severity, f.detail) for f in _by_rule(report, "R12")] == [
+        ("data/t.csv", "error", "table cannot be parsed: table is empty; expected a header row")
+    ]
+    assert not report.passed
+
 
 def test_r13_column_names(tmp_path):
     _clean_package(tmp_path)
@@ -557,23 +565,39 @@ def test_r18_conflicting_code_labels(tmp_path):
     assert _by_rule(_lint(tmp_path), "R18") == []
 
 
-def test_r00_catches_crashing_evaluators(tmp_path, monkeypatch):
-    import tidypack.lint as lint_module
+def _crashing(monkeypatch, *rule_ids):
+    """Make the given rules, and only those, raise when evaluated."""
 
     def boom(ctx):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(
-        lint_module, "_EVALUATORS", ((lint_module.RULES_BY_ID["R01"], boom),)
-    )
-    report = lint_module.lint_package(scan_package(tmp_path))
+    monkeypatch.setattr(lint, "_EVALUATORS", tuple((RULES_BY_ID[rule_id], boom) for rule_id in rule_ids))
+
+
+def test_r00_catches_crashing_evaluators(tmp_path, monkeypatch):
+    _crashing(monkeypatch, "R01")
+    report = _lint(tmp_path)
     assert [f.rule_id for f in report.findings] == ["R00"]
     finding = report.findings[0]
-    assert finding.severity == "warning"
+    assert finding.severity == "error"
     assert finding.detail == (
         "R01 (README file at the package top level) could not be evaluated: boom"
     )
-    assert report.passed  # a broken check is not a broken package
+    assert not report.passed  # a check that could not run does not pass
+
+
+def test_r00_of_a_warning_rule_is_a_warning(tmp_path, monkeypatch):
+    _crashing(monkeypatch, "R02")
+    report = _lint(tmp_path)
+    assert [(f.rule_id, f.severity, f.machine_data) for f in report.findings] == [("R00", "warning", {"rule": "R02"})]
+    assert report.passed
+
+
+def test_r00_takes_the_configured_level(tmp_path, monkeypatch):
+    _crashing(monkeypatch, "R01", "R12", "R16")
+    report = _lint(tmp_path, LintConfig(levels={"R01": "info", "R12": "off"}))
+    assert [(f.severity, f.machine_data["rule"]) for f in report.findings] == [("warning", "R16"), ("info", "R01")]
+    assert report.passed
 
 
 # ---------------------------------------------------------------------------

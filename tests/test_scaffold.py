@@ -129,6 +129,20 @@ def test_seed_with_front_matter_and_foreign_suffix(tmp_path):
     assert not (dest / "data/obs.csv").exists()
 
 
+def test_seed_with_a_suffix_lint_does_not_read_becomes_csv(tmp_path):
+    # A seed named .dat copied as data/obs.dat would be no table to lint (R12).
+    seed = tmp_path / "seed.dat"
+    seed_bytes = b"id,score\n1,2.5\n"
+    seed.write_bytes(seed_bytes)
+    request = ScaffoldRequest(package_name="demo", dataset_names=["obs"], seed_tables=[seed])
+    dest = tmp_path / "pkg"
+    scaffold(request, dest)
+    assert (dest / "data/obs.csv").read_bytes() == seed_bytes
+    assert not (dest / "data/obs.dat").exists()
+    assert schema_from_json((dest / "metadata/obs.json").read_bytes()).path == "data/obs.csv"
+    assert lint_package(scan_package(dest)).passed
+
+
 def test_unparseable_seed_writes_nothing(tmp_path):
     seed = tmp_path / "bad.csv"
     seed.write_bytes(b'id\n"oops\n')

@@ -91,8 +91,6 @@ def test_infer_schema_names_and_errors():
     sourced = replace(table, source="data/teaching.csv")
     assert infer_schema(sourced).name == "teaching"
 
-    with pytest.raises(SchemaError, match="^table has no header row; cannot infer a schema$"):
-        infer_schema(CsvTable(header=[], rows=[]))
     # A header cell of only spaces is an empty name once trimmed.
     with pytest.raises(SchemaError, match="^column 2 has an empty name$"):
         infer_schema(CsvTable(header=["a", " ", "c"], rows=[]))
@@ -393,6 +391,18 @@ def test_schema_from_json_errors():
         schema_from_json(b'{"name": "t", "schema": {"fields": []}, "missingValues": "NA"}')
     with pytest.raises(SchemaError):
         schema_from_json(b"\xff\xfe")
+
+
+@pytest.mark.parametrize("type_json, shown", [('"text"', "'text'"), ("3", "3"), ("null", "None"), ('["date"]', "['date']")])
+def test_schema_from_json_field_types_are_checked_by_the_descriptor(type_json, shown):
+    field = b'{"name": "a", "type": %s}' % type_json.encode()
+    with pytest.raises(SchemaError) as excinfo:
+        schema_from_json(b'{"name": "t", "schema": {"fields": [%s]}}' % field)
+    assert str(excinfo.value) == f"unknown field type {shown}; allowed: string,integer,number,boolean,date"
+    # The reader checks a field's description and codes before building it.
+    field = b'{"name": "a", "type": %s, "description": 1}' % type_json.encode()
+    with pytest.raises(SchemaError, match=r"'description' must be a string$"):
+        schema_from_json(b'{"name": "t", "schema": {"fields": [%s]}}' % field)
 
 
 def test_schema_from_front_matter_defaults():
