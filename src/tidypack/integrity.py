@@ -509,9 +509,13 @@ def pack(
                 length = remaining = os.fstat(handle.fileno()).st_size
                 out.write(header if length == size else _ustar_header(name, length))
                 while remaining:
-                    count = handle.readinto(buffer[:remaining])
-                    if not count:
-                        raise OSError("unexpected end of data")
+                    try:
+                        count = handle.readinto(buffer[:remaining])
+                    except OSError as exc:  # a read names no file
+                        exc.filename = payload
+                        raise
+                    if not count:  # the file shrank since fstat
+                        raise OSError(errno.EIO, "unexpected end of data", payload)
                     digest.update(buffer[:count])
                     out.write(buffer[:count])
                     remaining -= count

@@ -27,8 +27,6 @@ from .model import (
 )
 from .schema import (
     DataDictionary,
-    FieldDescriptor,
-    TableSchema,
     dictionary_from_schema,
     dictionary_to_csv,
     dictionary_to_markdown,
@@ -65,9 +63,10 @@ class ScaffoldRequest:
     ``seed_tables`` pairs with the first ``len(seed_tables)`` entries of
     ``dataset_names``; each seed file is copied verbatim into ``data/``
     (keeping its suffix where lint reads that as a table's, else as
-    ``.csv``) and its schema inferred.  Datasets without a seed get a
-    one-column placeholder table.  ``year`` feeds the citation; nothing
-    reads the clock, so scaffolding is reproducible.
+    ``.csv``) and its schema inferred.  A dataset without a seed is seeded
+    the same way with a one-column placeholder table, ``value``.  ``year``
+    feeds the citation; nothing reads the clock, so scaffolding is
+    reproducible.
     """
 
     package_name: str
@@ -264,30 +263,20 @@ def scaffold(request: ScaffoldRequest, destination: str | Path) -> DataPackage:
     data_filenames: dict[str, str] = {}
 
     for index, name in enumerate(request.dataset_names):
-        seed = request.seed_tables[index] if index < len(request.seed_tables) else None
-        if seed is not None:
-            seed = Path(seed)
-            raw = seed.read_bytes()
-            try:
-                _, table = parse_csvy(raw)
-            except ToolError as exc:
-                raise ScaffoldError(f"seed table {seed} cannot be parsed: {exc}") from None
-            filename = f"{name}{seed.suffix}"
-            if classify_file(f"data/{filename}") is not FileKind.PLAIN_TEXT_TABLE:
-                filename = f"{name}.csv"
-            planned[f"data/{filename}"] = raw
-            try:
-                schema = infer_schema(table, name=name, path=f"data/{filename}")
-            except SchemaError as exc:
-                raise ScaffoldError(f"seed table {seed}: {exc}") from None
-        else:
+        seed = Path(request.seed_tables[index]) if index < len(request.seed_tables) else None
+        raw, suffix = (seed.read_bytes(), seed.suffix) if seed is not None else (b"value\n", ".csv")
+        try:
+            _, table = parse_csvy(raw)
+        except ToolError as exc:
+            raise ScaffoldError(f"seed table {seed} cannot be parsed: {exc}") from None
+        filename = f"{name}{suffix}"
+        if classify_file(f"data/{filename}") is not FileKind.PLAIN_TEXT_TABLE:
             filename = f"{name}.csv"
-            planned[f"data/{filename}"] = b"value\n"
-            schema = TableSchema(
-                name=name,
-                fields=[FieldDescriptor(name="value", type="string")],
-                path=f"data/{filename}",
-            )
+        planned[f"data/{filename}"] = raw
+        try:
+            schema = infer_schema(table, name=name, path=f"data/{filename}")
+        except SchemaError as exc:
+            raise ScaffoldError(f"seed table {seed}: {exc}") from None
         schema = replace(schema, license_id=SPDX_IDS[request.license])
         dictionary = dictionary_from_schema(schema)
         planned[f"metadata/{name}.json"] = schema_to_json(schema)

@@ -15,25 +15,28 @@ order.  Every reader here reads columns (digit shapes, ``column()``,
 validation, serializing, chunking), so a parse builds the columns straight
 from each block of text, and ``CsvTable.rows`` is a view built on request.
 
+A record ends at a line break outside quotes: LF, CRLF or a lone CR, as
+the stdlib's ``csv`` reader reads lines (``_BREAK_RE``).  Inside a quoted
+field all three are cell content, and form feeds and Unicode line
+separators never break a line.
+
 Most tables hold no quote at all.  When the decoded text has no double
-quote and no bare CR (a CR that no LF follows), its records are simply its
-non-empty lines, split on LF after CRLF is folded to LF (``_plain_text``),
-about a mebibyte at a time.  Each block's widths are checked exactly, by
-counting every line's delimiters; a block that passes is split into cells
-in one call and sliced into its columns, and a block that fails names its
-ragged row.  Other text with no bare CR is read by the stdlib's C ``csv``
-reader in strict mode, a batch of records at a time, and each batch is
-transposed into columns.  The reader reads valid text by these same rules
-and refuses, rather than repairs, what they read differently: text after a
-close quote and an unterminated quote.  The tokenizer, one compiled regex
-per delimiter with one match per token (the quote-free rest of a record,
-which is split on the delimiter, or a single field), reads what the reader
-cannot: what it refuses, from the end of the last batch it completed on,
-and text with a bare CR.  Detection reads the widths of the first records
-the same way: from each line's delimiter count when they are plain, and by
-the tokenizer otherwise.  Only LF and CRLF break lines on any path, never
-form feeds or Unicode line separators.  All paths give the same records, so
-record numbers in errors do not depend on which one ran.
+quote, its records are simply its non-empty lines, split on LF after CRLF
+and then CR are folded to LF (``_plain_text``), about a mebibyte at a
+time.  Each block's widths are checked exactly, by counting every line's
+delimiters; a block that passes is split into cells in one call and
+sliced into its columns, and a block that fails names its ragged row.
+Other text is read by the C ``csv`` reader in strict mode, a batch of
+records at a time, and each batch is transposed into columns.  The reader
+reads valid text by these same rules and refuses, rather than repairs,
+what they read differently: text after a close quote and an unterminated
+quote.  The tokenizer, one compiled regex per delimiter with one match per
+token (the quote-free rest of a record, which is split on the delimiter,
+or a single field), reads what the reader refuses, from the end of the
+last batch it completed on.  Detection reads the widths of the first
+records the same way: from each line's delimiter count when they are
+plain, and by the tokenizer otherwise.  All paths give the same records,
+so record numbers in errors do not depend on which one ran.
 
 A parsed ``CsvTable`` builds one ``ColumnShapes`` per column on first use:
 the column's cells, and how many of them have each digit shape, a cell with
@@ -65,12 +68,12 @@ DELIMITERS = (",", "\t", ";")
 
 QUOTE = '"'
 
-# Any line but an empty one or the lone CR of a CRLF: a record when the text
-# has no quote and no bare CR.  Text with no such line holds no record.
-_RECORD_LINE_RE = re.compile(r"(?!\r\n)[^\n]+")
+# A line break outside quotes, which ends a record: LF, CRLF or a lone CR.
+_BREAK_RE = re.compile(r"\r\n?|\n")
 
-# A bare CR, one that no LF follows: only the tokenizer reads text holding one.
-_BARE_CR_RE = re.compile(r"\r(?!\n)")
+# A non-empty line: a record when the text has no quote.  Text with no such
+# line holds no record.
+_RECORD_LINE_RE = re.compile(r"[^\r\n]+")
 
 #: Tokens that commonly stand in for a missing value.  Cells equal to one of
 #: these are flagged when they are not declared as missing codes.
@@ -348,14 +351,12 @@ def _decode(data: bytes) -> str:
 
 
 def _plain_text(text: str) -> str | None:
-    """``text`` with CRLF folded to LF when it holds no double quote and no
-    bare CR (one not followed by LF), and so no quoted field and no line
-    break but LF: its records are then its non-empty lines.  None for any
-    other text."""
+    """``text`` with every line break folded to LF, CRLF first and then a
+    lone CR, when it holds no double quote and so no quoted field: its
+    records are then its non-empty lines.  None for any other text."""
     if QUOTE in text:
         return None
-    lines = text.replace(CRLF, LF) if "\r" in text else text
-    return None if "\r" in lines else lines
+    return text.replace(CRLF, LF).replace("\r", LF) if "\r" in text else text
 
 
 def _split_table(text: str, delimiter: str) -> tuple[list[str], tuple[tuple[str, ...], ...]]:
@@ -399,10 +400,12 @@ _BLOCK_CHARS = 1 << 20
 
 
 def _blocks(text: str, size: int) -> Iterator[str]:
-    """``text`` cut after the first LF past every ``size`` characters."""
+    """``text`` cut after the first line break past every ``size``
+    characters, never inside a CRLF."""
     start = 0
     while start < len(text):
-        end = text.find(LF, start + size) + 1 or len(text)
+        found = _BREAK_RE.search(text, start + size)
+        end = found.end() if found else len(text)
         yield text[start:end]
         start = end
 
@@ -462,23 +465,18 @@ _READER_BATCH = 2048
 
 def _read_quoted(text: str, delimiter: str) -> Iterator[list[list[str]]]:
     """Batches of the non-empty records of text, as the C ``csv`` reader
-    reads them.  The tokenizer reads what the reader cannot, and only that:
-    text with a bare CR, which the reader would take as a line break, in
-    one batch; and, when the reader refuses the text, the rest from the end
-    of the last batch it completed.
+    reads them.  When the reader refuses the text, the tokenizer reads the
+    rest, from the end of the last batch the reader completed.
 
     Strict mode refuses just what these rules read differently: text after
     a close quote (``"ab"cd``) and an unterminated quote, which non-strict
     mode would silently close.  The reader also refuses a field over
     ``csv.field_size_limit()`` and, before Python 3.11, a NUL.  The text is
-    fed in blocks cut after an LF; the reader carries an open quote across
-    a block edge itself.  It reads no further than the record it returns,
-    and it splits lines only at LF here, so a batch ends after the
-    ``reader.line_num``-th LF.
+    fed in blocks cut after a line break; the reader carries an open quote
+    across a block edge itself.  Each line it reads ends at one line break,
+    LF, CRLF or a lone CR, and it reads no further than the record it
+    returns, so a batch ends after the ``reader.line_num``-th line break.
     """
-    if _BARE_CR_RE.search(text) is not None:
-        yield _split_quoted(text, delimiter)
-        return
     import csv  # only quoted text is read with it
 
     lines = chain.from_iterable(io.StringIO(b, newline="") for b in _blocks(text, _READER_BLOCK_CHARS))
@@ -491,9 +489,7 @@ def _read_quoted(text: str, delimiter: str) -> Iterator[list[list[str]]]:
             records += len(rows)
             done = reader.line_num
     except csv.Error:
-        start = 0
-        for _ in range(done):
-            start = text.index(LF, start) + 1
+        start = next(islice(_BREAK_RE.finditer(text), done - 1, None)).end() if done else 0
         yield _split_quoted(text, delimiter, start=start, before=records)
 
 
@@ -502,15 +498,15 @@ def _token_re(delimiter: str) -> re.Pattern[str]:
     """One match per token, tried at every field start: either the
     quote-free rest of a record (group 1), or one field, quoted (groups
     2-3, the close quote missing when the text ends first) or not, then any
-    unquoted text up to its delimiter or line break (groups 4-5).  The second
-    alternative matches wherever the first fails, so ``finditer`` never
-    skips text."""
+    unquoted text up to its delimiter or line break (groups 4-5).  A record
+    ends at a ``_BREAK_RE`` line break; inside quotes a line break is cell
+    content.  The second alternative matches wherever the first fails, so
+    ``finditer`` never skips text."""
     d = re.escape(delimiter)
-    tail = r'[^"\r\n]*(?:\r(?!\n)[^"\r\n]*)*'
-    plain = rf"[^{d}\r\n]*(?:\r(?!\n)[^{d}\r\n]*)*"
+    brk = _BREAK_RE.pattern
     quoted = r'[^"]*(?:""[^"]*)*'
     return re.compile(
-        rf'({tail})(?:\r?\n|\Z)|(?:"({quoted})(?:(")|\Z)|)({plain})({d}|\r?\n|\Z)'
+        rf'([^"\r\n]*)(?:{brk}|\Z)|(?:"({quoted})(?:(")|\Z)|)([^{d}\r\n]*)({d}|{brk}|\Z)'
     )
 
 
@@ -561,7 +557,8 @@ def _table_from_text(text: str, dialect: Dialect) -> CsvTable:
 
 def parse_table(data: bytes, dialect: Dialect) -> CsvTable:
     """Parse delimited bytes into a table with the given delimiter; the
-    first record is the header.
+    first record is the header.  A record ends at LF, CRLF or a lone CR
+    outside quotes; inside quotes each is cell content.
 
     Raises ``CsvError`` with the offending 1-based record number for ragged
     rows and unterminated quotes, ``CsvError`` for text with no record, and
@@ -572,7 +569,7 @@ def parse_table(data: bytes, dialect: Dialect) -> CsvTable:
 
 def _detect_from_text(text: str) -> Dialect:
     # The head of the text up to its 20th non-empty line holds the sample
-    # unless it has a quote or a bare CR, and then the tokenizer reads it:
+    # unless it has a quote, and then the tokenizer reads it:
     # leniently, as a truncated sample may end inside a quoted field.
     found = list(islice(_RECORD_LINE_RE.finditer(text), 20))
     head = _plain_text(text[: found[-1].end() + 1] if found else "")
@@ -631,9 +628,9 @@ _FENCE_LINE = re.compile(r"^---\r*(?:\n|\Z)", re.M)
 def _split_front_matter(text: str) -> tuple[str, str]:
     """Split text into verbatim front-matter YAML and the body after it.
 
-    Text that does not open with a fence line has no front matter.  Only LF
-    ends a line here: ``str.splitlines`` would also break on form feeds and
-    Unicode separators and corrupt the byte-exact round trip.
+    Text that does not open with a fence line has no front matter.  A fence
+    line ends at LF, trailing CRs aside, never at a lone CR or at the form
+    feeds and Unicode separators ``str.splitlines`` breaks on.
     """
     opening = _FENCE_LINE.match(text)
     if opening is None:

@@ -619,6 +619,36 @@ def test_pack_refuses_stale_manifest(package, tmp_path, capsys):
     assert not archive.exists()
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("failure", ["ends-early", "read-error"])
+def test_pack_names_the_file_a_read_fails_on(package, tmp_path, capsys, monkeypatch, fmt, failure):
+    import errno
+    import io
+
+    from tidypack import integrity
+
+    class Failing(io.FileIO):
+        def readinto(self, buffer):
+            if failure == "ends-early":  # fewer bytes than fstat reported
+                return 0
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    def failing_open(file, mode, buffering):
+        return (Failing if file.endswith("obs.csv") else io.FileIO)(file, mode)
+
+    monkeypatch.setattr(integrity, "open", failing_open, raising=False)
+    archive = tmp_path / "demo.tar"
+    code, out, err = run(capsys, "pack", str(package), "--output", str(archive), "--format", fmt)
+    message = "unexpected end of data" if failure == "ends-early" else os.strerror(errno.EIO)
+    expected = f"[Errno {errno.EIO}] {message}: 'data/obs.csv'"
+    assert code == EXIT_IO
+    if fmt == "json":
+        assert (one_json(out), err) == ({"error": {"code": EXIT_IO, "message": expected}}, "")
+    else:
+        assert (out, err) == ("", f"error: {expected}\n")
+    assert not archive.exists()
+
+
 def test_pack_missing_manifest(tmp_path, capsys):
     root = tmp_path / "bare"
     root.mkdir()

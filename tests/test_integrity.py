@@ -725,7 +725,7 @@ def test_pack_file_shrinking_mid_copy_exits_3_and_leaves_nothing(tmp_path, monke
     monkeypatch.setattr(integrity, "open", lambda file, *args, **kwargs: Shrinking(file), raising=False)
     archive = tmp_path / "pkg.tar"
     assert main(["pack", str(root), "--output", str(archive)]) == EXIT_IO
-    assert capsys.readouterr().err == "error: unexpected end of data\n"
+    assert capsys.readouterr().err == "error: [Errno 5] unexpected end of data: 'LICENSE'\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["pkg"]
 
 

@@ -231,8 +231,15 @@ def test_crlf_input_parses():
 
 
 def test_lone_carriage_return_is_cell_content():
-    table = parse_table(b"a,b\nx\ry,z\n", Dialect())
+    table = parse_table(b'a,b\n"x\ry",z\r', Dialect())
     assert table.rows == [["x\ry", "z"]]
+
+
+def test_lone_carriage_return_ends_an_unquoted_record():
+    table = parse_table(b"a,b\rx,y\rz,w", Dialect())
+    assert table.rows == [["x", "y"], ["z", "w"]]
+    with pytest.raises(CsvError, match="row 2: expected 2 cells, found 1"):
+        parse_table(b"a,b\nx\ry,z\n", Dialect())
 
 
 def test_non_utf8_is_an_encoding_error():
@@ -497,20 +504,17 @@ _SPLITTER_CHARS = [",", ";", "\t", '"', "\r", "\n", "a"]
 
 
 def _rowwise_split(text: str, delimiter: str) -> list[list[str]]:
-    """The row-wise split the column split replaced: quote-free LF lines
-    split one by one, other text with no bare CR read by the C ``csv``
-    reader, and the rest, or what the reader refuses, by the per-character
-    state machine from the start of the text."""
+    """The row-wise split the column split replaced: quote-free lines,
+    CRLF and CR folded to LF, split one by one, other text read by the C
+    ``csv`` reader, and what the reader refuses by the per-character state
+    machine from the start of the text."""
     if '"' not in text:
-        lines = text.replace("\r\n", "\n")
-        if "\r" not in lines:
-            return [line.split(delimiter) for line in lines.split("\n") if line]
-    elif text.count("\r") == text.count("\r\n"):
-        try:
-            return [r for r in csv.reader(io.StringIO(text, newline=""), delimiter=delimiter, strict=True) if r]
-        except csv.Error:
-            pass
-    return _reference_split(text, delimiter)
+        lines = text.replace("\r\n", "\n").replace("\r", "\n")
+        return [line.split(delimiter) for line in lines.split("\n") if line]
+    try:
+        return [r for r in csv.reader(io.StringIO(text, newline=""), delimiter=delimiter, strict=True) if r]
+    except csv.Error:
+        return _reference_split(text, delimiter)
 
 
 def _rowwise_table(text: str, delimiter: str, split=_rowwise_split):
@@ -632,10 +636,10 @@ def test_full_parse_of_quoted_text_skips_the_state_machine(monkeypatch, text, re
 
 
 @pytest.mark.parametrize("text", ["a,b\rx,1\n", "a,b\r\nx,1\r", 'a,b\r"x",1\n', 'a,b\n"x\ry",1\n'])
-def test_bare_cr_reaches_the_state_machine(monkeypatch, text):
+def test_bare_cr_skips_the_state_machine(monkeypatch, text):
+    expected = _rowwise_table(text, ",", split=_reference_split)
     monkeypatch.setattr(tabular, "_split_quoted", _no_state_machine)
-    with pytest.raises(AssertionError, match="state machine reached"):
-        parse_table(text.encode(), Dialect())
+    assert _parse_outcome(text.encode(), Dialect()) == expected
 
 
 def test_limited_splits_reach_the_state_machine(monkeypatch):
@@ -775,7 +779,7 @@ def test_quote_free_split_is_the_same_in_tiny_blocks(text, delimiter, before, bl
 
 #: Cells for the split property: quote-free ones, ones the C reader reads,
 #: ones it refuses (text after a close quote, an unterminated quote), and a
-#: bare CR, which only the tokenizer reads.
+#: bare CR, which ends an unquoted record.
 _PLAIN_CELLS = ["", "a", "12", "a;b", "a\tb", "a,b", "\x0c"]
 _QUOTED_CELLS = ['"q"', '"a,b"', '"x""y"', '"l\nm"', '"r\r\ns"', '""', '"ab"cd', '"open', "x\ry"]
 
@@ -808,10 +812,45 @@ def test_column_split_matches_the_row_wise_reference(case, block, reader_block, 
         assert _column_outcome(text, delimiter) == expected
 
 
+def _rewrite_breaks(text: str, delimiter: str, breaks: list[str]) -> tuple[str, str]:
+    """``text`` with every unquoted line break written as LF, and as
+    ``breaks`` in turn, repeated as needed.  A break is quoted when the
+    reference, reading the text up to it, finds a quote still open."""
+    parts, start, unquoted = [], 0, itertools.cycle(breaks)
+    for found in re.finditer(r"\r\n?|\n", text):
+        try:
+            _reference_split(text[: found.start()], delimiter)
+        except CsvError:
+            continue  # inside quotes: cell content
+        parts.append(text[start : found.start()])
+        start = found.end()
+    parts.append(text[start:])
+    return "\n".join(parts), parts[0] + "".join(next(unquoted) + part for part in parts[1:])
+
+
+@given(
+    _split_cases(),
+    st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(1, 3),
+)
+@example(("a,b\n1,2\n", ","), ["\r"], 1, 1, 1)
+@example(('a;"b\r"\r\n"x""\n";2\r\n\r\n3;4', ";"), ["\r", "\r\n"], 2, 1, 1)
+def test_line_breaks_are_interchangeable(case, breaks, block, reader_block, batch):
+    # LF, CRLF and a lone CR each end a record on every path, and give the
+    # same table or the same error at the same record.  Blocks and batches
+    # of a few characters and records put the breaks at their edges.
+    text, delimiter = case
+    as_lf, written = _rewrite_breaks(text, delimiter, breaks)
+    with mock.patch.multiple(tabular, _BLOCK_CHARS=block, _READER_BLOCK_CHARS=reader_block, _READER_BATCH=batch):
+        assert _column_outcome(written, delimiter) == _column_outcome(as_lf, delimiter)
+
+
 def _reference_detection(text: str) -> str:
     """The delimiter the split-based detection chose: each candidate split
-    the first 21 records, the state machine reading a head with a quote or
-    a bare CR, and the widths of the first 20 scored it."""
+    the first 21 records, the state machine reading a head with a quote,
+    and the widths of the first 20 scored it."""
     found = list(itertools.islice(tabular._RECORD_LINE_RE.finditer(text), 21))
     lines = tabular._plain_text(text[: found[-1].end() + 1] if found else "")
     samples: dict[str, list[list[str]]] = {}
@@ -1019,8 +1058,8 @@ def _reference_split(
             started = True
             i += 1
             continue
-        if ch == "\n" or (ch == "\r" and i + 1 < n and text[i + 1] == "\n"):
-            i += 2 if ch == "\r" else 1
+        if ch in "\r\n":
+            i += 2 if text.startswith("\r\n", i) else 1
             if not started:
                 continue  # a line with no characters is not a record
             end_record()
