@@ -6,10 +6,13 @@ fixity check against bit rot and truncated copies here, not a defense
 against an adversary; the format reserves an ``algorithm:`` prefix on the
 digest so stronger hashes can appear later without breaking parsers.
 
-``pack`` writes each 512-byte ustar header itself from pinned fields, the
-bytes ``tarfile`` writes for the same member, and hashes each file as it
-copies it into the archive.  ``hashlib`` (and with it OpenSSL) is imported
-by the functions that hash, so ``chunk`` and ``unchunk`` never load it.
+``checksum``, ``verify`` and ``pack`` share one tree walk, ``_named_files``,
+and one read loop, ``_md5_file``, through which ``pack`` copies each file
+into the archive: all three see the same files, refuse the same names, and
+name a file a read fails on the same way.  ``pack`` writes each 512-byte
+ustar header itself from pinned fields, the bytes ``tarfile`` writes for
+the same member.  ``hashlib`` (and with it OpenSSL) is imported by the
+functions that hash, so ``chunk`` and ``unchunk`` never load it.
 
 ``publish`` is the only code in tidypack that creates an output file.  It
 writes all of a command's files or none: ``init``, ``chunk`` and ``pack``
@@ -104,25 +107,31 @@ def md5_hex(data: bytes) -> str:
     return hashlib.md5(data).hexdigest()
 
 
-def _md5_file(path: str) -> str:
+def _md5_file(path: str, copy: BinaryIO | None = None) -> str:
     """MD5 of a file's bytes, read 1 MiB at a time with no buffered reader.
 
-    An ``OSError`` names ``path``, whether opening or reading failed (reading
-    a directory fails only at the first read).
+    Each block is also written to ``copy``, if given.  An ``OSError`` from
+    opening or reading names ``path`` (reading a directory fails only at the
+    first read); one from writing to ``copy`` is raised unchanged.
     """
     import hashlib
 
     digest = hashlib.md5()
     fd = os.open(path, os.O_RDONLY)
     try:
-        while block := os.read(fd, _READ_BLOCK):
+        while True:
+            try:
+                block = os.read(fd, _READ_BLOCK)
+            except OSError as exc:  # os.read names no file
+                exc.filename = path
+                raise
+            if not block:
+                return digest.hexdigest()
             digest.update(block)
-    except OSError as exc:  # os.read names no file
-        exc.filename = path
-        raise
+            if copy is not None:
+                copy.write(block)
     finally:
         os.close(fd)
-    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -209,14 +218,15 @@ def parse_manifest(data: bytes) -> ChecksumManifest:
     return ChecksumManifest(entries=entries)
 
 
-def _named_files(root: str | Path) -> list[str]:
-    """The relative paths ``walk_files`` finds, refusing with ``ScanError``
-    a name that is not UTF-8, which a manifest line could not hold."""
-    paths = [rel for rel, _ in walk_files(root)]
-    for rel in paths:
+def _named_files(root: str | Path, include: Callable[[str], bool] | None = None) -> list[tuple[str, int]]:
+    """The ``(relative path, size)`` pairs ``walk_files`` finds that ``include``
+    keeps, refusing with ``ScanError`` a kept name that is not UTF-8, which a
+    manifest line could not hold."""
+    files = [(rel, size) for rel, size in walk_files(root) if include is None or include(rel)]
+    for rel, _ in files:
         if printable_path(rel) != rel:
             raise ScanError(f"file name is not valid UTF-8: {printable_path(rel)}")
-    return paths
+    return files
 
 
 def compute_manifest(
@@ -226,13 +236,12 @@ def compute_manifest(
 
     ``include`` filters by root-relative POSIX path; by default everything
     is checksummed, including any existing ``checksums.txt`` (callers that
-    maintain a package manifest exclude it themselves).  A file name that
-    is not UTF-8 raises ``ScanError``, naming it with backslash escapes.
+    maintain a package manifest exclude it themselves).  An included name
+    that is not UTF-8 raises ``ScanError``, naming it with backslash escapes.
     """
     entries = [
         ManifestEntry(path=rel, md5=_md5_file(os.path.join(root, rel)))
-        for rel in _named_files(root)
-        if include is None or include(rel)
+        for rel, _ in _named_files(root, include)
     ]
     return ChecksumManifest(entries=entries)
 
@@ -264,15 +273,13 @@ def verify_manifest(
     """Recompute digests under ``root`` and compare with the manifest.
 
     One walk: files the manifest lists are hashed, extras are only named.
-    A file name that is not UTF-8 raises ``ScanError``, as in
+    An included file name that is not UTF-8 raises ``ScanError``, as in
     ``compute_manifest``.
     """
     expected = {entry.path: entry.md5 for entry in manifest.entries}
     mismatched: list[str] = []
     extra: list[str] = []
-    for rel in _named_files(root):
-        if include is not None and not include(rel):
-            continue
+    for rel, _ in _named_files(root, include):
         if rel not in expected:
             extra.append(rel)
         elif _md5_file(os.path.join(root, rel)) != expected.pop(rel):
@@ -462,22 +469,27 @@ def pack(
 ) -> Path:
     """Write a byte-reproducible USTAR archive of the manifest's files.
 
-    Each file is read once: its MD5 is taken over the very bytes copied
-    into the archive.  Any mismatched or missing manifest entry aborts the
-    pack and leaves nothing at ``destination``, which is never overwritten.
-    The archive contains exactly the manifest's files plus a generated
-    ``checksums.txt``, with entries sorted by path, ``mtime`` pinned to zero,
-    numeric owner 0:0, blank owner names, mode 0644 for files and 0755 for
-    directories, and no compression, so packing the same tree twice yields
-    identical bytes.
+    Each file is read once, through ``_md5_file``: its MD5 is taken over the
+    very bytes copied into the archive.  Any mismatched or missing manifest
+    entry aborts the pack and leaves nothing at ``destination``, which is
+    never overwritten; so does a file whose size changed since the walk,
+    with an ``OSError`` naming it.  The archive contains exactly the
+    manifest's files plus a generated ``checksums.txt``, with entries sorted
+    by path, ``mtime`` pinned to zero, numeric owner 0:0, blank owner names,
+    mode 0644 for files and 0755 for directories, and no compression, so
+    packing the same tree twice yields identical bytes.
 
     Headers are written directly, the bytes ``tarfile`` writes for the same
-    members, and every one is built before any file is read: a path over
-    ustar's 255-byte split or a file of 8 GiB or more is refused up front.
+    members.  Before any file is opened, pack refuses a manifest listing
+    ``checksums.txt``, a file name that is not UTF-8 (``ScanError``, as
+    ``checksum`` and ``verify`` do), a path over ustar's 255-byte split and a
+    file of 8 GiB or more.
     """
     destination = Path(destination)
     expected = {entry.path: entry.md5 for entry in manifest.entries}
-    sizes = {rel: size for rel, size in walk_files(root) if rel in expected}
+    if CHECKSUMS_NAME in expected:
+        raise PackError(f"the manifest may not list {CHECKSUMS_NAME}; the archive embeds a fresh copy")
+    sizes = {rel: size for rel, size in _named_files(root) if rel in expected}
     missing = sorted(expected.keys() - sizes.keys())
 
     directories: set[str] = set()
@@ -488,40 +500,28 @@ def pack(
             parent = parent.rpartition("/")[0]
 
     manifest_bytes = serialize_manifest(manifest)
-    # (name, size, payload): a file's payload is its path; a directory's is empty.
-    members: list[tuple[str, int | None, bytes | str]] = [(d, None, b"") for d in directories]
-    members.extend((rel, size, rel) for rel, size in sizes.items())
+    # (name, size, payload): a directory's payload is empty, a file's is None (read from disk).
+    members: list[tuple[str, int | None, bytes | None]] = [(d, None, b"") for d in directories]
+    members.extend((rel, size, None) for rel, size in sizes.items())
     members.append((CHECKSUMS_NAME, len(manifest_bytes), manifest_bytes))
     members.sort(key=lambda member: member[0])
     headers = [_ustar_header(name, size) for name, size, _ in members]
 
     def write(out: BinaryIO) -> None:
-        import hashlib
-
-        buffer = memoryview(bytearray(_READ_BLOCK))
         mismatched: list[str] = []
         for (name, size, payload), header in zip(members, headers):
-            if isinstance(payload, bytes):
-                out.write(header + payload + bytes(-len(payload) % 512))
-                continue
-            digest = hashlib.md5()
-            with open(os.path.join(root, payload), "rb", buffering=0) as handle:
-                length = remaining = os.fstat(handle.fileno()).st_size
-                out.write(header if length == size else _ustar_header(name, length))
-                while remaining:
-                    try:
-                        count = handle.readinto(buffer[:remaining])
-                    except OSError as exc:  # a read names no file
-                        exc.filename = payload
-                        raise
-                    if not count:  # the file shrank since fstat
-                        raise OSError(errno.EIO, "unexpected end of data", payload)
-                    digest.update(buffer[:count])
-                    out.write(buffer[:count])
-                    remaining -= count
-            out.write(bytes(-length % 512))
-            if digest.hexdigest() != expected[payload]:
-                mismatched.append(payload)
+            out.write(header)
+            if payload is None:
+                path = os.path.join(root, name)
+                start = out.tell()
+                digest = _md5_file(path, out)
+                if out.tell() - start != size:
+                    raise OSError(errno.EIO, "file changed size while it was archived", path)
+                if digest != expected[name]:
+                    mismatched.append(name)
+            else:
+                out.write(payload)
+            out.write(bytes(-(size or 0) % 512))
         out.write(bytes(1024))  # two zero blocks end the archive
         out.write(bytes(-out.tell() % 10240))  # then tarfile's 20-block record
         problems = []
@@ -531,10 +531,6 @@ def pack(
             problems.append("missing: " + ", ".join(missing))
         if problems:
             raise PackError("manifest verification failed; " + "; ".join(problems))
-        if CHECKSUMS_NAME in expected:
-            raise PackError(
-                f"the manifest may not list {CHECKSUMS_NAME}; the archive embeds a fresh copy"
-            )
 
     try:
         publish({destination: write})

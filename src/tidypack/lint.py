@@ -551,8 +551,9 @@ def _eval_r16(ctx: _Context) -> Iterator[Finding]:
     except ManifestError as exc:
         yield _f(f"manifest cannot be parsed: {exc}", path=pkg.checksums.path)
         return
+    # A file name that is not UTF-8 is already an R00 error; the rest are checked.
     report = verify_manifest(
-        pkg.root, manifest, include=lambda rel: rel != pkg.checksums.path
+        pkg.root, manifest, include=lambda rel: rel != CHECKSUMS_NAME and printable_path(rel) == rel
     )
     if report.mismatched:
         yield _f(

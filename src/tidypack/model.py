@@ -326,10 +326,8 @@ def scan_package(root: str | Path) -> DataPackage:
             path=ref.path, size_bytes=ref.size_bytes, kind=ref.kind, detected=detected
         )
 
-    checksum_candidates = [
-        rel for rel in top_level if rel.casefold() == CHECKSUMS_NAME
-    ]
-    checksums = claim(min(checksum_candidates)) if checksum_candidates else None
+    # The manifest is exactly the file ``verify`` and ``pack`` read.
+    checksums = refs.pop(CHECKSUMS_NAME, None)
 
     # Datasets are named by table stems directly under data/, dictionaries
     # excluded.

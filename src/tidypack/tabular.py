@@ -620,17 +620,17 @@ def detect_dialect(sample: bytes) -> Dialect:
     return _detect_from_text(_decode(sample))
 
 
-# A line that is exactly ``---``, trailing CRs aside: the first line opens
-# front matter, and the next such line closes it.
-_FENCE_LINE = re.compile(r"^---\r*(?:\n|\Z)", re.M)
+# A line that is exactly ``---``, starting and ending where a record does
+# (``_BREAK_RE``), CRs before an LF aside: the first opens front matter, the next closes it.
+_FENCE_LINE = re.compile(r"(?:^|(?<=\r))---(?:\r*(?:\n|\Z)|\r)", re.M)
 
 
 def _split_front_matter(text: str) -> tuple[str, str]:
     """Split text into verbatim front-matter YAML and the body after it.
 
     Text that does not open with a fence line has no front matter.  A fence
-    line ends at LF, trailing CRs aside, never at a lone CR or at the form
-    feeds and Unicode separators ``str.splitlines`` breaks on.
+    line ends where a record does, trailing CRs before an LF included, never
+    at the form feeds and Unicode separators ``str.splitlines`` breaks on.
     """
     opening = _FENCE_LINE.match(text)
     if opening is None:
@@ -759,7 +759,7 @@ def serialize_csvy(front: FrontMatter | None, table: CsvTable) -> bytes:
     parts: list[bytes] = []
     if front is not None and front.raw_yaml:
         raw = front.raw_yaml
-        if not raw.endswith("\n"):
+        if not raw.endswith(("\n", "\r")):  # a line break, so the closing fence starts a line
             raw += "\n"
         parts.append(b"---\n")
         parts.append(raw.encode("utf-8"))

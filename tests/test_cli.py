@@ -590,24 +590,22 @@ def test_pack_require_lint_refuses_when_rules_crash(package, tmp_path, capsys, m
 def test_pack_require_lint_opens_each_manifest_file_once(package, tmp_path, capsys, monkeypatch):
     # Only error rules can block a pack, and pack checks every MD5 on the
     # bytes it archives, so the lint gate must not hash the tree a second time.
-    import builtins
-    import os
+    from tidypack import parse_manifest
 
-    from tidypack import integrity, parse_manifest
-
+    real_open = os.open
     opened = []
 
     def counting_open(file, *args, **kwargs):
         opened.append(os.path.relpath(file, package))
-        return builtins.open(file, *args, **kwargs)
+        return real_open(file, *args, **kwargs)
 
-    monkeypatch.setattr(integrity, "open", counting_open, raising=False)
+    monkeypatch.setattr(os, "open", counting_open)
     archive = tmp_path / "demo.tar"
     code, _, _ = run(capsys, "pack", str(package), "--require-lint", "--output", str(archive))
     assert code == EXIT_OK
     assert archive.exists()
     manifest = parse_manifest((package / "checksums.txt").read_bytes())
-    assert sorted(opened) == manifest.paths()
+    assert sorted(rel for rel in opened if not rel.startswith("..")) == manifest.paths()
 
 
 def test_pack_refuses_stale_manifest(package, tmp_path, capsys):
@@ -623,24 +621,29 @@ def test_pack_refuses_stale_manifest(package, tmp_path, capsys):
 @pytest.mark.parametrize("failure", ["ends-early", "read-error"])
 def test_pack_names_the_file_a_read_fails_on(package, tmp_path, capsys, monkeypatch, fmt, failure):
     import errno
-    import io
 
-    from tidypack import integrity
+    real_open, real_read = os.open, os.read
+    failing: set[int] = set()
 
-    class Failing(io.FileIO):
-        def readinto(self, buffer):
-            if failure == "ends-early":  # fewer bytes than fstat reported
-                return 0
-            raise OSError(errno.EIO, os.strerror(errno.EIO))
+    def tracking_open(file, *args, **kwargs):
+        fd = real_open(file, *args, **kwargs)
+        if str(file).endswith("obs.csv"):
+            failing.add(fd)
+        return fd
 
-    def failing_open(file, mode, buffering):
-        return (Failing if file.endswith("obs.csv") else io.FileIO)(file, mode)
+    def failing_read(fd, size):
+        if fd not in failing:
+            return real_read(fd, size)
+        if failure == "ends-early":  # fewer bytes than the walk found
+            return b""
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
 
-    monkeypatch.setattr(integrity, "open", failing_open, raising=False)
+    monkeypatch.setattr(os, "open", tracking_open)
+    monkeypatch.setattr(os, "read", failing_read)
     archive = tmp_path / "demo.tar"
     code, out, err = run(capsys, "pack", str(package), "--output", str(archive), "--format", fmt)
-    message = "unexpected end of data" if failure == "ends-early" else os.strerror(errno.EIO)
-    expected = f"[Errno {errno.EIO}] {message}: 'data/obs.csv'"
+    message = "file changed size while it was archived" if failure == "ends-early" else os.strerror(errno.EIO)
+    expected = f"[Errno {errno.EIO}] {message}: '{package / 'data/obs.csv'}'"
     assert code == EXIT_IO
     if fmt == "json":
         assert (one_json(out), err) == ({"error": {"code": EXIT_IO, "message": expected}}, "")
@@ -730,8 +733,11 @@ def test_unexpected_exception_is_an_internal_error(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
-@pytest.mark.parametrize("command, code", [("lint", EXIT_FINDINGS), ("checksum", EXIT_USAGE), ("verify", EXIT_USAGE)])
-def test_a_file_name_that_is_not_utf8_is_named_with_escapes(package, capsys, command, code, fmt):
+@pytest.mark.parametrize(
+    "command, code", [("lint", EXIT_FINDINGS), ("checksum", EXIT_USAGE), ("verify", EXIT_USAGE), ("pack", EXIT_USAGE)]
+)
+def test_a_file_name_that_is_not_utf8_is_named_with_escapes(package, capsys, monkeypatch, command, code, fmt):
+    monkeypatch.chdir(package.parent)  # where pack would write its archive
     (package / os.fsdecode(b"data-raw/bad\xff.txt")).write_bytes(b"x")
     escaped = "data-raw/bad\\xff.txt"
     got, out, err = run(capsys, command, str(package), "--format", fmt)
@@ -744,11 +750,26 @@ def test_a_file_name_that_is_not_utf8_is_named_with_escapes(package, capsys, com
         else:
             assert out.startswith("FAIL: 1 error(s)")
             assert f"  {escaped}: R00 [internal] file name is not valid UTF-8" in out
-            assert f"could not be evaluated: file name is not valid UTF-8: {escaped}" in out
+            assert "could not be evaluated" not in out  # R16 checks the files it can name
     elif fmt == "json":
         assert one_json(out) == {"error": {"code": code, "message": f"file name is not valid UTF-8: {escaped}"}}
     else:
         assert (out, err) == ("", f"error: file name is not valid UTF-8: {escaped}\n")
+    assert not (package.parent / "demo.tar").exists()
+
+
+def test_lint_judges_the_manifest_verify_reads(package, capsys):
+    # A CHECKSUMS.TXT regenerated after an edit does not stand in for the
+    # stale checksums.txt: lint judges the file verify reads.
+    with open(package / "data/obs.csv", "ab") as handle:
+        handle.write(b"tampered\n")
+    assert run(capsys, "checksum", str(package), "--output", str(package / "CHECKSUMS.TXT"))[0] == EXIT_OK
+    code, out, _ = run(capsys, "verify", str(package))
+    assert (code, out.splitlines()[0]) == (EXIT_FINDINGS, "MISMATCH data/obs.csv")
+    code, out, _ = run(capsys, "lint", str(package), "--strict", "--format", "json")
+    assert code == EXIT_FINDINGS
+    r16 = [f["detail"] for f in one_json(out)["findings"] if f["rule_id"] == "R16"]
+    assert r16 == ["checksum mismatch for: data/obs.csv", "file(s) not covered by the manifest: CHECKSUMS.TXT"]
 
 
 # One row per handler and outcome; the exit code is the README's table:

@@ -614,50 +614,42 @@ def test_pack_lists_mismatched_before_missing(tmp_path):
     assert not (tmp_path / "pkg.tar").exists()
 
 
-def test_pack_refuses_listed_checksums_and_leaves_no_archive(tmp_path):
+def test_pack_refuses_listed_checksums_and_leaves_no_archive(tmp_path, monkeypatch):
     root = tmp_path / "pkg"
     _package_tree(root)
     (root / "checksums.txt").write_bytes(b"")
+    manifest = compute_manifest(root)
+    opened = _counting_open(monkeypatch, root)
     with pytest.raises(PackError) as excinfo:
-        pack(root, compute_manifest(root), tmp_path / "pkg.tar")
+        pack(root, manifest, tmp_path / "pkg.tar")
     assert str(excinfo.value) == (
         "the manifest may not list checksums.txt; the archive embeds a fresh copy"
     )
+    assert opened == []  # refused before any package file or temporary is opened
     assert not (tmp_path / "pkg.tar").exists()
 
 
+def _counting_open(monkeypatch, root) -> list[str]:
+    """Record, relative to ``root``, every path opened with ``os.open``, which
+    ``integrity`` reads and writes through: package files, and the archive's
+    temporary and claimed name beside the package (as ``../...``)."""
+    real_open = os.open
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.path.relpath(file, root))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", counting_open)
+    return opened
+
+
 def test_pack_opens_each_manifest_file_once(tmp_path, monkeypatch):
-    import builtins
-
-    from tidypack import integrity
-
     root = tmp_path / "pkg"
     manifest = _package_tree(root)
-    opened = []
-
-    def counting_open(file, *args, **kwargs):
-        opened.append(os.path.relpath(file, root))
-        return builtins.open(file, *args, **kwargs)
-
-    monkeypatch.setattr(integrity, "open", counting_open, raising=False)
+    opened = _counting_open(monkeypatch, root)
     pack(root, manifest, tmp_path / "pkg.tar")
-    assert sorted(opened) == manifest.paths()
-
-
-def _counting_open(monkeypatch, root) -> list[str]:
-    """Record, root-relative, every file ``integrity`` opens."""
-    import builtins
-
-    from tidypack import integrity
-
-    opened = []
-
-    def counting_open(file, *args, **kwargs):
-        opened.append(os.path.relpath(file, root))
-        return builtins.open(file, *args, **kwargs)
-
-    monkeypatch.setattr(integrity, "open", counting_open, raising=False)
-    return opened
+    assert sorted(rel for rel in opened if not rel.startswith("..")) == manifest.paths()
 
 
 def test_pack_refuses_too_long_path_before_opening_anything(tmp_path, monkeypatch):
@@ -705,28 +697,36 @@ def test_pack_onto_existing_archive_opens_no_package_file(tmp_path, monkeypatch,
     assert archive.read_bytes() == b"occupied"
 
 
-def test_pack_file_shrinking_mid_copy_exits_3_and_leaves_nothing(tmp_path, monkeypatch, capsys):
-    import io
-
-    from tidypack import integrity
+def _pack_with_files_resized_when_opened(tmp_path, monkeypatch, capsys, delta: int) -> None:
+    """Pack from the CLI while each package file's size changes by ``delta``
+    bytes as it is opened: after the walk took its size and its header was
+    written, before the copy.  The run exits 3 naming the first file read,
+    and leaves nothing behind."""
     from tidypack.cli import EXIT_IO, main
 
     root = tmp_path / "pkg"
     manifest = _package_tree(root)
     (root / "checksums.txt").write_bytes(serialize_manifest(manifest))
+    real_open = os.open
 
-    class Shrinking(io.FileIO):
-        """Truncates its file after ``pack`` has taken the size, before the copy."""
+    def resizing_open(file, *args, **kwargs):
+        if not os.path.relpath(file, root).startswith(".."):
+            os.truncate(file, os.stat(file).st_size + delta)
+        return real_open(file, *args, **kwargs)
 
-        def readinto(self, buffer):
-            os.truncate(self.name, 0)
-            return super().readinto(buffer)
-
-    monkeypatch.setattr(integrity, "open", lambda file, *args, **kwargs: Shrinking(file), raising=False)
-    archive = tmp_path / "pkg.tar"
-    assert main(["pack", str(root), "--output", str(archive)]) == EXIT_IO
-    assert capsys.readouterr().err == "error: [Errno 5] unexpected end of data: 'LICENSE'\n"
+    monkeypatch.setattr(os, "open", resizing_open)
+    assert main(["pack", str(root), "--output", str(tmp_path / "pkg.tar")]) == EXIT_IO
+    first = root / "LICENSE"
+    assert capsys.readouterr().err == f"error: [Errno 5] file changed size while it was archived: '{first}'\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["pkg"]
+
+
+def test_pack_file_shrinking_mid_copy_exits_3_and_leaves_nothing(tmp_path, monkeypatch, capsys):
+    _pack_with_files_resized_when_opened(tmp_path, monkeypatch, capsys, -1)
+
+
+def test_pack_file_growing_mid_copy_exits_3_and_leaves_nothing(tmp_path, monkeypatch, capsys):
+    _pack_with_files_resized_when_opened(tmp_path, monkeypatch, capsys, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -468,6 +469,17 @@ def test_r16_manifest_states(tmp_path):
     assert "extras/new.txt" in findings[0].detail
     # Extras alone never fail the package.
     assert _lint(tmp_path).passed
+
+
+def test_r16_verifies_the_files_it_can_name_beside_one_it_cannot(tmp_path):
+    # The unnamed file is R00's error; it must not stop R16 seeing the mismatch.
+    _clean_package(tmp_path)
+    _write(tmp_path, os.fsdecode(b"data-raw/bad\xff.txt"), b"x")
+    with open(tmp_path / "data/t.csv", "ab") as handle:
+        handle.write(b"3,4.5\n")
+    report = _lint(tmp_path)
+    assert [f.detail for f in _by_rule(report, "R16")] == ["checksum mismatch for: data/t.csv"]
+    assert [(f.severity, f.path) for f in _by_rule(report, "R00")] == [("error", "data-raw/bad\\xff.txt")]
 
 
 def test_r17_hosting_limits(tmp_path):

@@ -267,11 +267,17 @@ def test_scan_special_slot_preference(tmp_path):
     assert unclaimed == {"readme.txt", "LICENSE"}
 
 
-def test_scan_checksums_slot_is_case_insensitive(tmp_path):
+def test_scan_checksums_slot_is_exactly_checksums_txt(tmp_path):
+    # The manifest is the file verify and pack read; another case is a stray file.
     _write(tmp_path, "CHECKSUMS.TXT", b"")
     package = scan_package(tmp_path)
-    assert package.checksums is not None
-    assert package.checksums.path == "CHECKSUMS.TXT"
+    assert package.checksums is None
+    assert [ref.path for ref in package.unclassified] == ["CHECKSUMS.TXT"]
+
+    _write(tmp_path, "checksums.txt", b"")
+    package = scan_package(tmp_path)
+    assert package.checksums.path == "checksums.txt"
+    assert [ref.path for ref in package.unclassified] == ["CHECKSUMS.TXT"]
 
 
 def test_scan_detects_each_license(tmp_path):
@@ -413,10 +419,7 @@ def _reference_scan(root: Path) -> dict:
     if "license" in special:
         text = (root / special["license"]).read_bytes().decode("utf-8", errors="replace")
         license_ref = (special["license"], detect_license(text))
-    checksum_candidates = (
-        rel for rel in refs if "/" not in rel and rel.casefold() == CHECKSUMS_NAME
-    )
-    checksums = min(checksum_candidates, default=None)
+    checksums = CHECKSUMS_NAME if CHECKSUMS_NAME in refs else None
     if checksums is not None:
         claim(checksums)
 

@@ -17,8 +17,9 @@ from tidypack import (
     compute_manifest,
     pack,
     scaffold,
+    serialize_manifest,
 )
-from tidypack import integrity, tabular
+from tidypack import tabular
 from tidypack.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 _TABLE = b"id,name\n1,ann\n2,bob\n3,cat\n4,dan\n5,eve\n"
@@ -84,22 +85,49 @@ def test_chunk_target_created_while_staging_keeps_its_bytes(tmp_path, monkeypatc
 
 
 def test_pack_target_created_while_staging_keeps_its_bytes(tmp_path, monkeypatch):
-    import builtins
-
     root = tmp_path / "pkg"
     manifest = _package(root)
     destination = tmp_path / "pkg.tar"
+    real_open = os.open
 
     def racing_open(file, *args, **kwargs):
-        if not destination.exists():
+        if os.path.dirname(file) == str(root) and not destination.exists():  # a package file is copied
             destination.write_bytes(b"theirs")
-        return builtins.open(file, *args, **kwargs)
+        return real_open(file, *args, **kwargs)
 
-    monkeypatch.setattr(integrity, "open", racing_open, raising=False)
+    monkeypatch.setattr(os, "open", racing_open)
     with pytest.raises(PackError, match=f"refusing to overwrite existing archive {destination}"):
         pack(root, manifest, destination)
     assert destination.read_bytes() == b"theirs"
     assert _listing(tmp_path) == ["pkg", "pkg.tar", *(f"pkg/{rel}" for rel in _listing(root))]
+
+
+def test_pack_disk_full_while_copying_names_no_package_file(tmp_path, monkeypatch, capsys):
+    # The archive's disk fills while README.md's bytes are copied into it:
+    # the write failed, not the read, so the error does not name README.md.
+    root = tmp_path / "pkg"
+    manifest = _package(root)
+    (root / "checksums.txt").write_bytes(serialize_manifest(manifest))
+    real_open = io.open
+
+    def patched(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        if "w" in mode:
+            real_write = handle.write
+
+            def write(data):
+                if bytes(data) == b"# demo\n":
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return real_write(data)
+
+            handle.write = write
+        return handle
+
+    monkeypatch.setattr(io, "open", patched)
+    listing = _listing(tmp_path)
+    assert main(["pack", str(root), "--output", str(tmp_path / "pkg.tar")]) == EXIT_IO
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert _listing(tmp_path) == listing
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["absent", "empty"])

@@ -401,8 +401,9 @@ def test_front_matter_plain_scalars_load_naturally():
 
 
 def test_front_matter_raw_yaml_may_not_contain_a_fence_line():
-    with pytest.raises(FrontMatterError):
-        FrontMatter(raw_yaml="a: 1\n---\nb: 2\n")
+    for raw in ("a: 1\n---\nb: 2\n", "a: 1\r---\rb: 2\r"):
+        with pytest.raises(FrontMatterError):
+            FrontMatter(raw_yaml=raw)
 
 
 def test_front_matter_schema_block_must_be_complete():
@@ -1143,7 +1144,38 @@ def test_tokenizer_matches_the_reference_at_scale(make, delimiter):
 
 
 def _reference_front_matter(text: str) -> tuple[str, str]:
-    """The front-matter split as a line list: raw YAML and body, or an error."""
+    """The front-matter split as a line list: raw YAML and body, or an error.
+
+    Lines end at LF, CRLF or a lone CR, as records do.  A fence is a line
+    that is ``---``; when it ends at a lone CR, the blank lone-CR lines after
+    it, up to a CRLF or the end of the text, are its trailing CRs.
+    """
+    lines = io.StringIO(text, newline="").readlines()  # split at LF, CRLF and a lone CR
+
+    def fence_end(index: int) -> int | None:
+        """One past the last line of the fence at ``index``, or None if there is none."""
+        if lines[index].rstrip("\r\n") != "---":
+            return None
+        end = index + 1
+        if lines[index].endswith("\r"):
+            while end < len(lines) and lines[end] == "\r":
+                end += 1
+            if end < len(lines):
+                end = end + 1 if lines[end] == "\r\n" else index + 1
+        return end
+
+    opening = fence_end(0) if lines else None
+    if opening is None:
+        return "", text
+    for index in range(opening, len(lines)):
+        closing = fence_end(index)
+        if closing is not None:
+            return "".join(lines[opening:index]), "".join(lines[closing:])
+    raise FrontMatterError("front matter fence '---' is never closed")
+
+
+def _lf_reference_front_matter(text: str) -> tuple[str, str]:
+    """The split as it was when fences ended only at LF, trailing CRs aside."""
     if not re.match(r"---\r*(?:\n|\Z)", text):
         return "", text
     parts = text.split("\n")
@@ -1167,16 +1199,30 @@ def _front_matter_outcome(split, text: str):
         return ("error", str(exc))
 
 
+_LONE_CR = re.compile(r"\r(?!\r*\n)")  # a CR that no LF follows after CRs
+
+
 def test_closing_fence_search_matches_the_line_split():
     # Every string of up to 7 of these characters, after each opening line.
+    # Text with no lone CR splits exactly as it did when fences ended only at LF.
     strings = ["".join(p) for n in range(8) for p in itertools.product("-\r\na,", repeat=n)]
-    prefixes = ["---\n", "---\r\n", "---\r\r\n", "---", "---\r"]
+    prefixes = ["---\n", "---\r\n", "---\r\r\n", "---", "---\r", "---\r\r"]
     for prefix in prefixes:
         for rest in strings:
             text = prefix + rest
-            assert _front_matter_outcome(tabular._split_front_matter, text) == _front_matter_outcome(
-                _reference_front_matter, text
-            ), text
+            outcome = _front_matter_outcome(tabular._split_front_matter, text)
+            assert outcome == _front_matter_outcome(_reference_front_matter, text), text
+            if not _LONE_CR.search(text):
+                assert outcome == _front_matter_outcome(_lf_reference_front_matter, text), text
+
+
+@pytest.mark.parametrize("newline", ["\r", "\n", "\r\n"], ids=["cr", "lf", "crlf"])
+def test_front_matter_fences_end_at_every_line_break(newline):
+    data = "---{0}title: x{0}---{0}id,v{0}1,2{0}".format(newline).encode()
+    front, table = parse_csvy(data)
+    assert (front.raw_yaml, front.mapping) == (f"title: x{newline}", {"title": "x"})
+    assert (table.header, table.rows) == (["id", "v"], [["1", "2"]])
+    assert parse_csvy(serialize_csvy(front, table)) == (front, table)
 
 
 # ---------------------------------------------------------------------------
