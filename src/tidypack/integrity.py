@@ -14,6 +14,10 @@ ustar header itself from pinned fields, the bytes ``tarfile`` writes for
 the same member.  ``hashlib`` (and with it OpenSSL) is imported by the
 functions that hash, so ``chunk`` and ``unchunk`` never load it.
 
+``chunk_table`` and ``unchunk`` copy a table body that passes ``tabular``'s
+canonical test, as every chunk does, and parse and render any other, with
+the same output and errors either way.
+
 ``publish`` is the only code in tidypack that creates an output file.  It
 writes all of a command's files or none: ``init``, ``chunk`` and ``pack``
 never overwrite, and ``checksum --output`` and ``unchunk --output`` replace
@@ -29,7 +33,6 @@ import re
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, Callable, Mapping, Sequence
 
@@ -330,32 +333,30 @@ def chunk_table(source: str | Path, max_rows_per_chunk: int) -> ChunkPlan:
     target chunk path exists, or appears while the chunks are written, no
     chunk is left behind.
     """
-    from .tabular import CsvTable, read_csvy, serialize_csvy
+    from .tabular import _csvy_bytes, _csvy_pieces
 
     if max_rows_per_chunk < 1:
         raise ChunkError("max_rows_per_chunk must be at least 1")
     source = Path(source)
-    front, table = read_csvy(source)
-    count = max(1, math.ceil(table.height / max_rows_per_chunk))
+    raw_yaml, _, _, (head, *parts), rows = _csvy_pieces(source.read_bytes(), max_rows_per_chunk)
+    parts = parts or [""]  # zero rows still make one header-only chunk
     targets = [
         source.with_name(_chunk_name(source.stem, index, source.suffix))
-        for index in range(1, count + 1)
+        for index in range(1, len(parts) + 1)
     ]
 
-    def piece(start: int) -> Callable[[BinaryIO], object]:
-        columns = tuple(column[start : start + max_rows_per_chunk] for column in table.columns)
-        chunk = CsvTable(header=table.header, dialect=table.dialect, columns=columns)
-        return lambda out: out.write(serialize_csvy(front, chunk))
+    def piece(part: str) -> Callable[[BinaryIO], object]:
+        return lambda out: out.write(_csvy_bytes(raw_yaml, [head, part]))
 
     try:
-        publish({target: piece(index * max_rows_per_chunk) for index, target in enumerate(targets)})
+        publish({target: piece(part) for target, part in zip(targets, parts)})
     except FileExistsError as exc:
         raise ChunkError(f"refusing to overwrite existing file {exc.filename}") from None
 
     return ChunkPlan(
         source=str(source),
         max_rows_per_chunk=max_rows_per_chunk,
-        data_rows=table.height,
+        data_rows=rows,
         chunk_paths=[str(target) for target in targets],
     )
 
@@ -395,32 +396,27 @@ def unchunk(chunk_paths: Sequence[str | Path]) -> bytes:
                 f"got {path.name}"
             )
 
-    from .tabular import CsvTable, read_csvy, serialize_csvy
+    from .tabular import _csvy_bytes, _csvy_pieces
 
-    front0 = first = None
-    parts: list[list[tuple[str, ...]]] = []  # per column, each chunk's cells
+    yaml0 = dialect0 = header0 = None  # the first chunk's
+    pieces: list[str] = []
     for path in paths:
         try:
-            front, table = read_csvy(path)
+            raw_yaml, dialect, header, (head, *rows), _ = _csvy_pieces(path.read_bytes(), checked_yaml=yaml0 or "")
         except (CsvError, EncodingError, FrontMatterError) as exc:
             exc.args = (f"{path.name}: {exc}",)
             raise
-        if first is None:
-            front0, first = front, table
-            parts = [[] for _ in table.columns]
-        else:
-            if table.header != first.header:
-                raise ChunkError(f"{path.name} has a different header than the first chunk")
-            if front.raw_yaml != front0.raw_yaml:
-                raise ChunkError(f"{path.name} has different front matter than the first chunk")
-            if table.dialect.delimiter != first.dialect.delimiter:
-                raise ChunkError(f"{path.name} uses a different delimiter than the first chunk")
-        for part, column in zip(parts, table.columns):
-            part.append(column)
-
-    assert first is not None and front0 is not None
-    columns = tuple(tuple(chain.from_iterable(part)) for part in parts)
-    return serialize_csvy(front0, CsvTable(header=first.header, dialect=first.dialect, columns=columns))
+        if header0 is None:
+            yaml0, dialect0, header0 = raw_yaml, dialect, header
+            pieces.append(head)
+        elif header != header0:
+            raise ChunkError(f"{path.name} has a different header than the first chunk")
+        elif raw_yaml != yaml0:
+            raise ChunkError(f"{path.name} has different front matter than the first chunk")
+        elif dialect != dialect0:
+            raise ChunkError(f"{path.name} uses a different delimiter than the first chunk")
+        pieces += rows
+    return _csvy_bytes(yaml0, pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,13 @@ records the same way: from each line's delimiter count when they are
 plain, and by the tokenizer otherwise.  All paths give the same records,
 so record numbers in errors do not depend on which one ran.
 
+Serializing is canonical: every record ends in LF, a cell is quoted
+exactly when it holds a character of ``_quoted_by``, and a width-1 empty
+cell is written ``""``.  Text in that form passes the canonical test,
+``_canonical``, and chunking cuts and copies it (``_csvy_pieces``) instead
+of parsing and rendering it.  Only text that parses cleanly passes, so
+every error still comes from the parser.
+
 A parsed ``CsvTable`` builds one ``ColumnShapes`` per column on first use:
 the column's cells, and how many of them have each digit shape, a cell with
 every ASCII digit mapped to ``0``.  The type checks here use
@@ -51,6 +58,7 @@ from __future__ import annotations
 import datetime
 import io
 import re
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
@@ -719,34 +727,59 @@ def parse_csvy(data: bytes) -> tuple[FrontMatter, CsvTable]:
     return front, _table_from_text(body, _detect_from_text(body))
 
 
+def _quoted_by(delimiter: str) -> str:
+    """The quoting rule: a cell is written quoted, its quotes doubled,
+    exactly when it holds one of these characters."""
+    return QUOTE + delimiter + "\r" + LF
+
+
 def _render_column(cells: Sequence[str], delimiter: str) -> Sequence[str]:
-    """The cells as written: one holding a quote, the delimiter or a line
-    break is quoted, its quotes doubled."""
+    """The cells as written, by ``_quoted_by``."""
+    q, d, cr, lf = _quoted_by(delimiter)  # each tested with ``in``, the fastest test of a cell
     text = "".join(cells)  # one scan of the whole column: most need no quoting at all
-    if QUOTE in text or delimiter in text or LF in text or "\r" in text:
+    if q in text or d in text or cr in text or lf in text:
         return [
-            QUOTE + c.replace(QUOTE, QUOTE + QUOTE) + QUOTE if QUOTE in c or delimiter in c or LF in c or "\r" in c
-            else c
+            QUOTE + c.replace(QUOTE, QUOTE + QUOTE) + QUOTE if q in c or d in c or cr in c or lf in c else c
             for c in cells
         ]
     return cells
 
 
-def serialize_table(table: CsvTable) -> bytes:
-    """Serialize a table canonically: LF endings, minimal quoting.
+def _render_records(columns: Sequence[Sequence[str]], delimiter: str) -> str:
+    """The canonical text of the records whose cells ``columns`` hold: empty
+    only when there is no record, as a width-1 empty cell is written ``""``."""
+    rows = map(delimiter.join, zip(*(_render_column(column, delimiter) for column in columns)))
+    if len(columns) == 1:
+        rows = (row or '""' for row in rows)
+    text = LF.join(rows)
+    return text and text + LF
 
-    A cell is quoted exactly when it contains the delimiter, a double
-    quote, or a line break.  A lone empty cell would render as a blank
-    line, which parsers skip, so it is written as a quoted empty instead.
-    Every table has a header, so the output always holds a line and ends
-    with a newline.
-    """
+
+def _table_text(table: CsvTable) -> str:
     delimiter = table.dialect.delimiter
-    rows = map(delimiter.join, zip(*(_render_column(column, delimiter) for column in table.columns)))
-    lines = chain([delimiter.join(_render_column(table.header, delimiter))], rows)
-    if table.width == 1:
-        lines = (line or '""' for line in lines)
-    return (LF.join(lines) + LF).encode("utf-8")
+    return _render_records([[name] for name in table.header], delimiter) + _render_records(table.columns, delimiter)
+
+
+def serialize_table(table: CsvTable) -> bytes:
+    """Serialize a table canonically: LF endings, a cell quoted exactly when
+    it holds the delimiter, a double quote or a line break, and a lone empty
+    cell, which parsers would skip as a blank line, written ``""``."""
+    return _table_text(table).encode("utf-8")
+
+
+def _csvy_bytes(raw_yaml: str, pieces: Sequence[str]) -> bytes:
+    """A front-matter block of ``raw_yaml`` (none when it is empty), then the
+    canonical text ``pieces``, the first of which starts with the header."""
+    block = ""
+    if raw_yaml:
+        if not raw_yaml.endswith(("\n", "\r")):  # a line break, so the closing fence starts a line
+            raw_yaml += "\n"
+        block = f"---\n{raw_yaml}---\n"
+    elif pieces[0].startswith("---\n"):
+        # A first line of exactly --- would reparse as a front-matter
+        # fence; quote that lone cell so the table stays a table.
+        pieces = ['"---"' + pieces[0][3:], *pieces[1:]]
+    return "".join([block, *pieces]).encode("utf-8")
 
 
 def serialize_csvy(front: FrontMatter | None, table: CsvTable) -> bytes:
@@ -756,21 +789,100 @@ def serialize_csvy(front: FrontMatter | None, table: CsvTable) -> bytes:
     ``---`` fences; an empty ``raw_yaml`` means no block at all, so plain
     tables pass through unchanged.
     """
-    parts: list[bytes] = []
-    if front is not None and front.raw_yaml:
-        raw = front.raw_yaml
-        if not raw.endswith(("\n", "\r")):  # a line break, so the closing fence starts a line
-            raw += "\n"
-        parts.append(b"---\n")
-        parts.append(raw.encode("utf-8"))
-        parts.append(b"---\n")
-    body = serialize_table(table)
-    if not parts and body.startswith(b"---\n"):
-        # A first line of exactly --- would reparse as a front-matter
-        # fence; quote that lone cell so the table stays a table.
-        body = b'"---"' + body[3:]
-    parts.append(body)
-    return b"".join(parts)
+    return _csvy_bytes("" if front is None else front.raw_yaml, [_table_text(table)])
+
+
+#: Records per match of the canonical test: a repeat keeps a backtracking mark
+#: per record, and on quoted text blocks of 1,024 take twice as long as 64.
+_CANONICAL_RECORDS = 64
+
+
+def _canonical_record(delimiter: str, width: int) -> str:
+    """The regex of one canonical record of ``width`` cells."""
+    special = f"[{re.escape(_quoted_by(delimiter))}]"
+    plain = "[^" + special[1:]
+    quoted = f'"{plain}*(?:""|(?!"){special})[^"]*(?:""[^"]*)*"'  # holding a special character
+    if width == 1:
+        return f'(?:""|{quoted}|{plain}+)\n'
+    cell = f"(?:{plain}*|{quoted})"
+    return f"{cell}(?:{re.escape(delimiter)}{cell}){{{width - 1}}}\n"
+
+
+@cache
+def _records_re(record: str, count: int) -> re.Pattern[str]:
+    return re.compile(f"(?:{record}){{{count}}}")
+
+
+def _plain_lines(body: str, delimiter: str, width: int) -> bool:
+    """Whether no line of ``body`` is blank and each holds ``width - 1``
+    delimiters: checked at once in the skeleton of delimiters and LFs of its
+    bytes, as UTF-8 writes an ASCII character as its own byte, and no other."""
+    if body.startswith(LF) or LF + LF in body:
+        return False
+    keep = (delimiter + LF).encode()
+    skeleton = body.encode("utf-8").translate(None, bytes(b for b in range(256) if b not in keep))
+    record = (delimiter * (width - 1) + LF).encode()
+    return skeleton == record * (len(skeleton) // len(record))
+
+
+def _canonical(body: str, delimiter: str, every: int = sys.maxsize) -> tuple[list[str], int, list[int]] | None:
+    """The canonical test: whether ``body`` is what ``serialize_table`` writes
+    for the table it parses as.  If so, returns the header, the number of
+    data rows, and the offsets after the header, after every ``every``-th
+    data record and at the end; else None.  Only text that parses cleanly
+    passes.  Records are matched a bounded block at a time; text with no
+    quote and no CR, whose records are its lines, is checked by
+    ``_plain_lines`` first.
+    """
+    first = _split_quoted(body, delimiter, lenient=True, limit=1)
+    try:
+        header = CsvTable(first[0] if first else []).header  # the header rules of every table
+    except CsvError:
+        return None
+    if QUOTE in body or "\r" in body:
+        record = _canonical_record(delimiter, len(header))
+    elif _plain_lines(body, delimiter, len(header)):
+        record = "[^\n]*\n"
+    else:
+        return None
+    pos, rows, cuts, block = 0, -1, [], _CANONICAL_RECORDS  # the header is record -1, matched alone
+    while pos < len(body):
+        count = min(block, every - rows % every)
+        found = _records_re(record, count).match(body, pos)
+        if found is None:
+            if count == 1:
+                return None
+            block = 1  # fewer than count records are left, or one of them is not canonical
+            continue
+        pos, rows = found.end(), rows + count
+        if rows % every == 0 or pos == len(body):
+            cuts.append(pos)
+    return header, rows, cuts
+
+
+def _csvy_pieces(
+    data: bytes, every: int = sys.maxsize, checked_yaml: str = ""
+) -> tuple[str, Dialect, list[str], list[str], int]:
+    """A csvy file read as ``parse_csvy`` reads it, and raising what it
+    raises: its front matter, dialect and header, its canonical text cut
+    after the header and after every ``every``-th data row, and its number
+    of data rows.  A body that passes ``_canonical`` is cut as it is, and
+    any other parsed and rendered.  Front matter equal to ``checked_yaml``
+    is not parsed again.
+    """
+    raw_yaml, body = _split_front_matter(_decode(data))
+    if raw_yaml and raw_yaml != checked_yaml:
+        _load_front_matter_mapping(raw_yaml)
+    dialect = _detect_from_text(body)
+    found = _canonical(body, dialect.delimiter, every)
+    if found is not None:
+        header, rows, cuts = found
+        return raw_yaml, dialect, header, [body[start:end] for start, end in zip([0, *cuts], cuts)], rows
+    table = _table_from_text(body, dialect)
+    pieces = [_render_records([[name] for name in table.header], dialect.delimiter)]
+    for start in range(0, table.height, every):
+        pieces.append(_render_records([column[start : start + every] for column in table.columns], dialect.delimiter))
+    return raw_yaml, dialect, table.header, pieces, table.height
 
 
 def read_csvy(path: str | Path) -> tuple[FrontMatter, CsvTable]:

@@ -90,8 +90,9 @@ LINT = TREE | SCHEMA | {"tidypack.lint"}
 
 @pytest.fixture(scope="module")
 def tables(tmp_path_factory):
-    """A package seeded with a plain CSV, and three csvy tables with front
-    matter: one with a schema block, one with quoted cells."""
+    """A package seeded with a plain CSV, three csvy tables with front
+    matter (one with a schema block, one with quoted cells), and the chunks
+    of a copy of the quoted one."""
     root = tmp_path_factory.mktemp("imports")
     plain = root / "plain.csv"
     plain.write_bytes(b"id,score\n1,2.5\n2,3.5\n")
@@ -101,6 +102,9 @@ def tables(tmp_path_factory):
     nameless.write_bytes(b"---\ntitle: t\nschema:\n  fields:\n    - name: id\n---\nid\n1\n2\n")
     quoted = root / "quoted.csvy"
     quoted.write_bytes(b'---\nname: quoted\n---\nid,note\r\n1,"a, b"\r\n2,"say ""hi"""\r\n')
+    # Chunks that chunk wrote from the quoted csvy: canonical text, copied by unchunk.
+    (root / "split.csvy").write_bytes(quoted.read_bytes())
+    assert main(["chunk", str(root / "split.csvy"), "--max-rows", "1", "--format", "json"]) == EXIT_OK
     (root / "piece-1.csv").write_bytes(b"id,score\n1,2.5\n")
     (root / "piece-2.csv").write_bytes(b"id,score\n2,3.5\n")
     assert main(["init", str(root / "pkg"), "--dataset", "obs", "--seed", str(plain), "--format", "json"]) == EXIT_OK
@@ -125,10 +129,15 @@ def tables(tmp_path_factory):
         (["chunk", "{root}/nameless.csvy", "--max-rows", "1"], CLI | TREE | TABLE | {"yaml"}),
         # Only quoted text is read with the stdlib csv reader.
         (["chunk", "{root}/quoted.csvy", "--max-rows", "1"], CLI | TREE | TABLE | {"yaml", "csv", "_csv"}),
+        # What chunk wrote is canonical, so unchunk copies it and reads no cell.
+        (
+            ["unchunk", "{root}/split-1.csvy", "{root}/split-2.csvy", "--output", "{root}/joined.csvy"],
+            CLI | TREE | TABLE | {"yaml"},
+        ),
     ],
     ids=[
         "help", "checksum", "verify", "chunk-plain", "unchunk", "lint", "pack-require-lint", "schema-infer",
-        "schema-validate", "init", "chunk-csvy", "chunk-csvy-schema", "chunk-quoted-csvy",
+        "schema-validate", "init", "chunk-csvy", "chunk-csvy-schema", "chunk-quoted-csvy", "unchunk-quoted-csvy",
     ],
 )
 def test_each_command_imports_only_what_it_runs(tables, argv, expected):

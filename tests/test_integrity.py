@@ -8,8 +8,10 @@ import shutil
 import string
 import subprocess
 import tarfile
+import tempfile
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,6 +22,8 @@ from tidypack import (
     ChunkError,
     ChunkPlan,
     CsvError,
+    EncodingError,
+    FrontMatterError,
     ManifestEntry,
     ManifestError,
     PackError,
@@ -32,6 +36,8 @@ from tidypack import (
     unchunk,
     verify_manifest,
 )
+from tidypack.errors import ToolError
+from tidypack.tabular import read_csvy
 
 # ---------------------------------------------------------------------------
 # MD5 reference vectors (the classic published test suite for the algorithm)
@@ -418,6 +424,214 @@ def test_chunk_unchunk_identity_property(tmp_path_factory, names, rows, per_chun
     plan = chunk_table(source, max_rows_per_chunk=per_chunk)
     assert len(plan.chunk_paths) == max(1, math.ceil(rows / per_chunk))
     assert unchunk(plan.chunk_paths) == original
+
+
+# ---------------------------------------------------------------------------
+# Canonical text is copied.  The parse-and-render path it replaces is kept
+# here as the reference: every output byte, error message and row number of
+# chunk and unchunk must be the same.
+
+
+def _render_reference(raw_yaml: str, header: list[str], rows: list[list[str]], delimiter: str) -> bytes:
+    """A table's canonical bytes, one cell at a time: a cell is quoted
+    exactly when it holds a quote, the delimiter or a line break."""
+
+    def cell(value: str) -> str:
+        if any(c in value for c in '"\r\n' + delimiter):
+            return '"' + value.replace('"', '""') + '"'
+        return value
+
+    lines = [delimiter.join(map(cell, record)) for record in [header, *rows]]
+    if len(header) == 1:
+        lines = [line or '""' for line in lines]
+    body = "\n".join(lines) + "\n"
+    if not raw_yaml and body.startswith("---\n"):
+        body = '"---"' + body[3:]
+    return (_block(raw_yaml) + body).encode("utf-8")
+
+
+def _block(raw_yaml: str) -> str:
+    """The front-matter block of ``raw_yaml``: none when it is empty."""
+    if not raw_yaml:
+        return ""
+    return "---\n" + raw_yaml + ("" if raw_yaml.endswith(("\n", "\r")) else "\n") + "---\n"
+
+
+def _reference_chunks(source: Path, max_rows: int) -> tuple[int, list[bytes]]:
+    front, table = read_csvy(source)
+    rows = table.rows
+    pieces = [rows[start : start + max_rows] for start in range(0, len(rows), max_rows)] or [[]]
+    return table.height, [_render_reference(front.raw_yaml, table.header, p, table.dialect.delimiter) for p in pieces]
+
+
+def _reference_unchunk(paths: list[Path]) -> bytes:
+    first = None
+    rows: list[list[str]] = []
+    for path in paths:
+        try:
+            front, table = read_csvy(path)
+        except (CsvError, EncodingError, FrontMatterError) as exc:
+            exc.args = (f"{path.name}: {exc}",)
+            raise
+        if first is None:
+            first = front, table
+        elif table.header != first[1].header:
+            raise ChunkError(f"{path.name} has a different header than the first chunk")
+        elif front.raw_yaml != first[0].raw_yaml:
+            raise ChunkError(f"{path.name} has different front matter than the first chunk")
+        elif table.dialect != first[1].dialect:
+            raise ChunkError(f"{path.name} uses a different delimiter than the first chunk")
+        rows += table.rows
+    return _render_reference(first[0].raw_yaml, first[1].header, rows, first[1].dialect.delimiter)
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except ToolError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "row", None)
+
+
+def _quoted_crlf(records: list[list[str]], delimiter: str) -> str:
+    """Records as another program might write them: every cell quoted, CRLF line ends."""
+    return "".join(delimiter.join('"' + c.replace('"', '""') + '"' for c in record) + "\r\n" for record in records)
+
+
+def _after_line(text: str, at: int, insert: str) -> str:
+    cut = text.find("\n", at) + 1
+    return text[:cut] + insert + text[cut:]
+
+
+#: Edits of a table's text: other line breaks, a BOM, a missing last LF, a
+#: blank line, a stray quote (an unterminated one, or text after a close
+#: quote), and a dropped character (a ragged row, when it is a delimiter).
+_EDITS = {
+    "crlf": lambda text, at: text.replace("\n", "\r\n"),
+    "cr": lambda text, at: text.replace("\n", "\r"),
+    "bom": lambda text, at: "\ufeff" + text,
+    "no final LF": lambda text, at: text[:-1],
+    "blank line": lambda text, at: _after_line(text, at, "\n"),
+    "stray quote": lambda text, at: text[:at] + '"' + text[at:],
+    "dropped character": lambda text, at: text[:at] + text[at + 1 :],
+}
+
+_NAMES = st.sampled_from(["id", "name", "2019", "2020", "---", "", 'q"t', "x,y", "t\tz", "s;m", "a\nb", "c\rd"])
+_CELLS = st.sampled_from(
+    ["", "1", "ab", "2019", "---", '"', 'say "hi"', ",", "\t", ";", "a\nb", "a\rb", "a\r\nb", " x "]
+)
+
+
+@st.composite
+def _tables(draw) -> bytes:
+    """A table as some program wrote it: canonical, every cell quoted, or
+    ragged, with front matter or none, then edited."""
+    delimiter = draw(st.sampled_from([",", "\t", ";"]))
+    header = draw(st.lists(_NAMES, min_size=1, max_size=4))
+    rows = draw(st.lists(st.lists(_CELLS, min_size=len(header), max_size=len(header)), max_size=9))
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))].append("z")
+    raw_yaml = draw(st.sampled_from(["", "", "title: t\n", "title: t\r\nseed: 1\r\n", "title: [\n"]))
+    if draw(st.booleans()):
+        text = _block(raw_yaml) + _quoted_crlf([header, *rows], delimiter)
+    else:
+        text = _render_reference(raw_yaml, header, rows, delimiter).decode()
+    for edit in draw(st.lists(st.sampled_from(sorted(_EDITS)), max_size=2)):
+        text = _EDITS[edit](text, draw(st.integers(0, len(text))))
+    return text.encode("utf-8")
+
+
+@given(
+    st.one_of(_tables(), st.text('a1",;\t\r\n-', max_size=30).map(str.encode)),
+    st.integers(min_value=1, max_value=4),
+    st.lists(st.tuples(st.sampled_from(["none", "foreign", *sorted(_EDITS)]), st.integers(0, 200)), max_size=4),
+)
+@example(b"---\n---\n---\n1\n", 1, [])  # a --- header under empty front matter: no block, so it is quoted
+@example(b"---\ntitle: t\n---\n---\n1\n2\n", 1, [])  # a --- header under front matter stays as it is
+@example(b'v\n""\n1\n""\n', 2, [])  # a width-1 table with empty cells
+@example(b"\nv\n1\n2\n", 2, [])  # and with a blank first line, which is no record
+@example(b"v\n1\n\n2\n", 2, [])
+@example(b"s;m\n,\tz\n", 1, [])  # no candidate reads it consistently: a width-1 table, comma-delimited, and ragged
+@example(b"\xef\xbb\xbfid,2019\n", 1, [])  # a BOM, zero data rows and a numeric header name
+@example(b'id\tnote\n1\t"a\tb"\n2\t"x""y"\n', 1, [("foreign", 0)])
+@example(b'id;note\r\n1;"a\r\nb"\r\n2;3\r\n', 1, [])
+@example(b'a,b\n1,""\n2,3\n', 2, [])  # a quoted empty in a wider record is written bare
+@example(b"a,b\n1,2\n3\n", 1, [])
+@example(b'a,b\n1,"2\n', 1, [])
+@example(b"a,b\n1,2", 1, [])
+@example(b'---\ntitle: t\n---\nid,note\n1,"a\nb"\n2,x\n3,y\n', 1, [("none", 0), ("foreign", 0), ("stray quote", 25)])
+@settings(deadline=None)
+def test_chunk_and_unchunk_match_the_parse_and_render_path(data, max_rows, chunk_edits):
+    with tempfile.TemporaryDirectory() as scratch:
+        source = Path(scratch) / "t.csvy"
+        source.write_bytes(data)
+        expected = _outcome(_reference_chunks, source, max_rows)
+        plan = _outcome(chunk_table, source, max_rows)
+        if isinstance(expected, tuple) and isinstance(expected[0], str):  # an error
+            assert plan == expected
+            return
+        paths = [Path(p) for p in plan.chunk_paths]
+        assert (plan.data_rows, [p.read_bytes() for p in paths]) == expected
+
+        # Some chunks rewritten, canonical or not, or damaged.
+        for path, (edit, at) in zip(paths, chunk_edits):
+            if edit == "foreign":  # the same table with every cell quoted and CRLF line ends
+                try:
+                    front, table = read_csvy(path)
+                except ToolError:  # a chunk that does not read as its source did
+                    continue
+                text = _block(front.raw_yaml) + _quoted_crlf([table.header, *table.rows], table.dialect.delimiter)
+            elif edit != "none":
+                text = _EDITS[edit](path.read_text(encoding="utf-8"), at)
+            else:
+                continue
+            path.write_bytes(text.encode("utf-8"))
+        assert _outcome(unchunk, paths) == _outcome(_reference_unchunk, paths)
+
+
+def _no_parse(*args, **kwargs):
+    raise AssertionError("canonical text was parsed")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _TABLE,
+        b'---\nname: q\n---\nid,note\n1,"a, b"\n2,"say ""hi"""\n3,"two\r\nlines"\n4,plain\n',
+        b'v\n""\n1\n"a\nb"\n',
+        b"id\tnote\n1\ta,b\n2\t\n",
+    ],
+    ids=["plain", "quoted-csvy", "width-1", "tab"],
+)
+def test_canonical_tables_chunk_and_unchunk_without_a_parse(tmp_path, monkeypatch, data):
+    from tidypack import tabular
+
+    monkeypatch.setattr(tabular, "_read_quoted", _no_parse)
+    monkeypatch.setattr(tabular, "_line_columns", _no_parse)
+    source = tmp_path / "t.csv"
+    source.write_bytes(data)
+    plan = chunk_table(source, max_rows_per_chunk=1)
+    assert len(plan.chunk_paths) == plan.data_rows > 1
+    assert unchunk(plan.chunk_paths) == data
+
+
+def test_unchunk_parses_each_distinct_front_matter_once(tmp_path, monkeypatch):
+    from tidypack import tabular
+
+    parsed = []
+    load = tabular._load_front_matter_mapping
+    monkeypatch.setattr(tabular, "_load_front_matter_mapping", lambda raw: parsed.append(raw) or load(raw))
+    source = tmp_path / "notes.csvy"
+    source.write_bytes(b"---\ntitle: t\n---\nid\n" + b"".join(b"%d\n" % k for k in range(8)))
+    plan = chunk_table(source, max_rows_per_chunk=1)
+    assert len(plan.chunk_paths) == 8
+    parsed.clear()
+    assert unchunk(plan.chunk_paths) == source.read_bytes()
+    assert parsed == ["title: t\n"]
+
+    # A block that differs from the first is parsed: an invalid one names its chunk.
+    (tmp_path / "notes-5.csvy").write_bytes(b"---\ntitle: [\n---\nid\n4\n")
+    with pytest.raises(FrontMatterError, match=r"^notes-5\.csvy: front matter is not valid YAML"):
+        unchunk(plan.chunk_paths)
 
 
 # ---------------------------------------------------------------------------

@@ -69,15 +69,15 @@ def test_chunk_target_created_while_staging_keeps_its_bytes(tmp_path, monkeypatc
     source = tmp_path / "people.csv"
     source.write_bytes(_TABLE)
     theirs = tmp_path / "people-2.csv"
-    real_serialize = tabular.serialize_csvy
+    real_csvy_bytes = tabular._csvy_bytes
 
-    def racing_serialize(*args, **kwargs):
+    def racing_csvy_bytes(*args, **kwargs):
         if not theirs.exists():
             theirs.write_bytes(b"theirs")
-        return real_serialize(*args, **kwargs)
+        return real_csvy_bytes(*args, **kwargs)
 
     # chunk_table imports it when it runs, so the home module's name is patched.
-    monkeypatch.setattr(tabular, "serialize_csvy", racing_serialize)
+    monkeypatch.setattr(tabular, "_csvy_bytes", racing_csvy_bytes)
     with pytest.raises(ChunkError, match=f"refusing to overwrite existing file {theirs}"):
         chunk_table(source, max_rows_per_chunk=2)
     assert theirs.read_bytes() == b"theirs"
