@@ -32,8 +32,8 @@ from pathlib import Path
 from .errors import ToolError
 from .licenses import CLI_CHOICES
 
-#: ``model.CHECKSUMS_NAME``, which a test holds equal: the parser names it
-#: without loading the scanner.
+#: ``integrity.CHECKSUMS_NAME``, which a test holds equal: the parser names
+#: it without loading the fixity code.
 _CHECKSUMS_NAME = "checksums.txt"
 
 EXIT_OK = 0
@@ -206,14 +206,27 @@ def _cmd_checksum(args) -> _Result:
         excluded.add(_inside(output, root))
     manifest = compute_manifest(root, include=lambda rel: rel not in excluded)
     text = serialize_manifest(manifest)
-    document = {
-        "entries": [{"path": e.path, "md5": e.md5} for e in manifest.entries],
-        "written": str(output) if output is not None else None,
-    }
-    if output is None:
-        return _Result(EXIT_OK, document, text.decode("utf-8"))
-    publish({output: text}, replace=True)
-    return _Result(EXIT_OK, document, _lines(f"wrote {len(manifest.entries)} checksums to {output}"))
+    if output is not None:
+        publish({output: text}, replace=True)
+    document = _checksum_json(manifest.entries, output) if args.format == "json" else None
+    summary = text.decode("utf-8") if output is None else _lines(f"wrote {len(manifest.entries)} checksums to {output}")
+    return _Result(EXIT_OK, document, summary)
+
+
+def _checksum_json(entries, output: Path | None) -> bytes:
+    """The checksum document, byte for byte as ``json.dumps`` writes it with
+    ``indent=2`` and ``ensure_ascii=False``.
+
+    That indenting encoder is pure Python, and this document holds an object
+    per file, so it is filled in from a template instead: each string is
+    escaped by the function ``json`` itself uses for it, and an MD5 is hex.
+    """
+    from json.encoder import encode_basestring as quote
+
+    items = ",\n".join(f'    {{\n      "path": {quote(e.path)},\n      "md5": "{e.md5}"\n    }}' for e in entries)
+    listed = f"[\n{items}\n  ]" if entries else "[]"
+    written = "null" if output is None else quote(str(output))
+    return f'{{\n  "entries": {listed},\n  "written": {written}\n}}\n'.encode("utf-8")
 
 
 def _cmd_verify(args) -> _Result:
@@ -275,11 +288,11 @@ def _cmd_unchunk(args) -> _Result:
 
 def _cmd_pack(args) -> _Result:
     from .integrity import pack, parse_manifest
-    from .model import scan_package
 
     root = Path(args.root)
     if args.require_lint:
         from .lint import RULES, LintConfig, lint_package
+        from .model import scan_package
 
         # Only error-ceiling rules can fail a package; pack checks every MD5 itself.
         blocking = LintConfig(levels={r.id: "off" for r in RULES if r.severity != "error"})

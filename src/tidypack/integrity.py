@@ -9,7 +9,9 @@ digest so stronger hashes can appear later without breaking parsers.
 ``checksum``, ``verify`` and ``pack`` share one tree walk, ``_named_files``,
 and one read loop, ``_md5_file``, through which ``pack`` copies each file
 into the archive: all three see the same files, refuse the same names, and
-name a file a read fails on the same way.  ``pack`` writes each 512-byte
+name a file a read fails on the same way.  The walk (``walk_files``) and
+the path rules live here, and the package scanner in ``model`` reads them,
+so these commands never load the scanner.  ``pack`` writes each 512-byte
 ustar header itself from pinned fields, the bytes ``tarfile`` writes for
 the same member.  ``hashlib`` (and with it OpenSSL) is imported by the
 functions that hash, so ``chunk`` and ``unchunk`` never load it.
@@ -37,13 +39,60 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Mapping, Sequence
 
 from .errors import ChunkError, CsvError, EncodingError, FrontMatterError, ManifestError, PackError, ScanError
-from .model import CHECKSUMS_NAME, escapes_root, printable_path, walk_files
+
+CHECKSUMS_NAME = "checksums.txt"
 
 _MD5_HEX_RE = re.compile(r"[0-9a-f]{32}")
 _MANIFEST_LINE_RE = re.compile(r"(?:(?P<algo>[a-z0-9]+):)?(?P<hex>[0-9a-fA-F]+)  (?P<path>.+)")
 
 _READ_BLOCK = 1024 * 1024
 _CREATE = os.O_WRONLY | os.O_CREAT | os.O_EXCL  # a new file; fails if the name exists
+
+
+def escapes_root(path: str) -> bool:
+    """True when a POSIX path is absolute or climbs out through a ``..`` part.
+
+    Decides what ``PurePosixPath.is_absolute()`` or ``".." in .parts``
+    decide, without building a path object.
+    """
+    return path.startswith("/") or ".." in path.split("/")
+
+
+def printable_path(path: str) -> str:
+    """``path`` with the bytes of a name that is not UTF-8 as backslash
+    escapes (``bad\\xff.txt``).  ``os.scandir`` decodes such bytes to lone
+    surrogates, which no UTF-8 output can carry; any other path is returned
+    as it is."""
+    return path if path.isascii() else path.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+
+
+def walk_files(root: str | Path) -> list[tuple[str, int]]:
+    """Every regular file under ``root`` as ``(relative POSIX path, size)``, sorted by path.
+
+    One iterative ``os.scandir`` walk on plain strings, so a deep tree costs
+    memory, not interpreter recursion.  Symbolic links are skipped, never
+    followed.  A directory reached twice (same ``st_dev``/``st_ino``, for
+    example through a bind mount) raises ``ScanError`` instead of hanging.
+    """
+    files: list[tuple[str, int]] = []
+    seen_dirs: set[tuple[int, int]] = set()
+    stack = [("", os.fspath(root))]
+    while stack:
+        prefix, directory = stack.pop()
+        info = os.stat(directory)
+        if (info.st_dev, info.st_ino) in seen_dirs:
+            raise ScanError(f"directory cycle detected at {directory}")
+        seen_dirs.add((info.st_dev, info.st_ino))
+        with os.scandir(directory) as entries:
+            for entry in entries:
+                if entry.is_symlink():
+                    continue
+                if entry.is_dir():
+                    stack.append((prefix + entry.name + "/", entry.path))
+                elif entry.is_file():
+                    files.append((prefix + entry.name, entry.stat().st_size))
+    files.sort()
+    return files
 
 
 def publish(

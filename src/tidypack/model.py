@@ -9,6 +9,8 @@ one of the special top-level slots, or the unclassified list.  A dataset
 and the pool share one bucket type, ``PackagePool``, so each of the five
 file buckets is declared once.
 
+The scanner reads the fixity code's walk and path rules (``integrity``,
+which loads none of this module), so it sees the files ``checksum`` sees.
 Each file has one reference, the ``FileRef`` the walk built: a slot holds
 that same object (the license slot a ``LicenseRef`` copy that adds what
 its content was recognized as), and one pass over the walk sorts the files
@@ -19,17 +21,16 @@ directories before anything is claimed.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path, PurePosixPath
 
 from .errors import ScanError
+from .integrity import CHECKSUMS_NAME, escapes_root, printable_path, walk_files
 from .licenses import LicenseKind, detect_license
 
 DATA_DIR = "data"
 RAW_DIR = "data-raw"
 METADATA_DIR = "metadata"
-CHECKSUMS_NAME = "checksums.txt"
 
 #: A DOI, which ``init`` accepts only in full and lint's R07 finds by search:
 #: its suffix holds no whitespace, double quote or angle bracket.
@@ -86,15 +87,6 @@ def classify_file(path: str | PurePosixPath) -> FileKind:
     if extension in _DOCUMENT_EXTENSIONS:
         return FileKind.DOCUMENT
     return FileKind.OTHER
-
-
-def escapes_root(path: str) -> bool:
-    """True when a POSIX path is absolute or climbs out through a ``..`` part.
-
-    Decides what ``PurePosixPath.is_absolute()`` or ``".." in .parts``
-    decide, without building a path object.
-    """
-    return path.startswith("/") or ".." in path.split("/")
 
 
 @dataclass(frozen=True)
@@ -195,43 +187,6 @@ class DataPackage:
     def all_paths(self) -> list[str]:
         """Every inventoried path, documentation slots included, sorted."""
         return [ref.path for ref in self.all_refs()]
-
-
-def walk_files(root: str | Path) -> list[tuple[str, int]]:
-    """Every regular file under ``root`` as ``(relative POSIX path, size)``, sorted by path.
-
-    One iterative ``os.scandir`` walk on plain strings, so a deep tree costs
-    memory, not interpreter recursion.  Symbolic links are skipped, never
-    followed.  A directory reached twice (same ``st_dev``/``st_ino``, for
-    example through a bind mount) raises ``ScanError`` instead of hanging.
-    """
-    files: list[tuple[str, int]] = []
-    seen_dirs: set[tuple[int, int]] = set()
-    stack = [("", os.fspath(root))]
-    while stack:
-        prefix, directory = stack.pop()
-        info = os.stat(directory)
-        if (info.st_dev, info.st_ino) in seen_dirs:
-            raise ScanError(f"directory cycle detected at {directory}")
-        seen_dirs.add((info.st_dev, info.st_ino))
-        with os.scandir(directory) as entries:
-            for entry in entries:
-                if entry.is_symlink():
-                    continue
-                if entry.is_dir():
-                    stack.append((prefix + entry.name + "/", entry.path))
-                elif entry.is_file():
-                    files.append((prefix + entry.name, entry.stat().st_size))
-    files.sort()
-    return files
-
-
-def printable_path(path: str) -> str:
-    """``path`` with the bytes of a name that is not UTF-8 as backslash
-    escapes (``bad\\xff.txt``).  ``os.scandir`` decodes such bytes to lone
-    surrogates, which no UTF-8 output can carry; any other path is returned
-    as it is."""
-    return path if path.isascii() else path.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
 
 
 def iter_files(root: str | Path) -> list[Path]:

@@ -39,11 +39,14 @@ plain, and by the tokenizer otherwise.  All paths give the same records,
 so record numbers in errors do not depend on which one ran.
 
 Serializing is canonical: every record ends in LF, a cell is quoted
-exactly when it holds a character of ``_quoted_by``, and a width-1 empty
-cell is written ``""``.  Text in that form passes the canonical test,
-``_canonical``, and chunking cuts and copies it (``_csvy_pieces``) instead
-of parsing and rendering it.  Only text that parses cleanly passes, so
-every error still comes from the parser.
+exactly when it holds a character of ``_QUOTED_BY`` (a quote, a line break
+or any candidate delimiter), and a width-1 empty cell is written ``""``.
+Detection scores only the delimiters that read every quote around a whole
+field, when some do, so it reads canonical text back as the same table.
+Text in that form passes the canonical test, ``_canonical``, and chunking
+cuts and copies it (``_csvy_pieces``) instead of parsing and rendering it.
+Only text that parses cleanly passes, so every error still comes from the
+parser.
 
 A parsed ``CsvTable`` builds one ``ColumnShapes`` per column on first use:
 the column's cells, and how many of them have each digit shape, a cell with
@@ -575,6 +578,29 @@ def parse_table(data: bytes, dialect: Dialect) -> CsvTable:
     return _table_from_text(_decode(data), dialect)
 
 
+@cache  # compiled on first use: most runs read no quoted text
+def _clean_record_re(delimiter: str) -> re.Pattern[str]:
+    """One record, up to its line break, whose every quote opens or closes
+    a whole field or is doubled inside one; the close quote may be missing
+    at the end of the text, as a sample may stop inside a field."""
+    d = re.escape(delimiter)
+    field = f'(?:"[^"]*(?:""[^"]*)*(?:"|\\Z)|[^"{d}\r\n]*)'
+    return re.compile(f"{field}(?:{d}{field})*(?:{_BREAK_RE.pattern}|\\Z)")
+
+
+def _reads_cleanly(text: str, delimiter: str, limit: int) -> bool:
+    """Whether ``delimiter`` reads each quote of the first ``limit`` records
+    of ``text`` only around a whole field, as in canonical text."""
+    pos = records = 0
+    while pos < len(text) and records < limit:
+        found = _clean_record_re(delimiter).match(text, pos)
+        if found is None:
+            return False
+        records += found.group() not in (LF, "\r", CRLF)  # a blank line is no record
+        pos = found.end()
+    return True
+
+
 def _detect_from_text(text: str) -> Dialect:
     # The head of the text up to its 20th non-empty line holds the sample
     # unless it has a quote, and then the tokenizer reads it:
@@ -582,10 +608,19 @@ def _detect_from_text(text: str) -> Dialect:
     found = list(islice(_RECORD_LINE_RE.finditer(text), 20))
     head = _plain_text(text[: found[-1].end() + 1] if found else "")
 
+    # Canonical text quotes every cell that holds a candidate delimiter, so
+    # another candidate reads a quote inside a bare field, or text after a
+    # close quote, and may split those cells consistently.  When some
+    # candidate reads every quote of the sample around a whole field, only
+    # those count.
+    candidates = DELIMITERS
+    if head is None:
+        candidates = [d for d in DELIMITERS if _reads_cleanly(text, d, 20)] or DELIMITERS
+
     # Each candidate's widths of the sampled records: a plain line holds one
     # cell more than it has delimiters, so it need not be split.
     widths: dict[str, list[int]] = {}
-    for delimiter in DELIMITERS:
+    for delimiter in candidates:
         if head is None:
             widths[delimiter] = [len(cells) for cells in _split_quoted(text, delimiter, lenient=True, limit=20)]
         else:
@@ -619,7 +654,8 @@ def detect_dialect(sample: bytes) -> Dialect:
     candidate that splits the first record into the most cells wins (same
     tie order), so parsing raises the ragged record rather than reading one
     column named by the whole header line.  When none is consistent the
-    comma wins.
+    comma wins.  In a sample with a quote, only the candidates that read
+    every quote around a whole field are scored, when there are any.
 
     Raises ``CsvError`` on an empty sample.
     """
@@ -727,19 +763,21 @@ def parse_csvy(data: bytes) -> tuple[FrontMatter, CsvTable]:
     return front, _table_from_text(body, _detect_from_text(body))
 
 
-def _quoted_by(delimiter: str) -> str:
-    """The quoting rule: a cell is written quoted, its quotes doubled,
-    exactly when it holds one of these characters."""
-    return QUOTE + delimiter + "\r" + LF
+#: The quoting rule: a cell is written quoted, its quotes doubled, exactly
+#: when it holds one of these characters.  Every candidate delimiter counts,
+#: not only the table's own: a bare one could make detection read another.
+_QUOTED_BY = QUOTE + "".join(DELIMITERS) + "\r" + LF
 
 
-def _render_column(cells: Sequence[str], delimiter: str) -> Sequence[str]:
-    """The cells as written, by ``_quoted_by``."""
-    q, d, cr, lf = _quoted_by(delimiter)  # each tested with ``in``, the fastest test of a cell
+def _render_column(cells: Sequence[str]) -> Sequence[str]:
+    """The cells as written, by ``_QUOTED_BY``."""
+    q, d1, d2, d3, cr, lf = _QUOTED_BY  # each tested with ``in``, the fastest test of a cell
     text = "".join(cells)  # one scan of the whole column: most need no quoting at all
-    if q in text or d in text or cr in text or lf in text:
+    if any(special in text for special in _QUOTED_BY):
         return [
-            QUOTE + c.replace(QUOTE, QUOTE + QUOTE) + QUOTE if q in c or d in c or cr in c or lf in c else c
+            QUOTE + c.replace(QUOTE, QUOTE + QUOTE) + QUOTE
+            if q in c or d1 in c or d2 in c or d3 in c or cr in c or lf in c
+            else c
             for c in cells
         ]
     return cells
@@ -748,7 +786,7 @@ def _render_column(cells: Sequence[str], delimiter: str) -> Sequence[str]:
 def _render_records(columns: Sequence[Sequence[str]], delimiter: str) -> str:
     """The canonical text of the records whose cells ``columns`` hold: empty
     only when there is no record, as a width-1 empty cell is written ``""``."""
-    rows = map(delimiter.join, zip(*(_render_column(column, delimiter) for column in columns)))
+    rows = map(delimiter.join, zip(*(_render_column(column) for column in columns)))
     if len(columns) == 1:
         rows = (row or '""' for row in rows)
     text = LF.join(rows)
@@ -762,8 +800,8 @@ def _table_text(table: CsvTable) -> str:
 
 def serialize_table(table: CsvTable) -> bytes:
     """Serialize a table canonically: LF endings, a cell quoted exactly when
-    it holds the delimiter, a double quote or a line break, and a lone empty
-    cell, which parsers would skip as a blank line, written ``""``."""
+    it holds a candidate delimiter, a double quote or a line break, and a
+    lone empty cell, which parsers would skip as a blank line, written ``""``."""
     return _table_text(table).encode("utf-8")
 
 
@@ -799,7 +837,7 @@ _CANONICAL_RECORDS = 64
 
 def _canonical_record(delimiter: str, width: int) -> str:
     """The regex of one canonical record of ``width`` cells."""
-    special = f"[{re.escape(_quoted_by(delimiter))}]"
+    special = f"[{re.escape(_QUOTED_BY)}]"
     plain = "[^" + special[1:]
     quoted = f'"{plain}*(?:""|(?!"){special})[^"]*(?:""[^"]*)*"'  # holding a special character
     if width == 1:
@@ -832,7 +870,7 @@ def _canonical(body: str, delimiter: str, every: int = sys.maxsize) -> tuple[lis
     data record and at the end; else None.  Only text that parses cleanly
     passes.  Records are matched a bounded block at a time; text with no
     quote and no CR, whose records are its lines, is checked by
-    ``_plain_lines`` first.
+    ``_plain_lines`` first, once it holds no other candidate delimiter.
     """
     first = _split_quoted(body, delimiter, lenient=True, limit=1)
     try:
@@ -841,6 +879,8 @@ def _canonical(body: str, delimiter: str, every: int = sys.maxsize) -> tuple[lis
         return None
     if QUOTE in body or "\r" in body:
         record = _canonical_record(delimiter, len(header))
+    elif any(other in body for other in DELIMITERS if other != delimiter):
+        return None  # a cell holding it is written quoted
     elif _plain_lines(body, delimiter, len(header)):
         record = "[^\n]*\n"
     else:

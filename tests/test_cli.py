@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import argparse
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tidypack import SchemaError, compute_manifest, parse_csvy, schema_from_front_matter, serialize_manifest
-from tidypack.cli import EXIT_FINDINGS, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from tidypack.cli import EXIT_FINDINGS, EXIT_IO, EXIT_OK, EXIT_USAGE, _cmd_checksum, main
 
 
 def run(capsys, *argv):
@@ -333,6 +339,40 @@ def test_checksum_stdout_and_output(tmp_path, capsys):
     doc = one_json(out)
     assert doc["written"] == str(manifest_path)
     assert [e["path"] for e in doc["entries"]] == ["data/t.csv"]
+
+
+#: File name characters that JSON escapes or that ``ensure_ascii=False``
+#: keeps: a quote, a backslash, control characters, DEL, non-ASCII
+#: characters and the line and paragraph separators.
+_NAME_CHARS = st.sampled_from(['"', "\\", "\x01", "\t", "\n", "\x1f", "\x7f", "\x80", "é", "\u2028", "\u2029", "😀", "a"])
+_NAMES = st.text(_NAME_CHARS, min_size=1, max_size=6)
+
+
+@given(
+    st.lists(st.tuples(st.booleans(), _NAMES), unique_by=lambda f: f[1], max_size=6),
+    st.one_of(st.none(), _NAMES),
+)
+@example([], None)  # an empty tree: "entries": []
+@example([], 'out"\\\x01.txt')
+@example([(True, '"\\\u2028\x7f')], None)
+@settings(deadline=None)
+def test_checksum_json_is_the_indented_json_dumps_document(files, output_name):
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch, "root")
+        root.mkdir()
+        paths = []
+        for nested, name in files:  # "sub" is no name _NAMES makes
+            rel = f"sub/{name}" if nested else name
+            _write(root, rel, rel.encode())
+            paths.append(rel)
+        output = None if output_name is None else Path(scratch, output_name)
+        args = argparse.Namespace(root=str(root), output=output and str(output), format="json")
+        document = {
+            "entries": [{"path": rel, "md5": hashlib.md5(rel.encode()).hexdigest()} for rel in sorted(paths)],
+            "written": output and str(output),
+        }
+        expected = (json.dumps(document, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+        assert _cmd_checksum(args).document == expected
 
 
 def test_verify_roundtrip_and_failures(tmp_path, capsys):

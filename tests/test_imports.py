@@ -79,8 +79,11 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("tidypack.
 
 #: What every command loads: the CLI and its error and license-choice tables.
 CLI = {"tidypack.cli", "tidypack.errors", "tidypack.licenses"}
-#: The walk and the checksum code.
-TREE = {"tidypack.model", "tidypack.integrity"}
+#: The walk and the checksum code: ``checksum``, ``verify``, ``chunk``,
+#: ``unchunk`` and a plain ``pack`` load no package scanner.
+FIXITY = {"tidypack.integrity"}
+#: The package scanner, which reads the fixity code's walk.
+TREE = FIXITY | {"tidypack.model"}
 #: Loaded only by code that hashes: ``chunk`` and ``unchunk`` load no OpenSSL.
 HASH = {"hashlib"}
 TABLE = {"tidypack.tabular"}
@@ -115,29 +118,32 @@ def tables(tmp_path_factory):
     "argv, expected",
     [
         (["--help"], CLI),
-        (["checksum", "{root}/pkg"], CLI | TREE | HASH),
-        (["verify", "{root}/pkg"], CLI | TREE | HASH),
-        (["chunk", "{root}/plain.csv", "--max-rows", "1"], CLI | TREE | TABLE),
-        (["unchunk", "{root}/piece-1.csv", "{root}/piece-2.csv", "--output", "{root}/whole.csv"], CLI | TREE | TABLE),
+        (["checksum", "{root}/pkg"], CLI | FIXITY | HASH),
+        (["checksum", "{root}/pkg", "--format", "json"], CLI | FIXITY | HASH),
+        (["verify", "{root}/pkg"], CLI | FIXITY | HASH),
+        (["chunk", "{root}/plain.csv", "--max-rows", "1"], CLI | FIXITY | TABLE),
+        (["unchunk", "{root}/piece-1.csv", "{root}/piece-2.csv", "--output", "{root}/whole.csv"], CLI | FIXITY | TABLE),
         (["lint", "{root}/pkg"], CLI | LINT | HASH),
+        (["pack", "{root}/pkg", "--output", "{root}/plain.tar"], CLI | FIXITY | HASH),
         (["pack", "{root}/pkg", "--output", "{root}/pkg.tar", "--require-lint"], CLI | LINT | HASH),
         (["schema", "infer", "{root}/plain.csv"], CLI | SCHEMA),
         (["schema", "validate", "{root}/plain.csv", "{root}/pkg/metadata/obs.json"], CLI | SCHEMA),
         (["init", "{root}/fresh", "--dataset", "obs"], CLI | TREE | SCHEMA | HASH | {"tidypack.scaffold"}),
-        (["chunk", "{root}/fronted.csvy", "--max-rows", "1"], CLI | TREE | TABLE | {"yaml"}),
+        (["chunk", "{root}/fronted.csvy", "--max-rows", "1"], CLI | FIXITY | TABLE | {"yaml"}),
         # A schema block in the front matter is not read by a command that does not use it.
-        (["chunk", "{root}/nameless.csvy", "--max-rows", "1"], CLI | TREE | TABLE | {"yaml"}),
+        (["chunk", "{root}/nameless.csvy", "--max-rows", "1"], CLI | FIXITY | TABLE | {"yaml"}),
         # Only quoted text is read with the stdlib csv reader.
-        (["chunk", "{root}/quoted.csvy", "--max-rows", "1"], CLI | TREE | TABLE | {"yaml", "csv", "_csv"}),
+        (["chunk", "{root}/quoted.csvy", "--max-rows", "1"], CLI | FIXITY | TABLE | {"yaml", "csv", "_csv"}),
         # What chunk wrote is canonical, so unchunk copies it and reads no cell.
         (
             ["unchunk", "{root}/split-1.csvy", "{root}/split-2.csvy", "--output", "{root}/joined.csvy"],
-            CLI | TREE | TABLE | {"yaml"},
+            CLI | FIXITY | TABLE | {"yaml"},
         ),
     ],
     ids=[
-        "help", "checksum", "verify", "chunk-plain", "unchunk", "lint", "pack-require-lint", "schema-infer",
-        "schema-validate", "init", "chunk-csvy", "chunk-csvy-schema", "chunk-quoted-csvy", "unchunk-quoted-csvy",
+        "help", "checksum", "checksum-json", "verify", "chunk-plain", "unchunk", "lint", "pack", "pack-require-lint",
+        "schema-infer", "schema-validate", "init", "chunk-csvy", "chunk-csvy-schema", "chunk-quoted-csvy",
+        "unchunk-quoted-csvy",
     ],
 )
 def test_each_command_imports_only_what_it_runs(tables, argv, expected):
@@ -182,9 +188,9 @@ def test_a_json_usage_error_in_a_fresh_interpreter_is_one_document():
 
 
 def test_the_parser_names_the_manifest_the_scanner_claims():
-    from tidypack import cli, model
+    from tidypack import cli, integrity, model
 
-    assert cli._CHECKSUMS_NAME == model.CHECKSUMS_NAME
+    assert cli._CHECKSUMS_NAME == integrity.CHECKSUMS_NAME == model.CHECKSUMS_NAME
 
 
 # ---------------------------------------------------------------------------

@@ -591,7 +591,7 @@ def test_dictionary_serializes_five_columns_exactly():
     )
     assert dictionary_to_csv(dictionary) == (
         b"variable,class,description,codes,missing_codes\n"
-        b'vote,integer,Did they vote,0 = no; 1 = yes,-99; NA\n'
+        b'vote,integer,Did they vote,"0 = no; 1 = yes","-99; NA"\n'
     )
 
 
@@ -600,7 +600,7 @@ def test_dictionary_codes_sort_as_strings():
         variable_name="v", class_name="integer", codes={"10": "ten", "2": "two"}
     )
     line = dictionary_to_csv(DataDictionary(entries=[entry])).splitlines()[1]
-    assert line == b"v,integer,,10 = ten; 2 = two,"
+    assert line == b'v,integer,,"10 = ten; 2 = two",'
 
 
 def test_dictionary_csv_round_trip_drops_label_only():

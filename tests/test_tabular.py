@@ -848,15 +848,53 @@ def test_line_breaks_are_interchangeable(case, breaks, block, reader_block, batc
         assert _column_outcome(written, delimiter) == _column_outcome(as_lf, delimiter)
 
 
+def _reference_reads_cleanly(text: str, delimiter: str) -> bool:
+    """Whether ``delimiter`` reads each quote of the first 20 records only
+    around a whole field, a character at a time: a quote opens a field at
+    its start, and a close quote ends the field."""
+    records, i = 0, 0
+    field_start, in_quotes, closed, started = True, False, False, False
+    while i < len(text) and records < 20:
+        ch = text[i]
+        if in_quotes:
+            if text.startswith('""', i):  # a doubled quote
+                i += 1
+            elif ch == '"':
+                in_quotes = False
+                closed = True
+            i += 1
+            continue
+        if ch == delimiter or ch in "\r\n":
+            field_start, closed = True, False
+            if ch == delimiter:
+                started = True
+                i += 1
+            else:
+                records += started
+                started = False
+                i += 2 if text.startswith("\r\n", i) else 1
+            continue
+        if closed or (ch == '"' and not field_start):
+            return False
+        in_quotes, field_start, started = ch == '"', False, True
+        i += 1
+    return True
+
+
 def _reference_detection(text: str) -> str:
     """The delimiter the split-based detection chose: each candidate split
     the first 21 records, the state machine reading a head with a quote,
-    and the widths of the first 20 scored it."""
+    and the widths of the first 20 scored it.  With a quote in the head,
+    only the candidates that read every quote of those records around a
+    whole field are scored, when there are any."""
     found = list(itertools.islice(tabular._RECORD_LINE_RE.finditer(text), 21))
     lines = tabular._plain_text(text[: found[-1].end() + 1] if found else "")
     samples: dict[str, list[list[str]]] = {}
     consistent: dict[str, int] = {}
-    for delimiter in tabular.DELIMITERS:
+    candidates = tabular.DELIMITERS
+    if lines is None:
+        candidates = [d for d in tabular.DELIMITERS if _reference_reads_cleanly(text, d)] or tabular.DELIMITERS
+    for delimiter in candidates:
         if lines is None:
             samples[delimiter] = _reference_split(text, delimiter, lenient=True, limit=21)
         else:
@@ -910,6 +948,7 @@ def _csvy_outcome(data: bytes):
 
 
 @given(_detection_cases())
+@example('"a,b"\t"a,b"\n')  # a tab table: the comma reads text after a close quote
 def test_detection_matches_the_split_based_reference(text):
     delimiter = _reference_detection(text)
     if text:
@@ -1102,6 +1141,21 @@ def test_tokenizer_matches_the_reference(text, delimiter, lenient, limit):
     )
 
 
+@given(
+    st.one_of(
+        st.text(alphabet=st.sampled_from(_TOKENIZER_CHARS), max_size=40),
+        # Past 20 records, where the check stops.
+        st.lists(st.text(alphabet=st.sampled_from(_TOKENIZER_CHARS), max_size=4), min_size=18, max_size=24).map("\n".join),
+    ),
+    st.sampled_from(tabular.DELIMITERS),
+)
+@example('"a,b"\t"a,b"\n', ",")  # text after a close quote
+@example('a;"b,c"\n', ",")  # a quote inside a bare field
+@example('"a\n""b', ";")  # a sample that stops inside a quoted field
+def test_clean_reading_matches_the_state_machine(text, delimiter):
+    assert tabular._reads_cleanly(text, delimiter, 20) == _reference_reads_cleanly(text, delimiter)
+
+
 _READER_CHARS = ['"', '""', ",", ";", "\t", "\n", "\r\n", "\r", "\x00", " ", "\x0c", "\u2028", "a", "b"]
 
 
@@ -1230,7 +1284,9 @@ def test_front_matter_fences_end_at_every_line_break(newline):
 
 
 def _reference_render_cell(cell: str, delimiter: str) -> str:
-    if '"' in cell or delimiter in cell or "\n" in cell or "\r" in cell:
+    # Every candidate delimiter, not only the table's own, so that
+    # detection reads the text back as the same table.
+    if '"' in cell or any(d in cell for d in tabular.DELIMITERS) or "\n" in cell or "\r" in cell:
         return '"' + cell.replace('"', '""') + '"'
     return cell
 
@@ -1285,6 +1341,23 @@ def _render_cases(draw):
 def test_serialize_matches_the_row_wise_reference(case):
     front, table = case
     assert serialize_csvy(front, table) == _reference_serialize_csvy(front, table)
+
+
+@given(_render_cases())
+@example((None, CsvTable(header=["a,b", "c"], rows=[["1,2", "3"], ["4,5", "6"]], dialect=Dialect(delimiter=";"))))
+@example((None, CsvTable(header=["a", "b,c,d"], rows=[["1", "2,3,4"]], dialect=Dialect(delimiter=";"))))
+@example((None, CsvTable(header=["t\tz"], rows=[[""], ["\t"]])))
+@settings(max_examples=1000)
+def test_canonical_text_reads_back_as_the_table_it_was_written_from(case):
+    # Cells mix every candidate delimiter, quotes and line breaks.  One
+    # holding another candidate delimiter is written quoted, and detection
+    # counts only readings that find every quote around a whole field, so
+    # no other delimiter reads the text as another table.
+    front, table = case
+    data = serialize_csvy(front, table)
+    _, again = parse_csvy(data)
+    assert (again.header, again.columns) == (table.header, table.columns)
+    assert serialize_csvy(front, again) == data
 
 
 # ---------------------------------------------------------------------------
