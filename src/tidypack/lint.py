@@ -162,8 +162,11 @@ def parse_config(text: str) -> LintConfig:
 
 
 def load_config(path) -> LintConfig:
-    """Read a configuration file; see ``parse_config`` for the format."""
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    """Read a UTF-8 configuration file, less a leading BOM; see ``parse_config`` for the format."""
+    try:
+        return parse_config(Path(path).read_text(encoding="utf-8-sig"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"lint configuration {path} is not valid UTF-8: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +630,14 @@ _EVALUATORS: tuple[tuple[LintRule, Callable[[_Context], Iterable[Finding]]], ...
 )
 
 
+def _crash_site(exc: Exception) -> str:
+    """``file:line in function`` of the innermost frame of ``exc`` in tidypack's own source."""
+    import traceback  # loaded only when a rule crashes
+
+    frames = [f for f in traceback.extract_tb(exc.__traceback__) if Path(f.filename).parent == Path(__file__).parent]
+    return f"{Path(frames[-1].filename).name}:{frames[-1].lineno} in {frames[-1].name}"
+
+
 def lint_package(pkg: DataPackage, config: LintConfig | None = None) -> LintReport:
     """Run every enabled rule over a scanned package.
 
@@ -637,7 +648,8 @@ def lint_package(pkg: DataPackage, config: LintConfig | None = None) -> LintRepo
     crashes becomes a single ``R00`` finding naming the rule, at the rule's
     effective severity, instead of taking the whole run down: a check that
     could not run does not pass, so a crash in an error rule fails the
-    package.  Each file whose name is not UTF-8 is an ``R00`` error.
+    package; its ``machine_data`` names the rule, the exception and where it
+    was raised.  Each file whose name is not UTF-8 is an ``R00`` error.
     """
     config = config or LintConfig()
     ctx = _Context(pkg)
@@ -654,7 +666,7 @@ def lint_package(pkg: DataPackage, config: LintConfig | None = None) -> LintRepo
                     rule_id=_CATCHALL_RULE_ID,
                     severity=effective,
                     detail=f"{rule.id} ({rule.title}) could not be evaluated: {exc}",
-                    machine_data={"rule": rule.id},
+                    machine_data={"rule": rule.id, "exception": type(exc).__name__, "where": _crash_site(exc)},
                 )
             )
             continue

@@ -164,22 +164,11 @@ def _render_readme(
         parts.append(f"- dictionary: `metadata/{name}-dictionary.csv`")
         parts.append("")
         parts.append(dictionary_to_markdown(dictionaries[name]).rstrip("\n"))
-    parts.append("")
-    parts.append("## When was the data collected?")
-    parts.append("")
-    parts.append(_PLACEHOLDERS["when"])
-    parts.append("")
-    parts.append("## Where was the data collected?")
-    parts.append("")
-    parts.append(_PLACEHOLDERS["where"])
-    parts.append("")
-    parts.append("## Why was the data collected?")
-    parts.append("")
-    parts.append(_PLACEHOLDERS["why"])
-    parts.append("")
-    parts.append("## How was the data collected?")
-    parts.append("")
-    parts.append(_PLACEHOLDERS["how"])
+    for question, placeholder in _PLACEHOLDERS.items():
+        parts.append("")
+        parts.append(f"## {question.capitalize()} was the data collected?")
+        parts.append("")
+        parts.append(placeholder)
     parts.append("")
     parts.append("## Checking your copy")
     parts.append("")

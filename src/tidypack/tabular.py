@@ -35,8 +35,10 @@ token (the quote-free rest of a record, which is split on the delimiter,
 or a single field), reads what the reader refuses, from the end of the
 last batch it completed on.  Detection reads the widths of the first
 records the same way: from each line's delimiter count when they are
-plain, and by the tokenizer otherwise.  All paths give the same records,
-so record numbers in errors do not depend on which one ran.
+plain, and otherwise by one tokenizer pass per candidate delimiter, which
+also tells whether that candidate reads every quote around a whole field.
+All paths give the same records, so record numbers in errors do not
+depend on which one ran.
 
 Serializing is canonical: every record ends in LF, a cell is quoted
 exactly when it holds a character of ``_QUOTED_BY`` (a quote, a line break
@@ -501,7 +503,7 @@ def _read_quoted(text: str, delimiter: str) -> Iterator[list[list[str]]]:
             done = reader.line_num
     except csv.Error:
         start = next(islice(_BREAK_RE.finditer(text), done - 1, None)).end() if done else 0
-        yield _split_quoted(text, delimiter, start=start, before=records)
+        yield _split_quoted(text, delimiter, start=start, before=records)[0]
 
 
 @cache  # compiled on first use: most runs read no quoted text
@@ -525,19 +527,19 @@ def _split_quoted(
     text: str,
     delimiter: str,
     *,
-    lenient: bool = False,
     limit: int | None = None,
     start: int = 0,
     before: int = 0,
-) -> list[list[str]]:
+) -> tuple[list[list[str]], bool]:
     """The non-empty records of any text from offset ``start``, a record
-    boundary that ``before`` records precede, or its first ``limit``
-    records: a token regex that honors quoted fields and raises
-    ``CsvError`` with the 1-based record number of an unterminated quote.
-    With ``lenient`` set, an unterminated quote at end of input closes the
-    field instead."""
+    boundary that ``before`` records precede, or its first ``limit``, read
+    by a token regex that honors quoted fields; and whether each quote read
+    opens or closes a whole field or is doubled inside one.  A whole read
+    raises ``CsvError`` with the 1-based record number of an unterminated
+    quote; a limited read is a sample, and closes a quote open at its end."""
     records: list[list[str]] = []
     cells: list[str] = []  # the open record's cells so far
+    clean = True
     for match in _token_re(delimiter).finditer(text, start):
         tail, quoted, closed, plain, end = match.groups()
         if tail is not None:
@@ -547,17 +549,19 @@ def _split_quoted(
         else:
             if quoted is None:
                 cells.append(plain)
-            elif closed is None and not lenient:
+                clean = clean and QUOTE not in plain  # a quote inside a bare field
+            elif closed is None and limit is None:
                 raise CsvError("unterminated quoted field", row=before + len(records) + 1)
             else:
                 cells.append(quoted.replace('""', QUOTE) + plain)
+                clean = clean and not plain  # text after a close quote
             if end == delimiter:
                 continue
         records.append(cells)
         cells = []
         if limit is not None and len(records) >= limit:
             break
-    return records
+    return records, clean
 
 
 def _table_from_text(text: str, dialect: Dialect) -> CsvTable:
@@ -578,53 +582,23 @@ def parse_table(data: bytes, dialect: Dialect) -> CsvTable:
     return _table_from_text(_decode(data), dialect)
 
 
-@cache  # compiled on first use: most runs read no quoted text
-def _clean_record_re(delimiter: str) -> re.Pattern[str]:
-    """One record, up to its line break, whose every quote opens or closes
-    a whole field or is doubled inside one; the close quote may be missing
-    at the end of the text, as a sample may stop inside a field."""
-    d = re.escape(delimiter)
-    field = f'(?:"[^"]*(?:""[^"]*)*(?:"|\\Z)|[^"{d}\r\n]*)'
-    return re.compile(f"{field}(?:{d}{field})*(?:{_BREAK_RE.pattern}|\\Z)")
-
-
-def _reads_cleanly(text: str, delimiter: str, limit: int) -> bool:
-    """Whether ``delimiter`` reads each quote of the first ``limit`` records
-    of ``text`` only around a whole field, as in canonical text."""
-    pos = records = 0
-    while pos < len(text) and records < limit:
-        found = _clean_record_re(delimiter).match(text, pos)
-        if found is None:
-            return False
-        records += found.group() not in (LF, "\r", CRLF)  # a blank line is no record
-        pos = found.end()
-    return True
-
-
 def _detect_from_text(text: str) -> Dialect:
-    # The head of the text up to its 20th non-empty line holds the sample
-    # unless it has a quote, and then the tokenizer reads it:
-    # leniently, as a truncated sample may end inside a quoted field.
+    """The dialect of decoded text, from the widths of its first 20 records:
+    each plain line's delimiter count or, when the head holds a quote, one
+    tokenizer pass per candidate, which also gives its clean-quoting verdict."""
     found = list(islice(_RECORD_LINE_RE.finditer(text), 20))
     head = _plain_text(text[: found[-1].end() + 1] if found else "")
 
     # Canonical text quotes every cell that holds a candidate delimiter, so
     # another candidate reads a quote inside a bare field, or text after a
-    # close quote, and may split those cells consistently.  When some
-    # candidate reads every quote of the sample around a whole field, only
-    # those count.
-    candidates = DELIMITERS
+    # close quote, and may split those cells consistently: when some
+    # candidate reads cleanly, only those count.
     if head is None:
-        candidates = [d for d in DELIMITERS if _reads_cleanly(text, d, 20)] or DELIMITERS
-
-    # Each candidate's widths of the sampled records: a plain line holds one
-    # cell more than it has delimiters, so it need not be split.
-    widths: dict[str, list[int]] = {}
-    for delimiter in candidates:
-        if head is None:
-            widths[delimiter] = [len(cells) for cells in _split_quoted(text, delimiter, lenient=True, limit=20)]
-        else:
-            widths[delimiter] = [line.count(delimiter) + 1 for line in head.split(LF) if line]
+        samples = {d: _split_quoted(text, d, limit=20) for d in DELIMITERS}
+        candidates = [d for d in DELIMITERS if samples[d][1]] or DELIMITERS
+        widths = {d: [len(cells) for cells in samples[d][0]] for d in candidates}
+    else:
+        widths = {d: [line.count(d) + 1 for line in head.split(LF) if line] for d in DELIMITERS}
     consistent = {d: w[0] for d, w in widths.items() if len(set(w)) == 1}
 
     # When only one-column candidates are consistent, one that splits the
@@ -872,7 +846,7 @@ def _canonical(body: str, delimiter: str, every: int = sys.maxsize) -> tuple[lis
     quote and no CR, whose records are its lines, is checked by
     ``_plain_lines`` first, once it holds no other candidate delimiter.
     """
-    first = _split_quoted(body, delimiter, lenient=True, limit=1)
+    first = _split_quoted(body, delimiter, limit=1)[0]
     try:
         header = CsvTable(first[0] if first else []).header  # the header rules of every table
     except CsvError:

@@ -182,6 +182,28 @@ def test_lint_config_file(tmp_path, capsys):
     assert "R99" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_lint_config_that_is_not_utf8_is_a_config_error(package, tmp_path, capsys, fmt):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"R02 = off\n\xff\n")
+    code, out, err = run(capsys, "lint", str(package), "--config", str(config), "--format", fmt)
+    assert code == EXIT_USAGE
+    message = one_json(out)["error"]["message"] if fmt == "json" else err
+    assert str(config) in message and "not valid UTF-8" in message
+    assert "internal error" not in message
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_lint_config_drops_a_leading_bom(tmp_path, capsys, fmt):
+    target = tmp_path / "pkg"
+    target.mkdir()
+    config = tmp_path / "lint.cfg"
+    config.write_bytes(b"\xef\xbb\xbfR01 = off\nR03 = off\nR05 = off\nR12 = warning\n")
+    code, out, err = run(capsys, "lint", str(target), "--config", str(config), "--format", fmt)
+    assert (code, err) == (EXIT_OK, "")
+    assert one_json(out)["pass"] is True if fmt == "json" else out.startswith("PASS:")
+
+
 def test_lint_missing_target_is_io_error(tmp_path, capsys):
     code, out, err = run(capsys, "lint", str(tmp_path / "nope"))
     assert code == EXIT_IO

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 
@@ -601,8 +602,35 @@ def test_r00_catches_crashing_evaluators(tmp_path, monkeypatch):
 def test_r00_of_a_warning_rule_is_a_warning(tmp_path, monkeypatch):
     _crashing(monkeypatch, "R02")
     report = _lint(tmp_path)
-    assert [(f.rule_id, f.severity, f.machine_data) for f in report.findings] == [("R00", "warning", {"rule": "R02"})]
+    # The evaluator raised outside tidypack, so the runner's frame is the innermost one in it.
+    where = report.findings[0].machine_data.get("where", "")
+    assert re.fullmatch(r"lint\.py:\d+ in lint_package", where)
+    expected = {"rule": "R02", "exception": "RuntimeError", "where": where}
+    assert [(f.rule_id, f.severity, f.machine_data) for f in report.findings] == [("R00", "warning", expected)]
     assert report.passed
+
+
+def test_r00_names_the_exception_and_where_it_was_raised(tmp_path):
+    _clean_package(tmp_path)
+    pkg = scan_package(tmp_path)
+    (tmp_path / "README.md").rename(tmp_path / "README.txt")
+    (crash,) = _by_rule(lint_package(pkg), "R00")
+    assert crash.severity == "warning"
+    assert crash.machine_data["rule"] == "R02"
+    assert crash.machine_data["exception"] == "FileNotFoundError"
+    assert re.fullmatch(r"lint\.py:\d+ in \w+", crash.machine_data["where"])
+
+
+def test_a_table_gone_after_the_scan_is_r12s_error(tmp_path):
+    _clean_package(tmp_path)
+    pkg = scan_package(tmp_path)
+    (tmp_path / "data" / "t.csv").unlink()
+    report = lint_package(pkg)
+    assert not report.passed
+    assert _by_rule(report, "R00") == []
+    (finding,) = _by_rule(report, "R12")
+    assert (finding.severity, finding.path) == ("error", "data/t.csv")
+    assert finding.detail.startswith("table cannot be parsed: ") and "t.csv" in finding.detail
 
 
 def test_r00_takes_the_configured_level(tmp_path, monkeypatch):

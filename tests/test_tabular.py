@@ -562,12 +562,12 @@ def _detect_outcome(data: bytes):
         return ("error", str(exc), exc.row)
 
 
-def _tokenized_sample(text: str, delimiter: str, limit: int) -> list[list[str]]:
-    return tabular._split_quoted(text, delimiter, lenient=True, limit=limit)
+def _tokenized_sample(text: str, delimiter: str, limit: int | None) -> list[list[str]]:
+    return tabular._split_quoted(text, delimiter, limit=limit)[0]
 
 
 def _tokenized_table(text: str, delimiter: str):
-    records = tabular._split_quoted(text, delimiter)
+    records = tabular._split_quoted(text, delimiter)[0]
     return tabular._gather(tabular._record_columns(iter([records])))
 
 
@@ -655,6 +655,22 @@ def test_limited_splits_reach_the_state_machine(monkeypatch):
         assert detect_dialect(after.encode()) == Dialect(delimiter=",")
     assert _tokenized_sample(after, ",", 20) == [line.split(",") for line in head.splitlines()]
     assert tabular._detect_from_text(after) == _tokenized_detection(after)
+
+
+def test_detection_tokenizes_each_candidate_once(monkeypatch):
+    calls: list[tuple[str, dict]] = []
+    split_quoted = tabular._split_quoted
+
+    def spy(text, delimiter, **kwargs):
+        calls.append((delimiter, kwargs))
+        return split_quoted(text, delimiter, **kwargs)
+
+    monkeypatch.setattr(tabular, "_split_quoted", spy)
+    assert detect_dialect(b'a;b\n"x,y";1\n2;3\n') == Dialect(delimiter=";")
+    assert calls == [(d, {"limit": 20}) for d in tabular.DELIMITERS]
+    calls.clear()
+    assert detect_dialect(b"a;b\nx,y;1\n2;3\n") == Dialect(delimiter=";")
+    assert calls == []
 
 
 def _spy_on_the_tokenizer(monkeypatch) -> list[dict]:
@@ -1117,9 +1133,9 @@ def _reference_split(
     return records
 
 
-def _split_outcome(split, text: str, delimiter: str, lenient: bool, limit: int | None):
+def _split_outcome(split, text: str, delimiter: str, limit: int | None, **lenient):
     try:
-        return split(text, delimiter, lenient=lenient, limit=limit)
+        return split(text, delimiter, limit=limit, **lenient)
     except CsvError as exc:
         return ("error", str(exc), exc.row)
 
@@ -1131,13 +1147,14 @@ _TOKENIZER_CHARS = _SPLITTER_CHARS + [" ", "\x0c", "\x85", "\u2028"]
 @given(
     st.text(alphabet=st.sampled_from(_TOKENIZER_CHARS), max_size=40),
     st.sampled_from(tabular.DELIMITERS),
-    st.booleans(),
     st.sampled_from([None, 1, 2, 3]),
 )
 @settings(max_examples=1000)
-def test_tokenizer_matches_the_reference(text, delimiter, lenient, limit):
-    assert _split_outcome(tabular._split_quoted, text, delimiter, lenient, limit) == _split_outcome(
-        _reference_split, text, delimiter, lenient, limit
+def test_tokenizer_matches_the_reference(text, delimiter, limit):
+    # A limited read is a sample: it closes a quote open at its end.
+    lenient = limit is not None
+    assert _split_outcome(_tokenized_sample, text, delimiter, limit) == _split_outcome(
+        _reference_split, text, delimiter, limit, lenient=lenient
     )
 
 
@@ -1153,7 +1170,7 @@ def test_tokenizer_matches_the_reference(text, delimiter, lenient, limit):
 @example('a;"b,c"\n', ",")  # a quote inside a bare field
 @example('"a\n""b', ";")  # a sample that stops inside a quoted field
 def test_clean_reading_matches_the_state_machine(text, delimiter):
-    assert tabular._reads_cleanly(text, delimiter, 20) == _reference_reads_cleanly(text, delimiter)
+    assert tabular._split_quoted(text, delimiter, limit=20)[1] == _reference_reads_cleanly(text, delimiter)
 
 
 _READER_CHARS = ['"', '""', ",", ";", "\t", "\n", "\r\n", "\r", "\x00", " ", "\x0c", "\u2028", "a", "b"]
@@ -1191,9 +1208,10 @@ _BIG = 100_000
 @pytest.mark.parametrize("delimiter", tabular.DELIMITERS)
 def test_tokenizer_matches_the_reference_at_scale(make, delimiter):
     text = make(delimiter)
-    for lenient in (False, True):
-        expected = _split_outcome(_reference_split, text, delimiter, lenient, None)
-        assert _split_outcome(tabular._split_quoted, text, delimiter, lenient, None) == expected
+    # A whole read raises at an unterminated quote; a limited one closes it.
+    for limit in (None, 2):
+        expected = _split_outcome(_reference_split, text, delimiter, limit, lenient=limit is not None)
+        assert _split_outcome(_tokenized_sample, text, delimiter, limit) == expected
     assert _column_outcome(text, delimiter) == _rowwise_table(text, delimiter, split=_reference_split)
 
 
