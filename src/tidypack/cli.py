@@ -290,19 +290,22 @@ def _cmd_pack(args) -> _Result:
     from .integrity import pack, parse_manifest
 
     root = Path(args.root)
+    walk = None  # pack walks the tree itself
     if args.require_lint:
         from .lint import RULES, LintConfig, lint_package
         from .model import scan_package
 
         # Only error-ceiling rules can fail a package; pack checks every MD5 itself.
         blocking = LintConfig(levels={r.id: "off" for r in RULES if r.severity != "error"})
-        report = lint_package(scan_package(root), blocking)
+        package = scan_package(root)
+        report = lint_package(package, blocking)
         if not report.passed:
             message = f"lint found {report.counts['error']} error(s); fix them or drop --require-lint"
             return _error(EXIT_FINDINGS, message)
+        walk = package.walk  # so the tree is walked once
     manifest = parse_manifest(_manifest_path(args).read_bytes())
     destination = Path(args.output) if args.output else Path(f"{root.resolve().name}.tar")
-    archive = pack(root, manifest, destination)
+    archive = pack(root, manifest, destination, walk=walk)
     return _Result(
         EXIT_OK,
         {"archive": str(archive), "files": len(manifest.entries) + 1},

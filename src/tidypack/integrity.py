@@ -6,12 +6,22 @@ fixity check against bit rot and truncated copies here, not a defense
 against an adversary; the format reserves an ``algorithm:`` prefix on the
 digest so stronger hashes can appear later without breaking parsers.
 
-``checksum``, ``verify`` and ``pack`` share one tree walk, ``_named_files``,
-and one read loop, ``_md5_file``, through which ``pack`` copies each file
-into the archive: all three see the same files, refuse the same names, and
-name a file a read fails on the same way.  The walk (``walk_files``) and
-the path rules live here, and the package scanner in ``model`` reads them,
-so these commands never load the scanner.  ``pack`` writes each 512-byte
+``checksum``, ``verify`` and ``pack`` share one name check on the walk,
+``_named_files``, and one read loop, ``_md5_file``, through which ``pack``
+copies each file into the archive: all three see the same files, refuse
+the same names, and name a file a read fails on the same way.  The walk
+(``walk_files``) and the path rules live here, and the package scanner in
+``model`` reads them, so these commands never load the scanner.  Each
+command walks the tree once: lint's R16 and ``pack --require-lint`` hand
+``verify_manifest`` and ``pack`` the scanner's walk (``walk=``), and a file
+in it that is gone when opened counts as missing.
+
+Untrusted values are checked once, trusted ones not at all: the public
+constructors of the named tuples ``ManifestEntry``, ``ChecksumManifest`` and
+``ChunkPlan`` check what they are given, and ``parse_manifest`` each line
+of a manifest, while ``compute_manifest`` builds entries with ``_make`` from
+the walk's sorted, unique paths and ``hashlib``'s digests.  No
+``dataclasses`` (nor ``inspect``) is loaded.  ``pack`` writes each 512-byte
 ustar header itself from pinned fields, the bytes ``tarfile`` writes for
 the same member.  ``hashlib`` (and with it OpenSSL) is imported by the
 functions that hash, so ``chunk`` and ``unchunk`` never load it.
@@ -32,9 +42,8 @@ import errno
 import math
 import os
 import re
-from collections import Counter
+from collections import Counter, namedtuple
 from contextlib import suppress
-from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Mapping, Sequence
 
@@ -60,10 +69,28 @@ def escapes_root(path: str) -> bool:
 
 def printable_path(path: str) -> str:
     """``path`` with the bytes of a name that is not UTF-8 as backslash
-    escapes (``bad\\xff.txt``).  ``os.scandir`` decodes such bytes to lone
-    surrogates, which no UTF-8 output can carry; any other path is returned
-    as it is."""
-    return path if path.isascii() else path.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+    escapes (``bad\\xff.txt``), and a CR or LF as ``\\r`` or ``\\n``.
+    ``os.scandir`` decodes such bytes to lone surrogates, which no UTF-8
+    output can carry; any other path is returned as it is."""
+    if not path.isascii():
+        path = path.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+    return path.replace("\r", "\\r").replace("\n", "\\n") if "\r" in path or "\n" in path else path
+
+
+# A lone surrogate, as ``os.scandir`` decodes a byte of a name that is not UTF-8, or a line break.
+_UNNAMABLE_RE = re.compile("[\ud800-\udfff\r\n]")
+
+
+def unnamable(path: str) -> str | None:
+    """Why no manifest line can name ``path`` (``"is not valid UTF-8"`` or
+    ``"holds a line break"``), or None when one can."""
+    if _UNNAMABLE_RE.search(path) is None:
+        return None
+    try:
+        path.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        return "is not valid UTF-8"
+    return "holds a line break"
 
 
 def walk_files(root: str | Path) -> list[tuple[str, int]]:
@@ -103,13 +130,13 @@ def publish(
 ) -> None:
     """Write each target's content (bytes, or a callable given a binary handle), all or none.
 
-    Each is staged in a hidden temporary sibling with mode ``0o666`` less the
-    umask, as ``open`` gives.  Unless ``replace``, every target name is then
-    claimed with ``O_EXCL``: one that exists or appears raises
-    ``FileExistsError`` and is never overwritten.  A replaced target keeps its
-    permission bits.  On any exception, only what this call made is removed
-    (temporaries, claimed names, ``parents`` directories), and an ``OSError``
-    names the target, not its temporary.
+    Each is staged, through a 1 MiB buffer, in a hidden temporary sibling
+    with mode ``0o666`` less the umask, as ``open`` gives.  Unless
+    ``replace``, every target name is then claimed with ``O_EXCL``: one that
+    exists or appears raises ``FileExistsError`` and is never overwritten.
+    A replaced target keeps its permission bits.  On any exception, only
+    what this call made is removed (temporaries, claimed names, ``parents``
+    directories), and an ``OSError`` names the target, not its temporary.
     """
     if not replace:  # an advisory look, so nothing is staged for a target that exists
         for target in outputs:
@@ -126,7 +153,7 @@ def publish(
             staged[temp] = target
             fd = os.open(temp, _CREATE, 0o666)
             made.append(Path(temp))
-            with os.fdopen(fd, "wb") as handle:
+            with os.fdopen(fd, "wb", _READ_BLOCK) as handle:
                 if replace:
                     with suppress(FileNotFoundError):
                         os.chmod(temp, os.stat(target).st_mode & 0o7777)
@@ -186,36 +213,39 @@ def _md5_file(path: str, copy: BinaryIO | None = None) -> str:
         os.close(fd)
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
-    """One checksummed file."""
+class ManifestEntry(namedtuple("ManifestEntry", "path md5")):
+    """One checksummed file.
 
-    path: str
-    md5: str
+    The constructor refuses a path that is empty or escapes the root and a
+    digest that is not 32 lowercase hex digits; ``_make`` and ``_replace``
+    build an entry without these checks, from values known to pass them.
+    """
 
-    def __post_init__(self):
-        if not self.path or escapes_root(self.path):
-            raise ManifestError(f"manifest path must be relative: {self.path!r}")
-        if not _MD5_HEX_RE.fullmatch(self.md5):
-            raise ManifestError(
-                f"digest for {self.path!r} must be 32 lowercase hex characters"
-            )
+    __slots__ = ()
+
+    def __new__(cls, path: str, md5: str):
+        if not path or escapes_root(path):
+            raise ManifestError(f"manifest path must be relative: {path!r}")
+        if not _MD5_HEX_RE.fullmatch(md5):
+            raise ManifestError(f"digest for {path!r} must be 32 lowercase hex characters")
+        return tuple.__new__(cls, (path, md5))
 
 
-@dataclass(frozen=True)
-class ChecksumManifest:
-    """A sorted set of path/digest pairs."""
+class ChecksumManifest(namedtuple("ChecksumManifest", "entries")):
+    """A sorted set of path/digest pairs.
 
-    entries: list[ManifestEntry]
+    The constructor refuses duplicate paths and sorts the entries by path;
+    ``_make`` takes a list that is already sorted and unique as it is.
+    """
 
-    def __post_init__(self):
-        counts = Counter(entry.path for entry in self.entries)
+    __slots__ = ()
+
+    def __new__(cls, entries: list[ManifestEntry]):
+        counts = Counter(entry.path for entry in entries)
         duplicates = sorted(path for path, count in counts.items() if count > 1)
         if duplicates:
             raise ManifestError(f"duplicate manifest paths: {', '.join(duplicates)}")
-        object.__setattr__(
-            self, "entries", sorted(self.entries, key=lambda entry: entry.path)
-        )
+        return tuple.__new__(cls, (sorted(entries, key=lambda entry: entry.path),))
 
     def paths(self) -> list[str]:
         return [entry.path for entry in self.entries]
@@ -240,7 +270,8 @@ def parse_manifest(data: bytes) -> ChecksumManifest:
 
     Blank lines are tolerated.  A digest may carry an ``algorithm:`` prefix;
     only ``md5:`` (or none) is accepted today, anything else raises
-    ``ManifestError`` naming the unsupported algorithm.
+    ``ManifestError`` naming the unsupported algorithm.  Each line's digest
+    and path are checked once, as ``ManifestEntry`` checks them.
     """
     try:
         text = data.decode("utf-8")
@@ -256,28 +287,35 @@ def parse_manifest(data: bytes) -> ChecksumManifest:
             raise ManifestError(
                 f"line {line_number}: expected '<md5>  <path>' (two spaces), got {line!r}"
             )
-        algorithm = match.group("algo")
+        algorithm, hex_digest, path = match.groups()
         if algorithm is not None and algorithm != "md5":
             raise ManifestError(
                 f"line {line_number}: unsupported digest algorithm {algorithm!r}; only md5 is supported"
             )
-        hex_digest = match.group("hex").lower()
-        if not _MD5_HEX_RE.fullmatch(hex_digest):
-            raise ManifestError(
-                f"line {line_number}: digest must be 32 hex characters, got {match.group('hex')!r}"
-            )
-        entries.append(ManifestEntry(path=match.group("path"), md5=hex_digest))
-    return ChecksumManifest(entries=entries)
+        if len(hex_digest) != 32:  # the line's pattern takes only hex digits
+            raise ManifestError(f"line {line_number}: digest must be 32 hex characters, got {hex_digest!r}")
+        if escapes_root(path):  # never empty: the line's pattern takes at least one character
+            raise ManifestError(f"manifest path must be relative: {path!r}")
+        entries.append(ManifestEntry._make((path, hex_digest.lower())))
+    return ChecksumManifest(entries)
 
 
-def _named_files(root: str | Path, include: Callable[[str], bool] | None = None) -> list[tuple[str, int]]:
-    """The ``(relative path, size)`` pairs ``walk_files`` finds that ``include``
-    keeps, refusing with ``ScanError`` a kept name that is not UTF-8, which a
-    manifest line could not hold."""
-    files = [(rel, size) for rel, size in walk_files(root) if include is None or include(rel)]
+def _named_files(
+    root: str | Path,
+    include: Callable[[str], bool] | None = None,
+    walk: list[tuple[str, int]] | None = None,
+) -> list[tuple[str, int]]:
+    """The ``(relative path, size)`` pairs of ``walk``, or of a new
+    ``walk_files`` walk of ``root`` when it is None, that ``include`` keeps,
+    refusing with ``ScanError`` a kept name that a manifest line could not
+    hold (``unnamable``)."""
+    files = walk_files(root) if walk is None else walk
+    if include is not None:
+        files = [(rel, size) for rel, size in files if include(rel)]
     for rel, _ in files:
-        if printable_path(rel) != rel:
-            raise ScanError(f"file name is not valid UTF-8: {printable_path(rel)}")
+        problem = unnamable(rel)
+        if problem:
+            raise ScanError(f"file name {problem}: {printable_path(rel)}")
     return files
 
 
@@ -289,17 +327,16 @@ def compute_manifest(
     ``include`` filters by root-relative POSIX path; by default everything
     is checksummed, including any existing ``checksums.txt`` (callers that
     maintain a package manifest exclude it themselves).  An included name
-    that is not UTF-8 raises ``ScanError``, naming it with backslash escapes.
+    that is not UTF-8 or holds a line break raises ``ScanError``, naming it
+    with backslash escapes.  The walk's paths are sorted and unique, so the
+    entries are built without the constructors' checks.
     """
-    entries = [
-        ManifestEntry(path=rel, md5=_md5_file(os.path.join(root, rel)))
-        for rel, _ in _named_files(root, include)
-    ]
-    return ChecksumManifest(entries=entries)
+    prefix = os.path.join(root, "")
+    entries = [ManifestEntry._make((rel, _md5_file(prefix + rel))) for rel, _ in _named_files(root, include)]
+    return ChecksumManifest._make((entries,))
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(namedtuple("VerifyReport", "mismatched missing extra")):
     """How the tree compares against a manifest.
 
     ``mismatched`` lists manifest paths whose current digest differs,
@@ -308,9 +345,7 @@ class VerifyReport:
     not fail verification.
     """
 
-    mismatched: list[str]
-    missing: list[str]
-    extra: list[str]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -321,46 +356,58 @@ def verify_manifest(
     root: str | Path,
     manifest: ChecksumManifest,
     include: Callable[[str], bool] | None = None,
+    *,
+    walk: list[tuple[str, int]] | None = None,
 ) -> VerifyReport:
     """Recompute digests under ``root`` and compare with the manifest.
 
     One walk: files the manifest lists are hashed, extras are only named.
-    An included file name that is not UTF-8 raises ``ScanError``, as in
-    ``compute_manifest``.
+    ``walk`` is a walk of ``root`` made earlier, as ``walk_files`` gives it
+    (``scan_package`` keeps one); when it is None, the tree is walked here.
+    A listed file that is gone when it is opened counts as missing.  An
+    included file name that is not UTF-8 or holds a line break raises
+    ``ScanError``, as in ``compute_manifest``.
     """
     expected = {entry.path: entry.md5 for entry in manifest.entries}
     mismatched: list[str] = []
     extra: list[str] = []
-    for rel, _ in _named_files(root, include):
+    prefix = os.path.join(root, "")
+    for rel, _ in _named_files(root, include, walk):
         if rel not in expected:
             extra.append(rel)
-        elif _md5_file(os.path.join(root, rel)) != expected.pop(rel):
+            continue
+        try:
+            digest = _md5_file(prefix + rel)
+        except FileNotFoundError:  # gone since the walk: left in ``expected``, so missing
+            continue
+        if digest != expected.pop(rel):
             mismatched.append(rel)
-    return VerifyReport(mismatched=mismatched, missing=sorted(expected), extra=extra)
+    return VerifyReport(mismatched, sorted(expected), extra)
 
 
 # ---------------------------------------------------------------------------
 # Chunking
 
 
-@dataclass(frozen=True)
-class ChunkPlan:
-    """What a chunking run produced."""
+class ChunkPlan(namedtuple("ChunkPlan", "source max_rows_per_chunk data_rows chunk_paths")):
+    """What a chunking run produced.
 
-    source: str
-    max_rows_per_chunk: int
-    data_rows: int
-    chunk_paths: list[str]
+    The constructor refuses a row limit under 1 and a chunk count that the
+    rows and the limit do not give.
+    """
 
-    def __post_init__(self):
-        if self.max_rows_per_chunk < 1:
+    __slots__ = ()
+
+    def __new__(cls, source: str, max_rows_per_chunk: int, data_rows: int, chunk_paths: list[str]):
+        if max_rows_per_chunk < 1:
             raise ChunkError("max_rows_per_chunk must be at least 1")
-        expected = max(1, math.ceil(self.data_rows / self.max_rows_per_chunk))
-        if len(self.chunk_paths) != expected:
+        expected = max(1, math.ceil(data_rows / max_rows_per_chunk))
+        if len(chunk_paths) != expected:
             raise ChunkError(
-                f"{self.data_rows} rows at {self.max_rows_per_chunk} per chunk "
-                f"needs {expected} chunks, not {len(self.chunk_paths)}"
+                f"{data_rows} rows at {max_rows_per_chunk} per chunk "
+                f"needs {expected} chunks, not {len(chunk_paths)}"
             )
+        return tuple.__new__(cls, (source, max_rows_per_chunk, data_rows, chunk_paths))
 
 
 def _chunk_name(stem: str, index: int, suffix: str) -> str:
@@ -472,6 +519,18 @@ def unchunk(chunk_paths: Sequence[str | Path]) -> bytes:
 # Packing
 
 
+#: A ustar header's pinned fields, for a file and for a directory (``True``):
+#: mode, uid and gid after the name; mtime after the size; and after the
+#: checksum, the type flag, link name, magic, version, owner names and device
+#: numbers.  ``_FIELDS_SUM`` is their share of the checksum, in which the
+#: checksum field itself counts as eight spaces.
+_FIELDS = {
+    is_dir: (mode + b"0000000\0" b"0000000\0", b"00000000000\0", flag + bytes(100) + b"ustar\x0000" + bytes(80))
+    for is_dir, mode, flag in ((False, b"0000644\0", b"0"), (True, b"0000755\0", b"5"))
+}
+_FIELDS_SUM = {is_dir: sum(b"".join(fields)) + 8 * ord(" ") for is_dir, fields in _FIELDS.items()}
+
+
 def _ustar_header(name: str, size: int | None) -> bytes:
     """The pinned 512-byte ustar header of a member: a directory when ``size`` is None.
 
@@ -481,36 +540,30 @@ def _ustar_header(name: str, size: int | None) -> bytes:
     leaves at most 100 bytes after it and at most 155 before it.  A name no
     ``/`` splits so, or a size of 8 GiB or more, raises ``PackError``.
     """
-    raw = os.fsencode(name if size is not None else name + "/")
+    is_dir = size is None
+    raw = (name + "/" if is_dir else name).encode("utf-8", "surrogateescape")
     prefix = b""
     if len(raw) > 100:
         cut = raw.find(b"/", len(raw) - 101)  # the first '/' with at most 100 bytes after it
         if not 0 <= cut <= 155:
             raise PackError(f"cannot archive {name}: ustar paths take at most 155 bytes, '/', 100 bytes")
         prefix, raw = raw[:cut], raw[cut + 1 :]
-    if size is not None and size >= 8**11:  # a size field holds 11 octal digits
+    if not is_dir and size >= 8**11:  # a size field holds 11 octal digits
         raise PackError(f"cannot archive {name}: {size} bytes is over the ustar limit of 8 GiB")
-    header = b"".join((
-        raw.ljust(100, b"\0"),
-        b"0000755\0" if size is None else b"0000644\0",
-        b"0000000\0" b"0000000\0",  # uid, gid
-        b"%011o\0" % (size or 0),
-        b"00000000000\0",  # mtime
-        b" " * 8,  # the checksum field counts as spaces in the checksum
-        b"5" if size is None else b"0",
-        bytes(100),  # link name
-        b"ustar\x0000",
-        bytes(80),  # owner names and device numbers
-        prefix.ljust(155, b"\0"),
-        bytes(12),
+    size_field = b"%011o\0" % (size or 0)
+    checksum = _FIELDS_SUM[is_dir] + sum(raw) + sum(prefix) + sum(size_field)
+    owner, mtime, rest = _FIELDS[is_dir]
+    return b"".join((
+        raw.ljust(100, b"\0"), owner, size_field, mtime, b"%06o\0 " % checksum, rest, prefix.ljust(155, b"\0"), bytes(12)
     ))
-    return b"%s%06o\0 %s" % (header[:148], sum(header), header[156:])
 
 
 def pack(
     root: str | Path,
     manifest: ChecksumManifest,
     destination: str | Path,
+    *,
+    walk: list[tuple[str, int]] | None = None,
 ) -> Path:
     """Write a byte-reproducible USTAR archive of the manifest's files.
 
@@ -524,17 +577,21 @@ def pack(
     mode 0644 for files and 0755 for directories, and no compression, so
     packing the same tree twice yields identical bytes.
 
+    ``walk`` is a walk of ``root`` made earlier, as ``walk_files`` gives it
+    (``scan_package`` keeps one); when it is None, the tree is walked here.
+    A listed file that is gone when it is opened counts as missing.
+
     Headers are written directly, the bytes ``tarfile`` writes for the same
     members.  Before any file is opened, pack refuses a manifest listing
-    ``checksums.txt``, a file name that is not UTF-8 (``ScanError``, as
-    ``checksum`` and ``verify`` do), a path over ustar's 255-byte split and a
-    file of 8 GiB or more.
+    ``checksums.txt``, a file name that is not UTF-8 or holds a line break
+    (``ScanError``, as ``checksum`` and ``verify`` do), a path over ustar's
+    255-byte split and a file of 8 GiB or more.
     """
     destination = Path(destination)
     expected = {entry.path: entry.md5 for entry in manifest.entries}
     if CHECKSUMS_NAME in expected:
         raise PackError(f"the manifest may not list {CHECKSUMS_NAME}; the archive embeds a fresh copy")
-    sizes = {rel: size for rel, size in _named_files(root) if rel in expected}
+    sizes = {rel: size for rel, size in _named_files(root, walk=walk) if rel in expected}
     missing = sorted(expected.keys() - sizes.keys())
 
     directories: set[str] = set()
@@ -551,15 +608,20 @@ def pack(
     members.append((CHECKSUMS_NAME, len(manifest_bytes), manifest_bytes))
     members.sort(key=lambda member: member[0])
     headers = [_ustar_header(name, size) for name, size, _ in members]
+    prefix = os.path.join(root, "")
 
     def write(out: BinaryIO) -> None:
         mismatched: list[str] = []
         for (name, size, payload), header in zip(members, headers):
             out.write(header)
             if payload is None:
-                path = os.path.join(root, name)
+                path = prefix + name
                 start = out.tell()
-                digest = _md5_file(path, out)
+                try:
+                    digest = _md5_file(path, out)
+                except FileNotFoundError:  # gone since the walk; the archive is not kept
+                    missing.append(name)
+                    continue
                 if out.tell() - start != size:
                     raise OSError(errno.EIO, "file changed size while it was archived", path)
                 if digest != expected[name]:
@@ -573,7 +635,7 @@ def pack(
         if mismatched:
             problems.append("mismatched: " + ", ".join(mismatched))
         if missing:
-            problems.append("missing: " + ", ".join(missing))
+            problems.append("missing: " + ", ".join(sorted(missing)))
         if problems:
             raise PackError("manifest verification failed; " + "; ".join(problems))
 

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import ConfigError, ManifestError, ToolError
-from .integrity import parse_manifest, verify_manifest
+from .integrity import parse_manifest, unnamable, verify_manifest
 from .model import (
     CHECKSUMS_NAME,
     DOI_PATTERN,
@@ -87,7 +87,7 @@ RULES_BY_ID = {rule.id: rule for rule in RULES}
 
 _CATCHALL_ANCHOR = "internal"
 
-_UNNAMED_DETAIL = "file name is not valid UTF-8; rename it so that manifests and reports can name it"
+_UNNAMED_DETAIL = "file name {}; rename it so that manifests and reports can name it"
 
 
 @dataclass(frozen=True)
@@ -554,9 +554,10 @@ def _eval_r16(ctx: _Context) -> Iterator[Finding]:
     except ManifestError as exc:
         yield _f(f"manifest cannot be parsed: {exc}", path=pkg.checksums.path)
         return
-    # A file name that is not UTF-8 is already an R00 error; the rest are checked.
+    # A file name no manifest line can hold is already an R00 error; the rest
+    # are checked, from the scan's walk.
     report = verify_manifest(
-        pkg.root, manifest, include=lambda rel: rel != CHECKSUMS_NAME and printable_path(rel) == rel
+        pkg.root, manifest, include=lambda rel: rel != CHECKSUMS_NAME and not unnamable(rel), walk=pkg.walk
     )
     if report.mismatched:
         yield _f(
@@ -649,7 +650,8 @@ def lint_package(pkg: DataPackage, config: LintConfig | None = None) -> LintRepo
     effective severity, instead of taking the whole run down: a check that
     could not run does not pass, so a crash in an error rule fails the
     package; its ``machine_data`` names the rule, the exception and where it
-    was raised.  Each file whose name is not UTF-8 is an ``R00`` error.
+    was raised.  Each file whose name is not UTF-8 or holds a line break is
+    an ``R00`` error.
     """
     config = config or LintConfig()
     ctx = _Context(pkg)
@@ -675,15 +677,23 @@ def lint_package(pkg: DataPackage, config: LintConfig | None = None) -> LintRepo
             final_rank = max(_SEVERITY_RANK[effective], _SEVERITY_RANK[declared])
             findings.append(replace(finding, rule_id=rule.id, severity=SEVERITIES[final_rank]))
 
-    # A file name that is not UTF-8 fits in no manifest or report: it fails
-    # the package, and every finding names such files with backslash escapes.
-    unnamed = [path for path in pkg.all_paths() if printable_path(path) != path]
+    # A file name that is not UTF-8 or holds a line break fits in no manifest
+    # line: it fails the package, and every finding names such files with
+    # backslash escapes.  A detail can hold a line break of its own, so only
+    # its bytes that are not UTF-8 are escaped.
+    unnamed = [(path, problem) for path in pkg.all_paths() if (problem := unnamable(path))]
     if unnamed:
         findings += [
-            Finding(rule_id=_CATCHALL_RULE_ID, severity="error", detail=_UNNAMED_DETAIL, path=path) for path in unnamed
+            Finding(rule_id=_CATCHALL_RULE_ID, severity="error", detail=_UNNAMED_DETAIL.format(problem), path=path)
+            for path, problem in unnamed
         ]
         findings = [
-            replace(f, path=f.path and printable_path(f.path), detail=printable_path(f.detail)) for f in findings
+            replace(
+                f,
+                path=f.path and printable_path(f.path),
+                detail=f.detail.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace"),
+            )
+            for f in findings
         ]
     findings.sort(
         key=lambda f: (_SEVERITY_RANK[f.severity], f.rule_id, f.path or "", f.detail)

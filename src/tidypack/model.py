@@ -11,11 +11,14 @@ file buckets is declared once.
 
 The scanner reads the fixity code's walk and path rules (``integrity``,
 which loads none of this module), so it sees the files ``checksum`` sees.
-Each file has one reference, the ``FileRef`` the walk built: a slot holds
-that same object (the license slot a ``LicenseRef`` copy that adds what
-its content was recognized as), and one pass over the walk sorts the files
-into the top-level names and the direct children of the three layout
-directories before anything is claimed.
+It walks the tree once and keeps the walk on the package
+(``DataPackage.walk``), which lint's R16 and ``pack --require-lint`` read
+instead of walking again.  Each file has one reference, the ``FileRef``
+built from the walk without the constructor's checks (``_walked_ref``): a
+slot holds that same object (the license slot a ``LicenseRef`` copy that
+adds what its content was recognized as), and one pass over the walk sorts
+the files into the top-level names and the direct children of the three
+layout directories before anything is claimed.
 """
 
 from __future__ import annotations
@@ -114,6 +117,14 @@ class FileRef:
         return PurePosixPath(self.path).stem
 
 
+def _walked_ref(rel: str, size: int) -> FileRef:
+    """The ``FileRef`` of a file the walk found, without ``__post_init__``'s
+    checks: the walk makes only non-empty paths inside the root."""
+    ref = object.__new__(FileRef)
+    vars(ref).update(path=rel, size_bytes=size, kind=classify_file(rel))  # a frozen class takes no setattr
+    return ref
+
+
 @dataclass(frozen=True)
 class LicenseRef(FileRef):
     """The package's license file plus what its content was recognized as."""
@@ -160,6 +171,9 @@ class DataPackage:
 
     The documentation slots ``readme``, ``citation`` and ``checksums`` are
     each a ``FileRef`` or None, and ``license`` a ``LicenseRef`` or None.
+    ``walk`` is the scan's walk of ``root``, every regular file as
+    ``(path, size)`` sorted by path, as ``walk_files`` gives it; it is None
+    in a package the scanner did not build, and takes no part in equality.
     """
 
     root: Path
@@ -170,6 +184,7 @@ class DataPackage:
     checksums: FileRef | None
     pool: PackagePool = field(default_factory=PackagePool)
     unclassified: list[FileRef] = field(default_factory=list)
+    walk: list[tuple[str, int]] | None = field(default=None, compare=False, repr=False)
 
     def dataset(self, name: str) -> Dataset:
         for ds in self.datasets:
@@ -225,7 +240,7 @@ def _dictionary_prefix(stem: str) -> str | None:
 def scan_package(root: str | Path) -> DataPackage:
     """Inventory a package directory into the domain model.
 
-    Reads the directory tree and the license file's first MiB (for
+    Reads the directory tree, once, and the license file's first MiB (for
     recognition); nothing is written.  Raises ``FileNotFoundError`` or
     ``NotADirectoryError`` for a bad root and lets other ``OSError``s
     propagate.
@@ -237,10 +252,8 @@ def scan_package(root: str | Path) -> DataPackage:
         raise NotADirectoryError(f"package root is not a directory: {root}")
 
     # Keyed in walk_files' sorted path order, which every listing below keeps.
-    refs = {
-        rel: FileRef(path=rel, size_bytes=size, kind=classify_file(rel))
-        for rel, size in walk_files(root)
-    }
+    walk = walk_files(root)
+    refs = {rel: _walked_ref(rel, size) for rel, size in walk}
 
     # The one pass over every file: the layout names only top-level files
     # and the direct children of its three directories.  Deeper paths follow
@@ -345,4 +358,5 @@ def scan_package(root: str | Path) -> DataPackage:
         checksums=checksums,
         pool=pool,
         unclassified=list(refs.values()),
+        walk=walk,
     )

@@ -42,9 +42,11 @@ depend on which one ran.
 
 Serializing is canonical: every record ends in LF, a cell is quoted
 exactly when it holds a character of ``_QUOTED_BY`` (a quote, a line break
-or any candidate delimiter), and a width-1 empty cell is written ``""``.
-Detection scores only the delimiters that read every quote around a whole
-field, when some do, so it reads canonical text back as the same table.
+or any candidate delimiter), a width-1 empty cell is written ``""``, and
+a header's first cell that begins with U+FEFF is written quoted, so that it
+is not read back as a byte order mark.  Detection scores only the
+delimiters that read every quote around a whole field, when some do, so it
+reads canonical text back as the same table.
 Text in that form passes the canonical test, ``_canonical``, and chunking
 cuts and copies it (``_csvy_pieces``) instead of parsing and rendering it.
 Only text that parses cleanly passes, so every error still comes from the
@@ -80,6 +82,9 @@ CRLF = "\r\n"
 DELIMITERS = (",", "\t", ";")
 
 QUOTE = '"'
+
+#: U+FEFF, the byte order mark that a text's first character may be.
+BOM = "\ufeff"
 
 # A line break outside quotes, which ends a record: LF, CRLF or a lone CR.
 _BREAK_RE = re.compile(r"\r\n?|\n")
@@ -767,9 +772,17 @@ def _render_records(columns: Sequence[Sequence[str]], delimiter: str) -> str:
     return text and text + LF
 
 
+def _header_text(header: Sequence[str], delimiter: str) -> str:
+    """The canonical text of a header record.  A first cell that begins with
+    U+FEFF is written quoted, bare or not: at the start of a file, a reader
+    drops it as the byte order mark."""
+    text = _render_records([[name] for name in header], delimiter)
+    return f'"{header[0]}"{text[len(header[0]) :]}' if text.startswith(BOM) else text
+
+
 def _table_text(table: CsvTable) -> str:
     delimiter = table.dialect.delimiter
-    return _render_records([[name] for name in table.header], delimiter) + _render_records(table.columns, delimiter)
+    return _header_text(table.header, delimiter) + _render_records(table.columns, delimiter)
 
 
 def serialize_table(table: CsvTable) -> bytes:
@@ -844,8 +857,11 @@ def _canonical(body: str, delimiter: str, every: int = sys.maxsize) -> tuple[lis
     data record and at the end; else None.  Only text that parses cleanly
     passes.  Records are matched a bounded block at a time; text with no
     quote and no CR, whose records are its lines, is checked by
-    ``_plain_lines`` first, once it holds no other candidate delimiter.
+    ``_plain_lines`` first, once it holds no other candidate delimiter.  A
+    body that begins with U+FEFF fails: that header cell is written quoted.
     """
+    if body.startswith(BOM):
+        return None
     first = _split_quoted(body, delimiter, limit=1)[0]
     try:
         header = CsvTable(first[0] if first else []).header  # the header rules of every table
@@ -893,7 +909,7 @@ def _csvy_pieces(
         header, rows, cuts = found
         return raw_yaml, dialect, header, [body[start:end] for start, end in zip([0, *cuts], cuts)], rows
     table = _table_from_text(body, dialect)
-    pieces = [_render_records([[name] for name in table.header], dialect.delimiter)]
+    pieces = [_header_text(table.header, dialect.delimiter)]
     for start in range(0, table.height, every):
         pieces.append(_render_records([column[start : start + every] for column in table.columns], dialect.delimiter))
     return raw_yaml, dialect, table.header, pieces, table.height

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tidypack import SchemaError, compute_manifest, parse_csvy, schema_from_front_matter, serialize_manifest
+from tidypack import ScanError, SchemaError, compute_manifest, parse_csvy, schema_from_front_matter, serialize_manifest
 from tidypack.cli import EXIT_FINDINGS, EXIT_IO, EXIT_OK, EXIT_USAGE, _cmd_checksum, main
 
 
@@ -389,6 +389,10 @@ def test_checksum_json_is_the_indented_json_dumps_document(files, output_name):
             paths.append(rel)
         output = None if output_name is None else Path(scratch, output_name)
         args = argparse.Namespace(root=str(root), output=output and str(output), format="json")
+        if any("\n" in rel for rel in paths):  # no manifest line can hold the name; the output's can be named
+            with pytest.raises(ScanError, match="^file name holds a line break: "):
+                _cmd_checksum(args)
+            return
         document = {
             "entries": [{"path": rel, "md5": hashlib.md5(rel.encode()).hexdigest()} for rel in sorted(paths)],
             "written": output and str(output),
@@ -817,6 +821,57 @@ def test_a_file_name_that_is_not_utf8_is_named_with_escapes(package, capsys, mon
         assert one_json(out) == {"error": {"code": code, "message": f"file name is not valid UTF-8: {escaped}"}}
     else:
         assert (out, err) == ("", f"error: file name is not valid UTF-8: {escaped}\n")
+    assert not (package.parent / "demo.tar").exists()
+
+
+@pytest.mark.parametrize("name", ["odd\r", "two\nlines"], ids=["cr", "lf"])
+@pytest.mark.parametrize(
+    "command, code", [("lint", EXIT_FINDINGS), ("checksum", EXIT_USAGE), ("verify", EXIT_USAGE), ("pack", EXIT_USAGE)]
+)
+def test_a_file_name_that_holds_a_line_break_is_refused_and_named_with_escapes(
+    package, capsys, monkeypatch, command, code, name
+):
+    # A manifest line could not hold it: checksum would write a manifest
+    # that verify misreads.
+    monkeypatch.chdir(package.parent)
+    (package / "data-raw" / name).write_bytes(b"x")
+    escaped = "data-raw/" + name.replace("\r", "\\r").replace("\n", "\\n")
+    got, out, err = run(capsys, command, str(package))
+    assert got == code
+    if command == "lint":
+        assert out.startswith("FAIL: 1 error(s)")
+        assert f"  {escaped}: R00 [internal] file name holds a line break; rename it" in out
+        assert "could not be evaluated" not in out  # R16 checks the files it can name
+    else:
+        assert (out, err) == ("", f"error: file name holds a line break: {escaped}\n")
+    assert not (package.parent / "demo.tar").exists()
+
+
+@pytest.mark.parametrize("argv", [["lint"], ["pack", "--require-lint"]], ids=["lint", "pack"])
+def test_lint_and_a_linted_pack_walk_the_tree_once(package, capsys, monkeypatch, argv):
+    monkeypatch.chdir(package.parent)
+    listed = []
+    scandir = os.scandir
+    monkeypatch.setattr(os, "scandir", lambda path=".": listed.append(os.fspath(path)) or scandir(path))
+    assert run(capsys, argv[0], str(package), *argv[1:])[0] == EXIT_OK
+    assert listed.count(str(package)) == 1
+
+
+def test_a_file_deleted_between_the_scan_and_the_pack_is_missing(package, capsys, monkeypatch):
+    from tidypack import lint
+
+    monkeypatch.chdir(package.parent)
+    lint_package = lint.lint_package
+
+    def then_delete(*args):
+        report = lint_package(*args)
+        (package / "README.md").unlink()
+        return report
+
+    monkeypatch.setattr(lint, "lint_package", then_delete)
+    code, out, err = run(capsys, "pack", str(package), "--require-lint")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: manifest verification failed; missing: README.md\n"
     assert not (package.parent / "demo.tar").exists()
 
 

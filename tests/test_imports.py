@@ -176,6 +176,19 @@ def test_start_up_loads_no_machinery_it_does_not_run(monkeypatch, argv, code):
     assert _child(_START, *argv, options=("-S",)) == f"{code} []"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["checksum", "{root}/pkg"], ["verify", "{root}/pkg"], ["pack", "{root}/pkg", "--output", "{root}/bare.tar"]],
+    ids=["checksum", "verify", "pack"],
+)
+def test_fixity_commands_load_no_dataclass_machinery(tables, monkeypatch, argv):
+    # The manifest types are named tuples: no dataclasses, and no inspect under it.
+    monkeypatch.setenv("PYTHONPATH", str(Path(tidypack.__file__).resolve().parents[1]))
+    code, _, loaded = _child(_START, *(arg.format(root=tables) for arg in argv), options=("-S",)).partition(" ")
+    assert code == "0" and "hashlib" in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
 def test_a_json_usage_error_in_a_fresh_interpreter_is_one_document():
     child = subprocess.run(
         [sys.executable, "-m", "tidypack", "--format", "json", "bogus"], capture_output=True, text=True, timeout=120

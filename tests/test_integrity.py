@@ -27,6 +27,7 @@ from tidypack import (
     ManifestEntry,
     ManifestError,
     PackError,
+    VerifyReport,
     chunk_table,
     compute_manifest,
     md5_hex,
@@ -164,6 +165,17 @@ def test_manifest_entry_guards():
         ManifestEntry(path="x", md5="A" * 32)  # uppercase not canonical
     with pytest.raises(ManifestError):
         ManifestEntry(path="", md5="a" * 32)
+
+
+def test_integrity_results_are_named_tuples():
+    entry = ManifestEntry("x.csv", "a" * 32)
+    assert entry == ("x.csv", "a" * 32)
+    assert entry._replace(md5="b" * 32) == ManifestEntry(path="x.csv", md5="b" * 32)
+    manifest = ChecksumManifest(entries=[ManifestEntry("b", "a" * 32), entry])
+    assert manifest.paths() == ["b", "x.csv"] and manifest.digest_for("x.csv") == "a" * 32
+    plan = ChunkPlan(source="t.csv", max_rows_per_chunk=2, data_rows=3, chunk_paths=["t-1.csv", "t-2.csv"])
+    assert plan == ("t.csv", 2, 3, ["t-1.csv", "t-2.csv"])
+    assert VerifyReport([], ["gone"], []).ok is False
 
 
 def test_manifest_duplicate_paths_rejected():
@@ -434,7 +446,8 @@ def test_chunk_unchunk_identity_property(tmp_path_factory, names, rows, per_chun
 
 def _render_reference(raw_yaml: str, header: list[str], rows: list[list[str]], delimiter: str) -> bytes:
     """A table's canonical bytes, one cell at a time: a cell is quoted
-    exactly when it holds a quote, any candidate delimiter or a line break."""
+    exactly when it holds a quote, any candidate delimiter or a line break,
+    and so is a header's first cell that begins with U+FEFF."""
 
     def cell(value: str) -> str:
         if any(c in value for c in '"\r\n,\t;'):
@@ -442,6 +455,8 @@ def _render_reference(raw_yaml: str, header: list[str], rows: list[list[str]], d
         return value
 
     lines = [delimiter.join(map(cell, record)) for record in [header, *rows]]
+    if lines[0].startswith("\ufeff"):  # bare, it would be read back as a byte order mark
+        lines[0] = f'"{header[0]}"' + lines[0][len(header[0]) :]
     if len(header) == 1:
         lines = [line or '""' for line in lines]
     body = "\n".join(lines) + "\n"
@@ -560,6 +575,10 @@ def _tables(draw) -> bytes:
 @example(b'a,b\n1,"2\n', 1, [])
 @example(b"a,b\n1,2", 1, [])
 @example(b'---\ntitle: t\n---\nid,note\n1,"a\nb"\n2,x\n3,y\n', 1, [("none", 0), ("foreign", 0), ("stray quote", 25)])
+# A header cell that begins with U+FEFF, after a blank line or a stripped BOM, is
+# written quoted: a bare one would be read back as a byte order mark.
+@example(b"\xef\xbb\xbf\xef\xbb\xbf---\ntitle: t\n---\nid\n", 1, [("foreign", 0)])
+@example(b'\n\xef\xbb\xbf---\ntitle: t\n---\n"id"\r\n"1"\r\n', 1, [("none", 0), ("foreign", 0)])
 @settings(deadline=None)
 def test_chunk_and_unchunk_match_the_parse_and_render_path(data, max_rows, chunk_edits):
     with tempfile.TemporaryDirectory() as scratch:
@@ -584,6 +603,16 @@ def test_chunk_and_unchunk_match_the_parse_and_render_path(data, max_rows, chunk
                 continue
             path.write_bytes(text.encode("utf-8"))
         assert _outcome(unchunk, paths) == _outcome(_reference_unchunk, paths)
+
+
+def test_a_header_cell_that_begins_with_u_feff_survives_chunk_and_unchunk(tmp_path):
+    source = tmp_path / "t.csv"
+    source.write_bytes(b"\n\xef\xbb\xbfid,v\n1,2\n3,4\n")
+    plan = chunk_table(source, max_rows_per_chunk=1)
+    header = b'"\xef\xbb\xbfid",v\n'
+    assert [Path(p).read_bytes() for p in plan.chunk_paths] == [header + b"1,2\n", header + b"3,4\n"]
+    assert unchunk(plan.chunk_paths) == header + b"1,2\n3,4\n"
+    assert read_csvy(plan.chunk_paths[0])[1].header == ["\ufeffid", "v"]
 
 
 def _no_parse(*args, **kwargs):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import tempfile
 import tracemalloc
 from dataclasses import fields
@@ -12,17 +13,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tidypack import (
+    ChecksumManifest,
     DataPackage,
     FileKind,
     FileRef,
     LicenseKind,
     LicenseRef,
+    ManifestEntry,
     PackagePool,
     ScanError,
     classify_file,
+    compute_manifest,
     detect_license,
     iter_files,
+    parse_manifest,
     scan_package,
+    serialize_manifest,
 )
 from tidypack.licenses import license_text
 from tidypack.model import (
@@ -528,3 +534,19 @@ def test_scan_matches_the_reference(tables, tree):
         for rel, data in tree.items():
             _write(root, rel, data)
         assert _summary(scan_package(root)) == _reference_scan(root)
+
+
+@given(st.dictionaries(st.one_of(_TOP_LEVEL, _IN_LAYOUT, _ELSEWHERE), _CONTENTS, max_size=30))
+def test_compute_manifest_matches_the_public_constructors(tree):
+    # compute_manifest builds its entries without the constructors' checks.
+    with tempfile.TemporaryDirectory() as directory:
+        root = Path(directory)
+        for rel, data in tree.items():
+            _write(root, rel, data)
+        manifest = compute_manifest(root)
+        expected = ChecksumManifest([ManifestEntry(rel, hashlib.md5(data).hexdigest()) for rel, data in tree.items()])
+        assert manifest == expected
+        assert type(manifest) is ChecksumManifest
+        assert all(type(entry) is ManifestEntry for entry in manifest.entries)
+        assert parse_manifest(serialize_manifest(manifest)) == manifest
+        assert scan_package(root).walk == walk_files(root)

@@ -225,6 +225,25 @@ def test_bom_is_stripped():
     assert table.header == ["a", "b"]
 
 
+@pytest.mark.parametrize(
+    "data, written",
+    [
+        (b"\n\xef\xbb\xbfid,v\n1,2\n3,4\n", b'"\xef\xbb\xbfid",v\n1,2\n3,4\n'),
+        (b"\n\xef\xbb\xbf---\ntitle: t\n---\n", b'"\xef\xbb\xbf---"\ntitle: t\n---\n'),
+        (b"---\nname: q\n---\n\xef\xbb\xbfid\n1\n", b'---\nname: q\n---\n"\xef\xbb\xbfid"\n1\n'),
+    ],
+    ids=["after-a-blank-line", "a-fence-after-a-blank-line", "after-front-matter"],
+)
+def test_a_header_cell_that_begins_with_u_feff_is_written_quoted(data, written):
+    # Bare at the start of a file, U+FEFF would be read back as a byte order mark.
+    front, table = parse_csvy(data)
+    assert table.header[0].startswith("\ufeff")
+    assert serialize_csvy(front, table) == written
+    assert parse_csvy(written) == (front, table)
+    if not front.raw_yaml:
+        assert serialize_table(table) == written
+
+
 def test_crlf_input_parses():
     table = parse_table(b"a,b\r\n1,2\r\n", Dialect())
     assert table.rows == [["1", "2"]]
