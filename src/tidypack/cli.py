@@ -16,9 +16,9 @@ Handlers return a ``_Result`` and write nothing: ``_render`` is the only
 code that writes to stdout or stderr.  Each handler imports the code it
 runs, so a command loads no module it does not use.  Start-up is the floor
 under every command, so ``--help`` and a text-mode usage error load only
-the parser and the license choices: ``_Result`` is a named tuple, not a
-dataclass (no ``dataclasses`` or ``inspect``), and ``json`` is imported
-only to render a JSON document.
+the parser and the license choices, and ``json`` is imported only to
+render a JSON document.  No command loads ``dataclasses``: every value type
+is a named tuple.
 """
 
 from __future__ import annotations

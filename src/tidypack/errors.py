@@ -1,6 +1,24 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the base of its checked value types."""
 
 from __future__ import annotations
+
+from collections import namedtuple
+
+
+def checked_tuple(typename: str, field_names: str) -> type:
+    """A named-tuple base for a value type whose ``__new__`` checks or
+    normalizes what it is given, then builds the tuple with ``tuple.__new__``.
+
+    ``_replace`` goes through that constructor, so a changed value is
+    checked again, while ``_make`` stays the unchecked builder, for values
+    tidypack made itself.  A copy or a pickle is rebuilt with ``_make`` from
+    the fields, whatever the constructor's parameters are: keyword-only, or
+    positional in another order than the fields.
+    """
+    base = namedtuple(typename, field_names)
+    base._replace = lambda self, /, **changes: type(self)(**{**self._asdict(), **changes})
+    base.__reduce__ = lambda self: (self._make, (tuple(self),))
+    return base
 
 
 class ToolError(Exception):

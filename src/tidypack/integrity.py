@@ -18,12 +18,12 @@ in it that is gone when opened counts as missing.
 
 Untrusted values are checked once, trusted ones not at all: the public
 constructors of the named tuples ``ManifestEntry``, ``ChecksumManifest`` and
-``ChunkPlan`` check what they are given, and ``parse_manifest`` each line
-of a manifest, while ``compute_manifest`` builds entries with ``_make`` from
-the walk's sorted, unique paths and ``hashlib``'s digests.  No
-``dataclasses`` (nor ``inspect``) is loaded.  ``pack`` writes each 512-byte
-ustar header itself from pinned fields, the bytes ``tarfile`` writes for
-the same member.  ``hashlib`` (and with it OpenSSL) is imported by the
+``ChunkPlan`` check what they are given (``_replace`` goes through them),
+and ``parse_manifest`` each line of a manifest, while ``compute_manifest``
+builds entries with the unchecked ``_make`` from the walk's sorted, unique
+paths and ``hashlib``'s digests.  ``pack`` writes each 512-byte ustar
+header itself from pinned fields, the bytes ``tarfile`` writes for the
+same member.  ``hashlib`` (and with it OpenSSL) is imported by the
 functions that hash, so ``chunk`` and ``unchunk`` never load it.
 
 ``chunk_table`` and ``unchunk`` copy a table body that passes ``tabular``'s
@@ -42,12 +42,12 @@ import errno
 import math
 import os
 import re
-from collections import Counter, namedtuple
+from collections import Counter
 from contextlib import suppress
 from pathlib import Path
 from typing import BinaryIO, Callable, Mapping, Sequence
 
-from .errors import ChunkError, CsvError, EncodingError, FrontMatterError, ManifestError, PackError, ScanError
+from .errors import ChunkError, CsvError, EncodingError, FrontMatterError, ManifestError, PackError, ScanError, checked_tuple
 
 CHECKSUMS_NAME = "checksums.txt"
 
@@ -186,16 +186,19 @@ def md5_hex(data: bytes) -> str:
     return hashlib.md5(data).hexdigest()
 
 
-def _md5_file(path: str, copy: BinaryIO | None = None) -> str:
+def _md5_file(path: str, copy: BinaryIO | None = None, size: int | None = None) -> str:
     """MD5 of a file's bytes, read 1 MiB at a time with no buffered reader.
 
     Each block is also written to ``copy``, if given.  An ``OSError`` from
     opening or reading names ``path`` (reading a directory fails only at the
-    first read); one from writing to ``copy`` is raised unchanged.
+    first read); one from writing to ``copy`` is raised unchanged.  When
+    ``size`` is given and the file did not hold exactly that many bytes up
+    to its end, an ``OSError`` (``EIO``) names ``path``: it changed size.
     """
     import hashlib
 
     digest = hashlib.md5()
+    copied = 0
     fd = os.open(path, os.O_RDONLY)
     try:
         while True:
@@ -205,7 +208,10 @@ def _md5_file(path: str, copy: BinaryIO | None = None) -> str:
                 exc.filename = path
                 raise
             if not block:
+                if size is not None and copied != size:
+                    raise OSError(errno.EIO, "file changed size while it was archived", path)
                 return digest.hexdigest()
+            copied += len(block)
             digest.update(block)
             if copy is not None:
                 copy.write(block)
@@ -213,12 +219,12 @@ def _md5_file(path: str, copy: BinaryIO | None = None) -> str:
         os.close(fd)
 
 
-class ManifestEntry(namedtuple("ManifestEntry", "path md5")):
+class ManifestEntry(checked_tuple("ManifestEntry", "path md5")):
     """One checksummed file.
 
     The constructor refuses a path that is empty or escapes the root and a
-    digest that is not 32 lowercase hex digits; ``_make`` and ``_replace``
-    build an entry without these checks, from values known to pass them.
+    digest that is not 32 lowercase hex digits; ``_make`` builds an entry
+    without these checks, from values known to pass them.
     """
 
     __slots__ = ()
@@ -231,7 +237,7 @@ class ManifestEntry(namedtuple("ManifestEntry", "path md5")):
         return tuple.__new__(cls, (path, md5))
 
 
-class ChecksumManifest(namedtuple("ChecksumManifest", "entries")):
+class ChecksumManifest(checked_tuple("ChecksumManifest", "entries")):
     """A sorted set of path/digest pairs.
 
     The constructor refuses duplicate paths and sorts the entries by path;
@@ -336,7 +342,7 @@ def compute_manifest(
     return ChecksumManifest._make((entries,))
 
 
-class VerifyReport(namedtuple("VerifyReport", "mismatched missing extra")):
+class VerifyReport(checked_tuple("VerifyReport", "mismatched missing extra")):
     """How the tree compares against a manifest.
 
     ``mismatched`` lists manifest paths whose current digest differs,
@@ -389,7 +395,7 @@ def verify_manifest(
 # Chunking
 
 
-class ChunkPlan(namedtuple("ChunkPlan", "source max_rows_per_chunk data_rows chunk_paths")):
+class ChunkPlan(checked_tuple("ChunkPlan", "source max_rows_per_chunk data_rows chunk_paths")):
     """What a chunking run produced.
 
     The constructor refuses a row limit under 1 and a chunk count that the
@@ -615,15 +621,11 @@ def pack(
         for (name, size, payload), header in zip(members, headers):
             out.write(header)
             if payload is None:
-                path = prefix + name
-                start = out.tell()
                 try:
-                    digest = _md5_file(path, out)
+                    digest = _md5_file(prefix + name, out, size)
                 except FileNotFoundError:  # gone since the walk; the archive is not kept
                     missing.append(name)
                     continue
-                if out.tell() - start != size:
-                    raise OSError(errno.EIO, "file changed size while it was archived", path)
                 if digest != expected[name]:
                     mismatched.append(name)
             else:

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from collections import namedtuple
+from pathlib import Path, PurePosixPath
 from typing import Any, Callable, Iterable, Iterator
 
-from .errors import ConfigError, ManifestError, ToolError
+from .errors import ConfigError, ManifestError, ToolError, checked_tuple
 from .integrity import parse_manifest, unnamable, verify_manifest
 from .model import (
     CHECKSUMS_NAME,
@@ -51,15 +51,11 @@ _SEVERITY_RANK = {name: rank for rank, name in enumerate(SEVERITIES)}
 _CATCHALL_RULE_ID = "R00"
 
 
-@dataclass(frozen=True)
-class LintRule:
+class LintRule(namedtuple("LintRule", "id title severity anchor")):
     """One check: an identifier, what it wants, how bad a miss is, and the
     doctrine anchor printed in text reports."""
 
-    id: str
-    title: str
-    severity: str
-    anchor: str
+    __slots__ = ()
 
 
 RULES: tuple[LintRule, ...] = (
@@ -90,30 +86,24 @@ _CATCHALL_ANCHOR = "internal"
 _UNNAMED_DETAIL = "file name {}; rename it so that manifests and reports can name it"
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(checked_tuple("Finding", "rule_id severity detail path machine_data")):
     """One lint result.
 
     ``machine_data`` carries structured details for tooling and tests; it
     is never serialized into reports.
     """
 
-    rule_id: str
-    severity: str
-    detail: str
-    path: str | None = None
-    machine_data: dict[str, str] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, rule_id: str, severity: str, detail: str, path: str | None = None, machine_data: dict | None = None):
+        return tuple.__new__(cls, (rule_id, severity, detail, path, {} if machine_data is None else machine_data))
 
 
-@dataclass(frozen=True)
-class LintReport:
-    findings: list[Finding]
-    counts: dict[str, int]
-    passed: bool
+class LintReport(namedtuple("LintReport", "findings counts passed")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LintConfig:
+class LintConfig(checked_tuple("LintConfig", "levels")):
     """Per-rule severity overrides.
 
     ``levels`` maps rule ids to ``off`` or a severity.  A configured
@@ -121,10 +111,11 @@ class LintConfig:
     rule) cannot raise it; the ceiling wins.
     """
 
-    levels: dict[str, str] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for rule_id, level in self.levels.items():
+    def __new__(cls, levels: dict[str, str] | None = None):
+        levels = {} if levels is None else levels
+        for rule_id, level in levels.items():
             if rule_id not in RULES_BY_ID:
                 known = ", ".join(sorted(RULES_BY_ID))
                 raise ConfigError(f"unknown rule {rule_id!r}; known rules: {known}")
@@ -132,6 +123,7 @@ class LintConfig:
                 raise ConfigError(
                     f"rule {rule_id}: level must be one of off, error, warning, info; got {level!r}"
                 )
+        return tuple.__new__(cls, (levels,))
 
     def effective_severity(self, rule: LintRule) -> str | None:
         """The severity this configuration gives a rule, or None for off."""
@@ -388,6 +380,7 @@ def _eval_r09(ctx: _Context) -> Iterator[Finding]:
         (ref, ds) for ds in pkg.datasets for ref in ctx.json_metadata_refs(ds)
     ]
     jobs += [(ref, None) for ref in ctx.json_metadata_refs(pkg.pool)]
+    inventoried = set(pkg.all_paths())
     for ref, ds in jobs:
         schema, error = ctx.load(_load_schema, ref.path)
         if schema is None:
@@ -401,7 +394,7 @@ def _eval_r09(ctx: _Context) -> Iterator[Finding]:
                     path=ref.path,
                 )
                 continue
-            if not (pkg.root / schema.path).is_file():
+            if str(PurePosixPath(schema.path)) not in inventoried:  # a symbolic link, or no file at all
                 yield _f(f"schema points at a missing table: {schema.path}", path=ref.path)
                 continue
             target = schema.path
@@ -675,7 +668,7 @@ def lint_package(pkg: DataPackage, config: LintConfig | None = None) -> LintRepo
         for finding in produced:
             declared = finding.severity or rule.severity
             final_rank = max(_SEVERITY_RANK[effective], _SEVERITY_RANK[declared])
-            findings.append(replace(finding, rule_id=rule.id, severity=SEVERITIES[final_rank]))
+            findings.append(finding._replace(rule_id=rule.id, severity=SEVERITIES[final_rank]))
 
     # A file name that is not UTF-8 or holds a line break fits in no manifest
     # line: it fails the package, and every finding names such files with
@@ -688,8 +681,7 @@ def lint_package(pkg: DataPackage, config: LintConfig | None = None) -> LintRepo
             for path, problem in unnamed
         ]
         findings = [
-            replace(
-                f,
+            f._replace(
                 path=f.path and printable_path(f.path),
                 detail=f.detail.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace"),
             )

@@ -11,23 +11,21 @@ file buckets is declared once.
 
 The scanner reads the fixity code's walk and path rules (``integrity``,
 which loads none of this module), so it sees the files ``checksum`` sees.
-It walks the tree once and keeps the walk on the package
-(``DataPackage.walk``), which lint's R16 and ``pack --require-lint`` read
-instead of walking again.  Each file has one reference, the ``FileRef``
-built from the walk without the constructor's checks (``_walked_ref``): a
-slot holds that same object (the license slot a ``LicenseRef`` copy that
-adds what its content was recognized as), and one pass over the walk sorts
-the files into the top-level names and the direct children of the three
-layout directories before anything is claimed.
+It walks the tree once, and lint's R16 and ``pack --require-lint`` read
+that walk back from the inventory (``DataPackage.walk``) instead of walking
+again.  Each file has one reference, the ``FileRef`` built from the walk
+with the unchecked ``_make``: a slot holds that same object (the license
+slot a ``LicenseRef`` copy that adds what its content was recognized as),
+and one pass over the walk sorts the files into the top-level names and the
+direct children of the three layout directories before anything is claimed.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields
 from pathlib import Path, PurePosixPath
 
-from .errors import ScanError
+from .errors import ScanError, checked_tuple
 from .integrity import CHECKSUMS_NAME, escapes_root, printable_path, walk_files
 from .licenses import LicenseKind, detect_license
 
@@ -92,21 +90,19 @@ def classify_file(path: str | PurePosixPath) -> FileKind:
     return FileKind.OTHER
 
 
-@dataclass(frozen=True)
-class FileRef:
+class FileRef(checked_tuple("FileRef", "path size_bytes kind")):
     """One regular file inside a package, by root-relative POSIX path."""
 
-    path: str
-    size_bytes: int
-    kind: FileKind
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.path:
+    def __new__(cls, path: str, size_bytes: int, kind: FileKind):
+        if not path:
             raise ScanError("file path must be non-empty")
-        if escapes_root(self.path):
-            raise ScanError(f"file path must be relative and stay inside the package: {self.path!r}")
-        if self.size_bytes < 0:
-            raise ScanError(f"negative size for {self.path!r}")
+        if escapes_root(path):
+            raise ScanError(f"file path must be relative and stay inside the package: {path!r}")
+        if size_bytes < 0:
+            raise ScanError(f"negative size for {path!r}")
+        return tuple.__new__(cls, (path, size_bytes, kind))
 
     @property
     def name(self) -> str:
@@ -117,74 +113,71 @@ class FileRef:
         return PurePosixPath(self.path).stem
 
 
-def _walked_ref(rel: str, size: int) -> FileRef:
-    """The ``FileRef`` of a file the walk found, without ``__post_init__``'s
-    checks: the walk makes only non-empty paths inside the root."""
-    ref = object.__new__(FileRef)
-    vars(ref).update(path=rel, size_bytes=size, kind=classify_file(rel))  # a frozen class takes no setattr
-    return ref
-
-
-@dataclass(frozen=True)
-class LicenseRef(FileRef):
+class LicenseRef(checked_tuple("LicenseRef", "path size_bytes kind detected"), FileRef):
     """The package's license file plus what its content was recognized as."""
 
-    detected: LicenseKind = field(kw_only=True)
+    __slots__ = ()
+
+    def __new__(cls, path: str, size_bytes: int, kind: FileKind, *, detected: LicenseKind):
+        return tuple.__new__(cls, (*FileRef(path, size_bytes, kind), detected))
 
 
-@dataclass(frozen=True)
-class PackagePool:
+_BUCKETS = "data_files raw_files scripts metadata_files dictionary_files"
+
+
+class PackagePool(checked_tuple("PackagePool", _BUCKETS)):
     """Files that follow the layout but belong to no single dataset.
 
     The five buckets are also the shape of a ``Dataset``.
     """
 
-    data_files: list[FileRef] = field(default_factory=list)
-    raw_files: list[FileRef] = field(default_factory=list)
-    scripts: list[FileRef] = field(default_factory=list)
-    metadata_files: list[FileRef] = field(default_factory=list)
-    dictionary_files: list[FileRef] = field(default_factory=list)
+    __slots__ = ()
+
+    def __new__(cls, data_files=None, raw_files=None, scripts=None, metadata_files=None, dictionary_files=None):
+        buckets = (data_files, raw_files, scripts, metadata_files, dictionary_files)
+        return tuple.__new__(cls, [[] if bucket is None else bucket for bucket in buckets])
 
     def file_refs(self) -> list[FileRef]:
         """Every FileRef in the buckets, bucket by bucket in declaration order."""
-        return [ref for bucket in fields(PackagePool) for ref in getattr(self, bucket.name)]
+        return [ref for bucket in PackagePool._fields for ref in getattr(self, bucket)]
 
 
-@dataclass(frozen=True)
-class Dataset(PackagePool):
+class Dataset(checked_tuple("Dataset", f"{_BUCKETS} name"), PackagePool):
     """One dataset and every file attached to it.
 
     A dataset is named by the stem of a table directly under ``data/``.
     Raw files, scripts, metadata, and dictionaries attach by stem prefix.
     """
 
-    name: str = field(kw_only=True)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.name:
+    def __new__(cls, *buckets: list[FileRef], name: str, **named_buckets: list[FileRef]):
+        if not name:
             raise ScanError("dataset name must be non-empty")
+        return tuple.__new__(cls, (*PackagePool(*buckets, **named_buckets), name))
 
 
-@dataclass(frozen=True)
-class DataPackage:
+class DataPackage(checked_tuple("DataPackage", "root datasets readme license citation checksums pool unclassified")):
     """Everything the scanner found, with each file in exactly one place.
 
-    The documentation slots ``readme``, ``citation`` and ``checksums`` are
-    each a ``FileRef`` or None, and ``license`` a ``LicenseRef`` or None.
-    ``walk`` is the scan's walk of ``root``, every regular file as
-    ``(path, size)`` sorted by path, as ``walk_files`` gives it; it is None
-    in a package the scanner did not build, and takes no part in equality.
+    ``root`` is a ``Path`` and ``datasets`` a list of ``Dataset``.  The
+    documentation slots ``readme``, ``citation`` and ``checksums`` are each a
+    ``FileRef`` or None, and ``license`` a ``LicenseRef`` or None.
     """
 
-    root: Path
-    datasets: list[Dataset]
-    readme: FileRef | None
-    license: LicenseRef | None
-    citation: FileRef | None
-    checksums: FileRef | None
-    pool: PackagePool = field(default_factory=PackagePool)
-    unclassified: list[FileRef] = field(default_factory=list)
-    walk: list[tuple[str, int]] | None = field(default=None, compare=False, repr=False)
+    __slots__ = ()
+
+    def __new__(cls, root, datasets, readme, license, citation, checksums, pool=None, unclassified=None):
+        pool = PackagePool() if pool is None else pool
+        unclassified = [] if unclassified is None else unclassified
+        return tuple.__new__(cls, (root, datasets, readme, license, citation, checksums, pool, unclassified))
+
+    @property
+    def walk(self) -> list[tuple[str, int]]:
+        """Every inventoried file as ``(path, size)``, sorted by path: for a
+        scanned package, its walk of ``root`` as ``walk_files`` gave it,
+        since the scan inventories each walked file exactly once."""
+        return [(ref.path, ref.size_bytes) for ref in self.all_refs()]
 
     def dataset(self, name: str) -> Dataset:
         for ds in self.datasets:
@@ -252,8 +245,8 @@ def scan_package(root: str | Path) -> DataPackage:
         raise NotADirectoryError(f"package root is not a directory: {root}")
 
     # Keyed in walk_files' sorted path order, which every listing below keeps.
-    walk = walk_files(root)
-    refs = {rel: _walked_ref(rel, size) for rel, size in walk}
+    # Unchecked: the walk makes only non-empty paths inside the root.
+    refs = {rel: FileRef._make((rel, size, classify_file(rel))) for rel, size in walk_files(root)}
 
     # The one pass over every file: the layout names only top-level files
     # and the direct children of its three directories.  Deeper paths follow
@@ -290,9 +283,7 @@ def scan_package(root: str | Path) -> DataPackage:
             detected = detect_license(text)
         except OSError:
             detected = LicenseKind.UNKNOWN
-        license_ref = LicenseRef(
-            path=ref.path, size_bytes=ref.size_bytes, kind=ref.kind, detected=detected
-        )
+        license_ref = LicenseRef._make((*ref, detected))
 
     # The manifest is exactly the file ``verify`` and ``pack`` read.
     checksums = refs.pop(CHECKSUMS_NAME, None)
@@ -344,9 +335,9 @@ def scan_package(root: str | Path) -> DataPackage:
     # data/, which no dataset can own.
     if len(datasets) == 1:
         (only,) = datasets.values()
-        for bucket in fields(PackagePool):
-            if bucket.name != "data_files":
-                getattr(only, bucket.name).extend(getattr(pool, bucket.name))
+        for bucket in PackagePool._fields:
+            if bucket != "data_files":
+                getattr(only, bucket).extend(getattr(pool, bucket))
         pool = PackagePool(data_files=pool.data_files)
 
     return DataPackage(
@@ -358,5 +349,4 @@ def scan_package(root: str | Path) -> DataPackage:
         checksums=checksums,
         pool=pool,
         unclassified=list(refs.values()),
-        walk=walk,
     )

@@ -10,10 +10,9 @@ covering every file except itself.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import ScaffoldError, SchemaError, ToolError
+from .errors import ScaffoldError, SchemaError, ToolError, checked_tuple
 from .integrity import ChecksumManifest, ManifestEntry, md5_hex, publish, serialize_manifest
 from .licenses import SPDX_IDS, LicenseKind, license_text
 from .model import (
@@ -40,24 +39,22 @@ _ORCID_RE = re.compile(r"[0-9]{4}-[0-9]{4}-[0-9]{4}-[0-9]{3}[0-9X]")
 _DOI_RE = re.compile(DOI_PATTERN)
 
 
-@dataclass(frozen=True)
-class Author:
+class Author(checked_tuple("Author", "name orcid")):
     """A contributor: a display name and an optional ORCID iD."""
 
-    name: str
-    orcid: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.name or not self.name.strip() or "\n" in self.name:
-            raise ScaffoldError(f"author name must be a non-empty single line: {self.name!r}")
-        if self.orcid is not None and not _ORCID_RE.fullmatch(self.orcid):
+    def __new__(cls, name: str, orcid: str | None = None):
+        if not name or not name.strip() or "\n" in name:
+            raise ScaffoldError(f"author name must be a non-empty single line: {name!r}")
+        if orcid is not None and not _ORCID_RE.fullmatch(orcid):
             raise ScaffoldError(
-                f"ORCID must look like 0000-0000-0000-0000 (last digit may be X): {self.orcid!r}"
+                f"ORCID must look like 0000-0000-0000-0000 (last digit may be X): {orcid!r}"
             )
+        return tuple.__new__(cls, (name, orcid))
 
 
-@dataclass(frozen=True)
-class ScaffoldRequest:
+class ScaffoldRequest(checked_tuple("ScaffoldRequest", "package_name dataset_names license authors doi year seed_tables")):
     """Everything needed to lay out a new package.
 
     ``seed_tables`` pairs with the first ``len(seed_tables)`` entries of
@@ -69,23 +66,28 @@ class ScaffoldRequest:
     reproducible.
     """
 
-    package_name: str
-    dataset_names: list[str]
-    license: LicenseKind = LicenseKind.CC0_1
-    authors: list[Author] = field(default_factory=list)
-    doi: str | None = None
-    year: int | None = None
-    seed_tables: list[Path] = field(default_factory=list)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _SAFE_NAME_RE.fullmatch(self.package_name):
+    def __new__(
+        cls,
+        package_name: str,
+        dataset_names: list[str],
+        license: LicenseKind = LicenseKind.CC0_1,
+        authors: list[Author] | None = None,
+        doi: str | None = None,
+        year: int | None = None,
+        seed_tables: list[Path] | None = None,
+    ):
+        authors = [] if authors is None else authors
+        seed_tables = [] if seed_tables is None else seed_tables
+        if not _SAFE_NAME_RE.fullmatch(package_name):
             raise ScaffoldError(
-                f"package name must be filesystem-safe (letters, digits, . _ -): {self.package_name!r}"
+                f"package name must be filesystem-safe (letters, digits, . _ -): {package_name!r}"
             )
-        if not self.dataset_names:
+        if not dataset_names:
             raise ScaffoldError("at least one dataset name is required")
         seen: set[str] = set()
-        for name in self.dataset_names:
+        for name in dataset_names:
             if not _SAFE_NAME_RE.fullmatch(name):
                 raise ScaffoldError(
                     f"dataset name must be filesystem-safe (letters, digits, . _ -): {name!r}"
@@ -97,17 +99,18 @@ class ScaffoldRequest:
             if name in seen:
                 raise ScaffoldError(f"duplicate dataset name {name!r}")
             seen.add(name)
-        if self.license not in SPDX_IDS:
+        if license not in SPDX_IDS:
             options = ", ".join(sorted(kind.value for kind in SPDX_IDS))
             raise ScaffoldError(f"unsupported license; choose one of: {options}")
-        if self.doi is not None and not _DOI_RE.fullmatch(self.doi):
-            raise ScaffoldError(f"DOI must look like 10.NNNN/suffix: {self.doi!r}")
-        if self.year is not None and not 1000 <= self.year <= 9999:
-            raise ScaffoldError(f"year must be four digits: {self.year!r}")
-        if len(self.seed_tables) > len(self.dataset_names):
+        if doi is not None and not _DOI_RE.fullmatch(doi):
+            raise ScaffoldError(f"DOI must look like 10.NNNN/suffix: {doi!r}")
+        if year is not None and not 1000 <= year <= 9999:
+            raise ScaffoldError(f"year must be four digits: {year!r}")
+        if len(seed_tables) > len(dataset_names):
             raise ScaffoldError(
-                f"{len(self.seed_tables)} seed tables for {len(self.dataset_names)} datasets"
+                f"{len(seed_tables)} seed tables for {len(dataset_names)} datasets"
             )
+        return tuple.__new__(cls, (package_name, dataset_names, license, authors, doi, year, seed_tables))
 
 
 _PLACEHOLDERS = {
@@ -266,7 +269,7 @@ def scaffold(request: ScaffoldRequest, destination: str | Path) -> DataPackage:
             schema = infer_schema(table, name=name, path=f"data/{filename}")
         except SchemaError as exc:
             raise ScaffoldError(f"seed table {seed}: {exc}") from None
-        schema = replace(schema, license_id=SPDX_IDS[request.license])
+        schema = schema._replace(license_id=SPDX_IDS[request.license])
         dictionary = dictionary_from_schema(schema)
         planned[f"metadata/{name}.json"] = schema_to_json(schema)
         planned[f"metadata/{name}-dictionary.csv"] = dictionary_to_csv(dictionary)

@@ -14,12 +14,12 @@ a failing shape are looked at one by one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import compress, count
 from pathlib import PurePath
 from typing import Any, Iterable, Mapping
 
-from .errors import DictionaryError, SchemaError
+from .errors import DictionaryError, SchemaError, checked_tuple
 from .tabular import (
     DATE_SHAPE,
     MISSING_WATCHLIST,
@@ -53,46 +53,45 @@ _SHAPE_CHECKS = {**_TYPE_CHECKS, "date": DATE_SHAPE.__eq__}
 _INFERENCE_ORDER = ("integer", "number", "boolean", "date")
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+class FieldDescriptor(checked_tuple("FieldDescriptor", "name type description codes")):
     """One column in a table schema."""
 
-    name: str
-    type: str = "string"
-    description: str = ""
-    codes: dict[str, str] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.name or not self.name.strip():
+    def __new__(cls, name: str, type: str = "string", description: str = "", codes: dict[str, str] | None = None):
+        if not name or not name.strip():
             raise SchemaError("field name must be non-empty")
-        if self.type not in FIELD_TYPES:
+        if type not in FIELD_TYPES:
             allowed = ",".join(FIELD_TYPES)
-            raise SchemaError(f"unknown field type {self.type!r}; allowed: {allowed}")
-        if self.codes and self.type not in ("string", "integer"):
+            raise SchemaError(f"unknown field type {type!r}; allowed: {allowed}")
+        if codes and type not in ("string", "integer"):
             raise SchemaError(
-                f"field {self.name!r}: codes only make sense on string or integer fields, not {self.type}"
+                f"field {name!r}: codes only make sense on string or integer fields, not {type}"
             )
+        return tuple.__new__(cls, (name, type, description, {} if codes is None else codes))
 
 
-@dataclass(frozen=True)
-class TableSchema:
+class TableSchema(checked_tuple("TableSchema", "name fields path missing_values license_id")):
     """Column types and missing-value declarations for one table."""
 
-    name: str
-    fields: list[FieldDescriptor]
-    path: str | None = None
-    missing_values: frozenset[str] = DEFAULT_MISSING_VALUES
-    license_id: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.name or not self.name.strip():
+    def __new__(
+        cls,
+        name: str,
+        fields: list[FieldDescriptor],
+        path: str | None = None,
+        missing_values: Iterable[str] = DEFAULT_MISSING_VALUES,
+        license_id: str | None = None,
+    ):
+        if not name or not name.strip():
             raise SchemaError("schema name must be non-empty")
-        object.__setattr__(self, "missing_values", frozenset(self.missing_values))
         seen: set[str] = set()
-        for f in self.fields:
+        for f in fields:
             if f.name in seen:
                 raise SchemaError(f"duplicate field name {f.name!r}")
             seen.add(f.name)
+        return tuple.__new__(cls, (name, fields, path, frozenset(missing_values), license_id))
 
     def field_names(self) -> list[str]:
         return [f.name for f in self.fields]
@@ -104,23 +103,19 @@ class TableSchema:
         raise SchemaError(f"schema has no field named {name!r}")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(namedtuple("Violation", "kind field row value", defaults=(None, ""))):
     """One way a table fails its schema.
 
-    ``row`` is the 1-based data-row index, or ``None`` for structural
-    problems (missing or unknown columns).
+    ``kind`` is type_mismatch, bad_date_format, undeclared_missing_token,
+    missing_column or unknown_column.  ``row`` is the 1-based data-row index,
+    or ``None`` for structural problems (missing or unknown columns).
     """
 
-    kind: str  # type_mismatch | bad_date_format | undeclared_missing_token | missing_column | unknown_column
-    field: str
-    row: int | None = None
-    value: str = ""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: list[Violation]
+class ValidationReport(namedtuple("ValidationReport", "violations")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -380,53 +375,57 @@ _CODE_PAIR_SEP = "; "
 _CODE_KV_SEP = " = "
 
 
-@dataclass(frozen=True)
-class DictionaryEntry:
+class DictionaryEntry(checked_tuple("DictionaryEntry", "variable_name class_name label description codes missing_codes")):
     """One variable in a data dictionary."""
 
-    variable_name: str
-    class_name: str
-    label: str = ""
-    description: str = ""
-    codes: dict[str, str] = field(default_factory=dict)
-    missing_codes: frozenset[str] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.variable_name or not self.variable_name.strip():
+    def __new__(
+        cls,
+        variable_name: str,
+        class_name: str,
+        label: str = "",
+        description: str = "",
+        codes: dict[str, str] | None = None,
+        missing_codes: Iterable[str] = frozenset(),
+    ):
+        if not variable_name or not variable_name.strip():
             raise DictionaryError("dictionary entry is missing a variable name")
-        if not self.class_name or not self.class_name.strip():
+        if not class_name or not class_name.strip():
             raise DictionaryError(
-                f"dictionary entry {self.variable_name!r} is missing a class"
+                f"dictionary entry {variable_name!r} is missing a class"
             )
-        object.__setattr__(self, "missing_codes", frozenset(self.missing_codes))
-        for key, value in self.codes.items():
+        codes = {} if codes is None else codes
+        missing_codes = frozenset(missing_codes)
+        for key, value in codes.items():
             if ";" in key or ";" in value:
                 raise DictionaryError(
-                    f"variable {self.variable_name!r}: ';' cannot occur in a code or its label"
+                    f"variable {variable_name!r}: ';' cannot occur in a code or its label"
                 )
             if "=" in key:
                 raise DictionaryError(
-                    f"variable {self.variable_name!r}: '=' cannot occur in a code"
+                    f"variable {variable_name!r}: '=' cannot occur in a code"
                 )
-        for token in self.missing_codes:
+        for token in missing_codes:
             if ";" in token:
                 raise DictionaryError(
-                    f"variable {self.variable_name!r}: ';' cannot occur in a missing code"
+                    f"variable {variable_name!r}: ';' cannot occur in a missing code"
                 )
+        return tuple.__new__(cls, (variable_name, class_name, label, description, codes, missing_codes))
 
 
-@dataclass(frozen=True)
-class DataDictionary:
+class DataDictionary(checked_tuple("DataDictionary", "entries")):
     """An ordered collection of variable descriptions."""
 
-    entries: list[DictionaryEntry]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, entries: list[DictionaryEntry]):
         seen: set[str] = set()
-        for entry in self.entries:
+        for entry in entries:
             if entry.variable_name in seen:
                 raise DictionaryError(f"duplicate variable {entry.variable_name!r}")
             seen.add(entry.variable_name)
+        return tuple.__new__(cls, (entries,))
 
     def variable_names(self) -> list[str]:
         return [entry.variable_name for entry in self.entries]

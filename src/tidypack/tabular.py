@@ -66,14 +66,13 @@ import datetime
 import io
 import re
 import sys
-from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from collections import Counter, deque, namedtuple
 from functools import cache, cached_property
 from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
-from .errors import CsvError, EncodingError, FrontMatterError
+from .errors import CsvError, EncodingError, FrontMatterError, checked_tuple
 
 LF = "\n"
 CRLF = "\r\n"
@@ -231,20 +230,19 @@ class ColumnShapes:
         return found
 
 
-@dataclass(frozen=True)
-class Dialect:
+class Dialect(checked_tuple("Dialect", "delimiter")):
     """How a delimited table is written down: its delimiter.  Every table's
     first record is its header."""
 
-    delimiter: str = ","
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.delimiter not in DELIMITERS:
-            raise CsvError(f"unsupported delimiter {self.delimiter!r}; use comma, tab, or semicolon")
+    def __new__(cls, delimiter: str = ","):
+        if delimiter not in DELIMITERS:
+            raise CsvError(f"unsupported delimiter {delimiter!r}; use comma, tab, or semicolon")
+        return tuple.__new__(cls, (delimiter,))
 
 
-@dataclass(frozen=True, init=False)
-class CsvTable:
+class CsvTable(checked_tuple("CsvTable", "header columns dialect source")):
     """An in-memory table: a header row plus equal-length columns.
 
     Cells are kept verbatim; nothing is trimmed or type-coerced here.
@@ -259,15 +257,12 @@ class CsvTable:
     The header names every column, and every table has one: a table with
     no header has no columns, and is refused in every form (``rows=``,
     ``columns=`` or neither) with the error a text with no record gives.
+    The fields are ``header``, ``columns``, ``dialect`` and ``source``; a
+    table keeps its ``shapes`` in its ``__dict__``, and a copy builds them again.
     """
 
-    header: list[str]
-    columns: tuple[tuple[str, ...], ...]
-    dialect: Dialect
-    source: str | None
-
-    def __init__(
-        self,
+    def __new__(
+        cls,
         header: list[str],
         rows: Sequence[Sequence[str]] = (),
         dialect: Dialect | None = None,
@@ -283,15 +278,12 @@ class CsvTable:
             raise CsvError(f"expected {len(header)} columns, found {len(columns)}")
         elif len(set(map(len, columns))) > 1:
             raise CsvError("columns must all have the same length")
-        object.__setattr__(self, "header", header)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "dialect", Dialect() if dialect is None else dialect)
-        object.__setattr__(self, "source", source)
         seen: set[str] = set()
-        for name in self.column_names:
+        for name in map(str.strip, header):
             if name in seen:
                 raise CsvError(f"duplicate column name {name!r}")
             seen.add(name)
+        return tuple.__new__(cls, (header, columns, Dialect() if dialect is None else dialect, source))
 
     @property
     def column_names(self) -> list[str]:
@@ -338,8 +330,7 @@ def _transpose(rows: Sequence[Sequence[str]], width: int, before: int) -> tuple[
     return tuple(zip(*rows)) if rows else ((),) * width
 
 
-@dataclass(frozen=True)
-class FrontMatter:
+class FrontMatter(checked_tuple("FrontMatter", "raw_yaml mapping")):
     """YAML front matter attached to a table.
 
     ``raw_yaml`` holds the verbatim text between the fences so a parse and
@@ -348,14 +339,14 @@ class FrontMatter:
     ``schema.schema_from_front_matter(mapping)`` reads it on request.
     """
 
-    raw_yaml: str = ""
-    mapping: dict = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if _FENCE_LINE.search(self.raw_yaml):
+    def __new__(cls, raw_yaml: str = "", mapping: dict | None = None):
+        if _FENCE_LINE.search(raw_yaml):
             raise FrontMatterError(
                 "raw_yaml may not contain a bare '---' line; it would close the fence early"
             )
+        return tuple.__new__(cls, (raw_yaml, {} if mapping is None else mapping))
 
 
 def _decode(data: bytes) -> str:
@@ -919,11 +910,10 @@ def read_csvy(path: str | Path) -> tuple[FrontMatter, CsvTable]:
     """Read and parse a table file (with or without front matter) from disk."""
     path = Path(path)
     front, table = parse_csvy(path.read_bytes())
-    return front, replace(table, source=str(path))
+    return front, table._replace(source=str(path))
 
 
-@dataclass(frozen=True)
-class MissingProfile:
+class MissingProfile(namedtuple("MissingProfile", "count seen suspects")):
     """What a column's cells say about missing values.
 
     ``count`` tallies cells equal to a declared missing code, ``seen`` is
@@ -931,9 +921,7 @@ class MissingProfile:
     of undeclared cells that look like missing-value stand-ins.
     """
 
-    count: int
-    seen: frozenset[str]
-    suspects: frozenset[str]
+    __slots__ = ()
 
 
 def detect_missing_tokens(

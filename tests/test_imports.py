@@ -93,12 +93,13 @@ LINT = TREE | SCHEMA | {"tidypack.lint"}
 
 @pytest.fixture(scope="module")
 def tables(tmp_path_factory):
-    """A package seeded with a plain CSV, three csvy tables with front
-    matter (one with a schema block, one with quoted cells), and the chunks
-    of a copy of the quoted one."""
+    """A package seeded with a plain CSV, a copy of that CSV, three csvy
+    tables with front matter (one with a schema block, one with quoted
+    cells), and the chunks of a copy of the quoted one."""
     root = tmp_path_factory.mktemp("imports")
     plain = root / "plain.csv"
     plain.write_bytes(b"id,score\n1,2.5\n2,3.5\n")
+    (root / "replain.csv").write_bytes(plain.read_bytes())
     csvy = root / "fronted.csvy"
     csvy.write_bytes(b"---\nname: fronted\n---\nid,score\n1,2.5\n2,3.5\n")
     nameless = root / "nameless.csvy"
@@ -177,15 +178,30 @@ def test_start_up_loads_no_machinery_it_does_not_run(monkeypatch, argv, code):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["checksum", "{root}/pkg"], ["verify", "{root}/pkg"], ["pack", "{root}/pkg", "--output", "{root}/bare.tar"]],
-    ids=["checksum", "verify", "pack"],
+    "argv, hashes",
+    [
+        (["checksum", "{root}/pkg"], True),
+        (["verify", "{root}/pkg"], True),
+        (["pack", "{root}/pkg", "--output", "{root}/bare.tar"], True),
+        (["lint", "{root}/pkg"], True),
+        (["schema", "infer", "{root}/plain.csv"], False),
+        (["schema", "validate", "{root}/plain.csv", "{root}/pkg/metadata/obs.json"], False),
+        (["dict", "{root}/pkg/metadata/obs.json"], False),
+        (["init", "{root}/seeded", "--dataset", "obs", "--seed", "{root}/plain.csv"], True),
+        (["chunk", "{root}/replain.csv", "--max-rows", "1"], False),
+        (["unchunk", "{root}/piece-1.csv", "{root}/piece-2.csv", "--output", "{root}/rejoined.csv"], False),
+        (["pack", "{root}/pkg", "--output", "{root}/linted.tar", "--require-lint"], True),
+    ],
+    ids=[
+        "checksum", "verify", "pack", "lint", "schema-infer", "schema-validate", "dict", "init-seed", "chunk",
+        "unchunk", "pack-require-lint",
+    ],
 )
-def test_fixity_commands_load_no_dataclass_machinery(tables, monkeypatch, argv):
-    # The manifest types are named tuples: no dataclasses, and no inspect under it.
+def test_fixity_commands_load_no_dataclass_machinery(tables, monkeypatch, argv, hashes):
+    # Every value type is a named tuple: no command loads dataclasses, nor inspect under it.
     monkeypatch.setenv("PYTHONPATH", str(Path(tidypack.__file__).resolve().parents[1]))
     code, _, loaded = _child(_START, *(arg.format(root=tables) for arg in argv), options=("-S",)).partition(" ")
-    assert code == "0" and "hashlib" in loaded
+    assert code == "0" and ("hashlib" in loaded) == hashes
     assert "dataclasses" not in loaded and "inspect" not in loaded
 
 

@@ -302,6 +302,32 @@ def test_r09_path_safety_and_missing_target(tmp_path):
     assert len(findings) == 1 and "missing table" in findings[0].detail
 
 
+@pytest.mark.parametrize("link", ["data/link.csv", "data/linked/t.csv"], ids=["file", "directory"])
+def test_r09_reads_no_table_behind_a_symbolic_link(tmp_path, link):
+    # The walk skips symbolic links, so no other command sees the target:
+    # R09 does not validate the cells of a file outside the package either.
+    root = tmp_path / "pkg"
+    _clean_package(root)
+    outside = tmp_path / "outside"
+    _write(outside, "t.csv", b"id,score\nSECRET,x\n")
+    if link.endswith("link.csv"):
+        (root / link).symlink_to(outside / "t.csv")
+    else:
+        (root / "data/linked").symlink_to(outside, target_is_directory=True)
+    _write(root, "metadata/t.json", _SCHEMA_JSON.replace(b"data/t.csv", link.encode()))
+    findings = _by_rule(_lint(root), "R09")
+    assert [f.detail for f in findings] == [f"schema points at a missing table: {link}"]
+    assert link not in scan_package(root).all_paths()
+
+
+def test_r09_reads_an_inventoried_table_however_its_path_is_spelled(tmp_path):
+    _clean_package(tmp_path)
+    stricter = _SCHEMA_JSON.replace(b'"type": "number"', b'"type": "integer"')
+    _write(tmp_path, "metadata/t.json", stricter.replace(b'"data/t.csv"', b'"./data//t.csv"'))
+    findings = _by_rule(_lint(tmp_path), "R09")
+    assert [f.detail.partition(":")[0] for f in findings] == ["./data//t.csv does not match the schema"]
+
+
 def test_r09_schema_mismatch_names_first_violation(tmp_path):
     _clean_package(tmp_path)
     stricter = _SCHEMA_JSON.replace(b'"type": "number"', b'"type": "integer"')

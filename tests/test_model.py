@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import tempfile
 import tracemalloc
-from dataclasses import fields
 from pathlib import Path, PurePosixPath
 
 import pytest
@@ -376,7 +375,7 @@ def test_documentation_slots_are_scanned_file_refs(tmp_path):
 
 def _paths(owner: PackagePool) -> dict[str, list[str]]:
     return {
-        bucket.name: [ref.path for ref in getattr(owner, bucket.name)] for bucket in fields(PackagePool)
+        bucket: [ref.path for ref in getattr(owner, bucket)] for bucket in PackagePool._fields
     }
 
 
@@ -475,9 +474,9 @@ def _reference_scan(root: Path) -> dict:
 
     if len(datasets) == 1:
         (only,) = datasets.values()
-        for bucket in fields(PackagePool):
-            if bucket.name != "data_files":
-                getattr(only, bucket.name).extend(getattr(pool, bucket.name))
+        for bucket in PackagePool._fields:
+            if bucket != "data_files":
+                getattr(only, bucket).extend(getattr(pool, bucket))
         pool = PackagePool(data_files=pool.data_files)
 
     return {

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import importlib
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -180,14 +179,14 @@ def test_scaffold_lints_clean(tmp_path):
 
 @pytest.mark.parametrize("doi", ["10.1234/abcd", "10.12345.6/x(y)-z;1", "10.1234/ä}b"])
 def test_an_accepted_doi_gets_no_r07(tmp_path, doi):
-    package = scaffold(replace(_FULL, doi=doi), tmp_path / "pkg")
+    package = scaffold(_FULL._replace(doi=doi), tmp_path / "pkg")
     assert [f.rule_id for f in lint_package(package).findings] == ["R10"]
 
 
 @given(st.text(alphabet=st.sampled_from(list('ab1/.<>"{}() \t\nä')), max_size=8))
 def test_lint_finds_every_doi_init_accepts(suffix):
     try:
-        request = replace(_FULL, doi="10.1234/" + suffix)
+        request = _FULL._replace(doi="10.1234/" + suffix)
     except ScaffoldError as exc:
         assert repr("10.1234/" + suffix) in str(exc)
         return

@@ -86,9 +86,7 @@ def test_infer_schema_names_and_errors():
     assert infer_schema(table).name == "table"
     assert infer_schema(table, name="given").name == "given"
 
-    from dataclasses import replace
-
-    sourced = replace(table, source="data/teaching.csv")
+    sourced = table._replace(source="data/teaching.csv")
     assert infer_schema(sourced).name == "teaching"
 
     # A header cell of only spaces is an empty name once trimmed.
