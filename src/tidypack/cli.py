@@ -143,10 +143,7 @@ def _cmd_schema_validate(args) -> _Result:
         lines.append(f"  {place}, field {v.field!r}: {v.kind}" + (f" (value {v.value!r})" if v.value else ""))
     document = {
         "ok": result.ok,
-        "violations": [
-            {"kind": v.kind, "field": v.field, "row": v.row, "value": v.value}
-            for v in result.violations
-        ],
+        "violations": [v._asdict() for v in result.violations],
     }
     return _Result(EXIT_OK if result.ok else EXIT_FINDINGS, document, _lines(*lines))
 

@@ -11,12 +11,15 @@ def checked_tuple(typename: str, field_names: str) -> type:
 
     ``_replace`` goes through that constructor, so a changed value is
     checked again, while ``_make`` stays the unchecked builder, for values
-    tidypack made itself.  A copy or a pickle is rebuilt with ``_make`` from
-    the fields, whatever the constructor's parameters are: keyword-only, or
-    positional in another order than the fields.
+    tidypack made itself.  Like a plain named tuple's, ``_replace`` refuses a
+    name that is not a field, even one the constructor takes (``CsvTable``'s
+    ``rows``).  A copy or a pickle is rebuilt with ``_make`` from the fields,
+    whatever the constructor's parameters are: keyword-only, or positional
+    in another order than the fields.
     """
     base = namedtuple(typename, field_names)
-    base._replace = lambda self, /, **changes: type(self)(**{**self._asdict(), **changes})
+    unchecked_replace = base._replace
+    base._replace = lambda self, /, **changes: type(self)(**unchecked_replace(self, **changes)._asdict())
     base.__reduce__ = lambda self: (self._make, (tuple(self),))
     return base
 

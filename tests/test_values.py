@@ -156,6 +156,14 @@ def test_replace_checks_and_make_does_not(name):
     assert type(made) is type(value) and getattr(made, field) == bad
 
 
+@pytest.mark.parametrize("name", VALUES)
+def test_replace_refuses_a_name_that_is_not_a_field(name):
+    # CsvTable's constructor takes ``rows``, but a table's field is
+    # ``columns``: replacing ``rows`` must not give back the same table.
+    with pytest.raises(ValueError, match="unexpected field names: \\['rows'\\]"):
+        VALUES[name]._replace(rows=[["9", "z"]])
+
+
 def test_replace_normalizes_as_the_constructor_does():
     schema = VALUES["TableSchema"]._replace(missing_values=["", "NA"])
     assert schema.missing_values == frozenset({"", "NA"})
