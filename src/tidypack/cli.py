@@ -131,21 +131,22 @@ def _cmd_schema_infer(args) -> _Result:
 
 
 def _cmd_schema_validate(args) -> _Result:
-    from .schema import schema_from_json, validate_table
+    from .schema import iter_violations, schema_from_json
     from .tabular import read_csvy
 
     schema = schema_from_json(Path(args.schema).read_bytes())
     _, table = read_csvy(args.table)
-    result = validate_table(table, schema)
-    lines = [f"{args.table} matches {args.schema}" if result.ok else f"{args.table} violates {args.schema}:"]
-    for v in result.violations:
-        place = "table" if v.row is None else f"row {v.row}"
-        lines.append(f"  {place}, field {v.field!r}: {v.kind}" + (f" (value {v.value!r})" if v.value else ""))
-    document = {
-        "ok": result.ok,
-        "violations": [v._asdict() for v in result.violations],
-    }
-    return _Result(EXIT_OK if result.ok else EXIT_FINDINGS, document, _lines(*lines))
+    violations = iter_violations(table, schema)
+    if args.format == "json":
+        listed = [v._asdict() for v in violations]
+        return _Result(EXIT_FINDINGS if listed else EXIT_OK, {"ok": not listed, "violations": listed})
+    lines = [
+        f"  {'table' if v.row is None else f'row {v.row}'}, field {v.field!r}: {v.kind}"
+        + (f" (value {v.value!r})" if v.value else "")
+        for v in violations
+    ]
+    head = f"{args.table} violates {args.schema}:" if lines else f"{args.table} matches {args.schema}"
+    return _Result(EXIT_FINDINGS if lines else EXIT_OK, None, _lines(head, *lines))
 
 
 def _cmd_dict(args) -> _Result:
@@ -223,7 +224,7 @@ def _checksum_json(entries, output: Path | None) -> bytes:
     items = ",\n".join(f'    {{\n      "path": {quote(e.path)},\n      "md5": "{e.md5}"\n    }}' for e in entries)
     listed = f"[\n{items}\n  ]" if entries else "[]"
     written = "null" if output is None else quote(str(output))
-    return f'{{\n  "entries": {listed},\n  "written": {written}\n}}\n'.encode("utf-8")
+    return f'{{\n  "entries": {listed},\n  "written": {written}\n}}\n'.encode("utf-8", "backslashreplace")
 
 
 def _cmd_verify(args) -> _Result:
@@ -410,7 +411,8 @@ def _render(result: _Result, json_mode: bool) -> int:
     """Write ``result`` in the format asked for and return its exit code.
 
     JSON is written as UTF-8 bytes whatever the stdout encoding (RFC 8259
-    section 8.1).  Text that the stdout encoding cannot carry is refused
+    section 8.1), and a lone surrogate, from a name that is not UTF-8, as its
+    ``\\udcXX`` escape.  Text that the stdout encoding cannot carry is refused
     whole: nothing reaches stdout and one ``error:`` line says so.
     """
     if not json_mode:
@@ -420,7 +422,7 @@ def _render(result: _Result, json_mode: bool) -> int:
     else:
         import json
 
-        out, err = (json.dumps(result.document, indent=2, ensure_ascii=False) + "\n").encode("utf-8"), ""
+        out, err = (json.dumps(result.document, indent=2, ensure_ascii=False) + "\n").encode("utf-8", "backslashreplace"), ""
     try:
         if sys.stdout is None or sys.stdout.closed:  # None: started with file descriptor 1 closed
             raise OSError("stdout is closed")

@@ -39,9 +39,9 @@ from .schema import (
     DataDictionary,
     TableSchema,
     dictionary_from_csv,
-    failing_values,
+    failing_cells,
+    iter_violations,
     schema_from_json,
-    validate_table,
 )
 from .tabular import MISSING_WATCHLIST, CsvTable, read_csvy
 
@@ -406,14 +406,15 @@ def _eval_r09(ctx: _Context) -> Iterator[Finding]:
         if table is None:
             yield _f(f"table {target} cannot be parsed: {error}", path=ref.path)
             continue
-        result = validate_table(table, schema)
-        if not result.ok:
-            first = result.violations[0]
+        violations = iter_violations(table, schema)
+        first = next(violations, None)
+        if first is not None:
+            total = 1 + sum(1 for _ in violations)
             yield _f(
-                f"{target} does not match the schema: {len(result.violations)} violation(s); "
+                f"{target} does not match the schema: {total} violation(s); "
                 f"first: {_describe_violation(first)}",
                 path=ref.path,
-                violations=str(len(result.violations)),
+                violations=str(total),
             )
 
 
@@ -503,20 +504,20 @@ def _eval_r14(ctx: _Context) -> Iterator[Finding]:
         for ref, table in ctx.dataset_tables(ds):
             for name, column in zip(table.column_names, table.shapes):
                 # A value looks like a date, or has a date's shape, exactly
-                # when its digit shape does; the column is walked again only
-                # to count and order the offending cells.
+                # when its digit shape does.
                 shapes = column.shapes(excluded)
                 if not shapes or not all(map(_looks_dateish, shapes)):
                     continue
-                bad = failing_values(column, "date", excluded)
-                if bad:
-                    offending = [c for c in column.cells if c in bad]
+                cells = failing_cells(column, "date", excluded)
+                _, example = next(cells, (None, None))
+                if example is not None:
+                    total = 1 + sum(1 for _ in cells)
                     yield _f(
-                        f"column {name!r} holds dates but {len(offending)} value(s) "
-                        f"are not calendar-valid YYYY-MM-DD (e.g. {offending[0]!r})",
+                        f"column {name!r} holds dates but {total} value(s) "
+                        f"are not calendar-valid YYYY-MM-DD (e.g. {example!r})",
                         path=ref.path,
                         column=name,
-                        example=offending[0],
+                        example=example,
                     )
 
 
@@ -716,7 +717,7 @@ def report_to_json(report: LintReport) -> bytes:
             for f in report.findings
         ],
     }
-    return (json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return (json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8", "backslashreplace")
 
 
 def _anchor_for(rule_id: str) -> str:

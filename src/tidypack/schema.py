@@ -7,17 +7,17 @@ anything.  A column with no non-missing cells is a ``string`` column.
 
 Inference and validation judge a column by its cells' digit shapes
 (``tabular.ColumnShapes``): a value passes a type's check exactly when its
-shape does, and a date must also be on the calendar.  Only the values behind
-a failing shape are looked at one by one.
+shape does, and a date must also be on the calendar.  Only the cells with a
+failing shape, or an odd date, are looked at one by one.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import namedtuple
-from itertools import compress, count
 from pathlib import PurePath
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import DictionaryError, SchemaError, checked_tuple
 from .tabular import (
@@ -137,13 +137,12 @@ def _infer(column: ColumnShapes, missing: frozenset[str]) -> str:
     return "string"
 
 
-def failing_values(column: ColumnShapes, type_name: str, missing: frozenset[str]) -> set[str]:
-    """The distinct non-missing values of a column that fail the type's check."""
+def failing_cells(column: ColumnShapes, type_name: str, missing: frozenset[str]) -> Iterator[tuple[int, str]]:
+    """``(row, cell)`` for each non-missing cell of a column that fails the
+    type's check, rows counted from 0, in row order."""
     check = _SHAPE_CHECKS[type_name]
-    bad = column.values({shape for shape in column.shapes(missing) if not check(shape)})
-    if type_name == "date":
-        bad |= column.bad_dates
-    return bad.difference(missing)
+    shapes = {shape for shape in column.shapes(missing) if not check(shape)}
+    return column.rows_where(shapes, column.bad_dates if type_name == "date" else frozenset(), missing)
 
 
 def infer_schema(
@@ -176,7 +175,7 @@ def infer_schema(
 
 
 def validate_table(table: CsvTable, schema: TableSchema) -> ValidationReport:
-    """Check a table against a schema.
+    """Check a table against a schema; the report lists what ``iter_violations`` yields.
 
     Structural violations (schema columns absent from the table, table
     columns unknown to the schema) come first, then cell violations ordered
@@ -186,39 +185,30 @@ def validate_table(table: CsvTable, schema: TableSchema) -> ValidationReport:
     a ``date`` field is ``bad_date_format``; anything else is
     ``type_mismatch``.
     """
-    violations: list[Violation] = []
+    return ValidationReport(violations=list(iter_violations(table, schema)))
+
+
+def iter_violations(table: CsvTable, schema: TableSchema) -> Iterator[Violation]:
+    """The violations ``validate_table`` lists, in its order, one at a time:
+    one row scan per column finds its failing cells, merged by row, then column."""
     names = table.column_names
+    types = {f.name: f.type for f in schema.fields}
     present = set(names)
-    schema_names = set(schema.field_names())
-
-    for f in schema.fields:
-        if f.name not in present:
-            violations.append(Violation(kind="missing_column", field=f.name))
-    for column_name in names:
-        if column_name not in schema_names:
-            violations.append(Violation(kind="unknown_column", field=column_name))
-
-    # Each column is judged by its cells' digit shapes.  The rows of the
-    # few failing values are found column by column, at C speed, and then
-    # sorted into row-major order.
-    failing = []
-    for index, name in enumerate(names):
-        if name not in schema_names:
-            continue
-        type_name = schema.field(name).type
-        if type_name == "string":
-            continue
-        bad = failing_values(table.shapes[index], type_name, schema.missing_values)
-        if bad:
-            kinds = {cell: _violation_kind(cell, type_name) for cell in bad}
-            column = table.columns[index]
-            for row in compress(count(), map(kinds.__contains__, column)):
-                failing.append((row, index, name, kinds[column[row]], column[row]))
-    failing.sort()
-    violations += [
-        Violation(kind=kind, field=name, row=row + 1, value=value) for row, _, name, kind, value in failing
+    yield from (Violation(kind="missing_column", field=name) for name in types if name not in present)
+    yield from (Violation(kind="unknown_column", field=name) for name in names if name not in types)
+    runs = [
+        _column_violations(index, name, types[name], column, schema.missing_values)
+        for index, (name, column) in enumerate(zip(names, table.shapes))
+        if types.get(name, "string") != "string"
     ]
-    return ValidationReport(violations=violations)
+    for _, _, violation in heapq.merge(*runs):
+        yield violation
+
+
+def _column_violations(index: int, name: str, type_name: str, column: ColumnShapes, missing: frozenset[str]):
+    """``(row, index, Violation)`` for each failing cell of one column, in row order."""
+    for row, cell in failing_cells(column, type_name, missing):
+        yield row, index, Violation(_violation_kind(cell, type_name), name, row + 1, cell)
 
 
 def _violation_kind(cell: str, type_name: str) -> str:
@@ -245,7 +235,8 @@ def schema_to_json(schema: TableSchema) -> bytes:
     ``missingValues``, ``license``), two-space indent, LF line endings, a
     trailing newline, and non-ASCII characters kept as-is.  ``path`` and
     ``license`` are omitted when unset; ``missingValues`` is always present
-    and sorted.
+    and sorted.  A lone surrogate, which a file name that is not UTF-8
+    holds, is written as its ``\\udcXX`` escape.
     """
     obj: dict[str, Any] = {"name": schema.name}
     if schema.path is not None:
@@ -254,7 +245,7 @@ def schema_to_json(schema: TableSchema) -> bytes:
     obj["missingValues"] = sorted(schema.missing_values)
     if schema.license_id is not None:
         obj["license"] = schema.license_id
-    return (json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return (json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8", "backslashreplace")
 
 
 def _field_from_obj(obj: Any, where: str) -> FieldDescriptor:

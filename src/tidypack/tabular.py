@@ -68,7 +68,7 @@ import re
 import sys
 from collections import Counter, deque, namedtuple
 from functools import cache, cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
@@ -221,13 +221,18 @@ class ColumnShapes:
         emptied = {shape for shape, n in gone.items() if n == counts[shape]}
         return counts.keys() - emptied if emptied else counts.keys()
 
-    def values(self, shapes: AbstractSet[str]) -> set[str]:
-        """The distinct values whose shape is in ``shapes``."""
-        found: set[str] = set()
-        if shapes:
-            for chunk, text in _slices(self.cells):
-                found.update(c for c, shape in zip(chunk, _shapes_of(chunk, text)) if shape in shapes)
-        return found
+    def rows_where(
+        self, shapes: AbstractSet[str], odd: AbstractSet[str], excluded: AbstractSet[str]
+    ) -> Iterator[tuple[int, str]]:
+        """``(row, cell)``, rows counted from 0, for each cell not in ``excluded``
+        whose shape is in ``shapes`` or that is in ``odd``, in row order."""
+        if not shapes and not odd:
+            return
+        for start, (chunk, text) in zip(count(0, _SLICE_CELLS), _slices(self.cells)):
+            hits = map(shapes.__contains__, _shapes_of(chunk, text))
+            if odd:
+                hits = map(bool.__or__, hits, map(odd.__contains__, chunk))
+            yield from (hit for hit in compress(zip(count(start), chunk), hits) if hit[1] not in excluded)
 
 
 class Dialect(checked_tuple("Dialect", "delimiter")):

@@ -824,6 +824,42 @@ def test_a_file_name_that_is_not_utf8_is_named_with_escapes(package, capsys, mon
     assert not (package.parent / "demo.tar").exists()
 
 
+#: The byte 0xFF of a command-line name, as Python holds it: a lone surrogate.
+_NOT_UTF8 = os.fsdecode(b"\xff")
+
+
+@pytest.mark.parametrize(
+    "before, argv, code",
+    [
+        ([], "chunk bad{x}.csv --max-rows 1", EXIT_OK),
+        (["chunk bad{x}.csv --max-rows 1"], "chunk bad{x}.csv --max-rows 1", EXIT_USAGE),
+        ([], "unchunk bad{x}.csv --output u.csv", EXIT_USAGE),
+        (["chunk bad{x}.csv --max-rows 1"], "unchunk bad{x}-1.csv bad{x}-2.csv --output u{x}.csv", EXIT_OK),
+        ([], "checksum demo --output m{x}.txt", EXIT_OK),
+        ([], "pack demo --output x{x}.tar", EXIT_OK),
+        ([], "init d{x}q --dataset obs --name ok", EXIT_OK),
+        ([], "schema infer bad{x}.csv", EXIT_OK),
+    ],
+    ids=["chunk", "chunk-refused", "unchunk-refused", "unchunk", "checksum", "pack", "init", "schema-infer"],
+)
+def test_a_json_document_carries_a_name_that_is_not_utf8_as_an_escape(package, capsys, monkeypatch, before, argv, code):
+    # JSON is UTF-8 bytes, which a lone surrogate is not: it is written as
+    # its \udcXX escape, which json.loads turns back into the same str.
+    monkeypatch.chdir(package.parent)
+    (package.parent / f"bad{_NOT_UTF8}.csv").write_bytes(b"id,v\n1,2\n3,4\n")
+    for command in before:
+        assert main([*command.format(x=_NOT_UTF8).split(), "--format", "json"]) == EXIT_OK
+    capsys.readouterr()
+    got, out, err = run(capsys, *argv.format(x=_NOT_UTF8).split(), "--format", "json")
+    document = one_json(out)
+    assert (got, err) == (code, "")
+    assert "\\udcff" in out and _NOT_UTF8 in json.dumps(document, ensure_ascii=False)
+    if code == EXIT_OK:
+        assert "error" not in document
+    else:
+        assert document["error"]["code"] == code
+
+
 @pytest.mark.parametrize("name", ["odd\r", "two\nlines"], ids=["cr", "lf"])
 @pytest.mark.parametrize(
     "command, code", [("lint", EXIT_FINDINGS), ("checksum", EXIT_USAGE), ("verify", EXIT_USAGE), ("pack", EXIT_USAGE)]

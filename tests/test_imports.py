@@ -203,6 +203,9 @@ def test_fixity_commands_load_no_dataclass_machinery(tables, monkeypatch, argv, 
     code, _, loaded = _child(_START, *(arg.format(root=tables) for arg in argv), options=("-S",)).partition(" ")
     assert code == "0" and ("hashlib" in loaded) == hashes
     assert "dataclasses" not in loaded and "inspect" not in loaded
+    # In text mode only the commands that read schema JSON load json.
+    reads_json = argv[0] in ("lint", "schema", "dict", "init") or "--require-lint" in argv
+    assert ("'json'" in loaded) == reads_json
 
 
 def test_a_json_usage_error_in_a_fresh_interpreter_is_one_document():

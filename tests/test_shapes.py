@@ -180,6 +180,24 @@ class _OneTableContext:
         return [(SimpleNamespace(path="data/d.csv"), self.table)]
 
 
+class _OneSchemaContext(_OneTableContext):
+    """What R09 reads of a lint context: one dataset whose one schema file,
+    with no ``path``, types its one table."""
+
+    def __init__(self, table: CsvTable, schema: TableSchema):
+        super().__init__(table, frozenset())
+        self.schema = schema
+        self.ds.data_files = [SimpleNamespace(path="data/d.csv")]
+        self.pkg.pool = SimpleNamespace()
+        self.pkg.all_paths = lambda: ["data/d.csv", "metadata/d.json"]
+
+    def json_metadata_refs(self, owner):
+        return [SimpleNamespace(path="metadata/d.json")] if owner is self.ds else []
+
+    def load(self, loader, rel):
+        return (self.schema if loader is lint._load_schema else self.table), None
+
+
 # ---------------------------------------------------------------------------
 # Cells
 
@@ -267,6 +285,36 @@ def test_r14_and_r15_match_the_per_value_checks(table, declared, slice_size):
         for rule, reference in ((lint._eval_r14, _reference_eval_r14), (lint._eval_r15, _reference_eval_r15)):
             ctx = _OneTableContext(table, declared)
             assert list(rule(ctx)) == list(reference(ctx))
+
+
+@st.composite
+def _typed_tables(draw):
+    """A table, and a schema that types most of its columns in any order,
+    now and then naming a column the table lacks."""
+    table = draw(_tables())
+    names = [name for name in draw(st.permutations(table.column_names)) if draw(st.integers(0, 5))]
+    if not draw(st.integers(0, 5)):
+        names.insert(draw(st.integers(0, len(names))), "c3")
+    types = st.sampled_from(["integer", "number", "boolean", "date", "string"])
+    fields = [FieldDescriptor(name, draw(types)) for name in names]
+    return table, TableSchema(name="t", fields=fields, missing_values=draw(_MISSING))
+
+
+@given(_typed_tables(), _SLICES)
+def test_r09_counts_and_first_match_the_per_value_checks(typed, slice_size):
+    table, schema = typed
+    violations = _reference_validate_table(table, schema).violations
+    expected = [
+        _f(
+            f"data/d.csv does not match the schema: {len(violations)} violation(s); "
+            f"first: {lint._describe_violation(violations[0])}",
+            path="metadata/d.json",
+            violations=str(len(violations)),
+        )
+    ] if violations else []
+    with _sliced(slice_size):
+        # A finding's machine data is one of its fields, so it is compared too.
+        assert list(lint._eval_r09(_OneSchemaContext(table, schema))) == expected
 
 
 @given(st.lists(_CELLS, max_size=30), st.sets(st.sampled_from(["NA", "-99", "", "x", "1"])))

@@ -1021,7 +1021,9 @@ def test_column_shapes_are_summarized_once():
     assert d.counts == {tabular.DATE_SHAPE: 2}
     assert d.bad_dates == {"2019-02-30"}
     assert n.shapes(["-12", "-99"]) == {"0"}
-    assert n.values({"-00"}) == {"-12"}
+    assert list(n.rows_where({"-00"}, set(), set())) == [(1, "-12")]
+    assert list(n.rows_where({"0", "-00"}, set(), {"1"})) == [(1, "-12")]
+    assert list(d.rows_where(set(), d.bad_dates, set())) == [(0, "2019-02-30")]
 
 
 _SAFE_KEY = st.text(alphabet=st.sampled_from(string.ascii_lowercase), min_size=1, max_size=8).filter(
