@@ -27,8 +27,9 @@ same member.  ``hashlib`` (and with it OpenSSL) is imported by the
 functions that hash, so ``chunk`` and ``unchunk`` never load it.
 
 ``chunk_table`` and ``unchunk`` copy a table body that passes ``tabular``'s
-canonical test, as every chunk does, and parse and render any other, with
-the same output and errors either way.
+canonical test, as every chunk does, or differs from one only in its line
+ends, and render any other batch by batch as it is parsed, with the same
+output and errors either way.
 
 ``publish`` is the only code in tidypack that creates an output file.  It
 writes all of a command's files or none: ``init``, ``chunk`` and ``pack``

@@ -38,6 +38,7 @@ from .licenses import LicenseKind
 from .schema import (
     DataDictionary,
     TableSchema,
+    count_violations,
     dictionary_from_csv,
     failing_cells,
     iter_violations,
@@ -406,10 +407,9 @@ def _eval_r09(ctx: _Context) -> Iterator[Finding]:
         if table is None:
             yield _f(f"table {target} cannot be parsed: {error}", path=ref.path)
             continue
-        violations = iter_violations(table, schema)
-        first = next(violations, None)
+        first = next(iter_violations(table, schema), None)
         if first is not None:
-            total = 1 + sum(1 for _ in violations)
+            total = count_violations(table, schema)
             yield _f(
                 f"{target} does not match the schema: {total} violation(s); "
                 f"first: {_describe_violation(first)}",

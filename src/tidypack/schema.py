@@ -191,18 +191,33 @@ def validate_table(table: CsvTable, schema: TableSchema) -> ValidationReport:
 def iter_violations(table: CsvTable, schema: TableSchema) -> Iterator[Violation]:
     """The violations ``validate_table`` lists, in its order, one at a time:
     one row scan per column finds its failing cells, merged by row, then column."""
+    structural, typed = _checked_columns(table, schema)
+    yield from structural
+    runs = [_column_violations(*checked, schema.missing_values) for checked in typed]
+    for _, _, violation in heapq.merge(*runs):
+        yield violation
+
+
+def count_violations(table: CsvTable, schema: TableSchema) -> int:
+    """How many violations ``iter_violations`` yields, with no ``Violation`` built per failing cell."""
+    structural, typed = _checked_columns(table, schema)
+    cells = (failing_cells(shapes, kind, schema.missing_values) for *_, kind, shapes in typed)
+    return len(structural) + sum(1 for run in cells for _ in run)
+
+
+def _checked_columns(table: CsvTable, schema: TableSchema) -> tuple[list[Violation], list[tuple]]:
+    """The structural violations, and ``(index, name, type, shapes)`` per column not typed ``string``."""
     names = table.column_names
     types = {f.name: f.type for f in schema.fields}
     present = set(names)
-    yield from (Violation(kind="missing_column", field=name) for name in types if name not in present)
-    yield from (Violation(kind="unknown_column", field=name) for name in names if name not in types)
-    runs = [
-        _column_violations(index, name, types[name], column, schema.missing_values)
+    structural = [Violation(kind="missing_column", field=name) for name in types if name not in present]
+    structural += [Violation(kind="unknown_column", field=name) for name in names if name not in types]
+    typed = [
+        (index, name, types[name], column)
         for index, (name, column) in enumerate(zip(names, table.shapes))
         if types.get(name, "string") != "string"
     ]
-    for _, _, violation in heapq.merge(*runs):
-        yield violation
+    return structural, typed
 
 
 def _column_violations(index: int, name: str, type_name: str, column: ColumnShapes, missing: frozenset[str]):

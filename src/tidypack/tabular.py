@@ -48,9 +48,10 @@ is not read back as a byte order mark.  Detection scores only the
 delimiters that read every quote around a whole field, when some do, so it
 reads canonical text back as the same table.
 Text in that form passes the canonical test, ``_canonical``, and chunking
-cuts and copies it (``_csvy_pieces``) instead of parsing and rendering it.
-Only text that parses cleanly passes, so every error still comes from the
-parser.
+cuts and copies it (``_csvy_pieces``), as it does quote-free text that
+differs from it only in its line ends, once folded to LF.  Any other text is
+rendered a batch at a time as it is parsed, and no table is built.  Only
+text that parses cleanly passes, so every error still comes from the parser.
 
 A parsed ``CsvTable`` builds one ``ColumnShapes`` per column on first use:
 the column's cells, and how many of them have each digit shape, a cell with
@@ -373,28 +374,26 @@ def _plain_text(text: str) -> str | None:
     return text.replace(CRLF, LF).replace("\r", LF) if "\r" in text else text
 
 
-def _split_table(text: str, delimiter: str) -> tuple[list[str], tuple[tuple[str, ...], ...]]:
-    """Split text into its first record, the header, and the columns of
-    the records after it.
+def _batches(text: str, delimiter: str) -> Iterator[Sequence[Sequence[str]]]:
+    """Batches of columns of the records of text, the first of which starts
+    with the first record: a parse gathers them, and a render writes them.
 
     Lines with no characters at all are skipped.  Every record must have
     the first record's width: ``CsvError`` names the first one that does
-    not, and an unterminated quote, with their 1-based record numbers.  The
-    header is empty when the text holds no record, and ``CsvTable`` refuses
-    it.
-
+    not, and an unterminated quote, with their 1-based record numbers.
     Plain text is split by its lines, ``_line_columns``; any other text is
     read by ``_read_quoted``.
     """
     lines = _plain_text(text)
     if lines is not None:
-        return _gather(_line_columns(lines, delimiter))
-    return _gather(_record_columns(_read_quoted(text, delimiter)))
+        return _line_columns(lines, delimiter)
+    return _record_columns(_read_quoted(text, delimiter))
 
 
-def _gather(batches: Iterator[Sequence[Sequence[str]]]) -> tuple[list[str], tuple[tuple[str, ...], ...]]:
+def _gather(batches: Iterator[Sequence[Sequence[str]]], dialect: Dialect) -> CsvTable:
     """Join batches of columns, the first of which starts with the first
-    record, into the header and one tuple per column of the rows below it."""
+    record, into a table whose header is that record: with no record the
+    header is empty, and ``CsvTable`` refuses it."""
     columns: list[list[str]] = []
     for batch in batches:
         if not columns:  # a list in the first batch is taken over as it is
@@ -406,7 +405,7 @@ def _gather(batches: Iterator[Sequence[Sequence[str]]]) -> tuple[list[str], tupl
     for index, cells in enumerate(columns):  # one list at a time is alive next to its tuple
         del cells[0]
         columns[index] = tuple(cells)
-    return header, tuple(columns)
+    return CsvTable(header=header, dialect=dialect, columns=tuple(columns))
 
 
 #: Characters per block of ``_line_columns``.
@@ -565,12 +564,6 @@ def _split_quoted(
     return records, clean
 
 
-def _table_from_text(text: str, dialect: Dialect) -> CsvTable:
-    """Split decoded text into a table."""
-    header, columns = _split_table(text, dialect.delimiter)
-    return CsvTable(header=header, dialect=dialect, columns=columns)
-
-
 def parse_table(data: bytes, dialect: Dialect) -> CsvTable:
     """Parse delimited bytes into a table with the given delimiter; the
     first record is the header.  A record ends at LF, CRLF or a lone CR
@@ -580,7 +573,7 @@ def parse_table(data: bytes, dialect: Dialect) -> CsvTable:
     rows and unterminated quotes, ``CsvError`` for text with no record, and
     ``EncodingError`` for non-UTF-8 input.
     """
-    return _table_from_text(_decode(data), dialect)
+    return _gather(_batches(_decode(data), dialect.delimiter), dialect)
 
 
 def _detect_from_text(text: str) -> Dialect:
@@ -735,7 +728,8 @@ def parse_csvy(data: bytes) -> tuple[FrontMatter, CsvTable]:
         mapping = _load_front_matter_mapping(raw_yaml)
 
     front = FrontMatter(raw_yaml=raw_yaml, mapping=mapping)
-    return front, _table_from_text(body, _detect_from_text(body))
+    dialect = _detect_from_text(body)
+    return front, _gather(_batches(body, dialect.delimiter), dialect)
 
 
 #: The quoting rule: a cell is written quoted, its quotes doubled, exactly
@@ -758,27 +752,25 @@ def _render_column(cells: Sequence[str]) -> Sequence[str]:
     return cells
 
 
-def _render_records(columns: Sequence[Sequence[str]], delimiter: str) -> str:
-    """The canonical text of the records whose cells ``columns`` hold: empty
-    only when there is no record, as a width-1 empty cell is written ``""``."""
-    rows = map(delimiter.join, zip(*(_render_column(column) for column in columns)))
-    if len(columns) == 1:
-        rows = (row or '""' for row in rows)
-    text = LF.join(rows)
-    return text and text + LF
+def _render_rows(columns: Sequence[Sequence[str]], delimiter: str) -> Iterator[str]:
+    """The canonical lines, without their LF, of the records whose cells
+    ``columns`` hold: none is empty, as a width-1 empty cell is written ``""``."""
+    rows = map(delimiter.join, zip(*map(_render_column, columns)))
+    return (row or '""' for row in rows) if len(columns) == 1 else rows
 
 
 def _header_text(header: Sequence[str], delimiter: str) -> str:
     """The canonical text of a header record.  A first cell that begins with
     U+FEFF is written quoted, bare or not: at the start of a file, a reader
     drops it as the byte order mark."""
-    text = _render_records([[name] for name in header], delimiter)
+    text = next(_render_rows([[name] for name in header], delimiter)) + LF
     return f'"{header[0]}"{text[len(header[0]) :]}' if text.startswith(BOM) else text
 
 
 def _table_text(table: CsvTable) -> str:
     delimiter = table.dialect.delimiter
-    return _header_text(table.header, delimiter) + _render_records(table.columns, delimiter)
+    text = LF.join(_render_rows(table.columns, delimiter))
+    return _header_text(table.header, delimiter) + (text and text + LF)
 
 
 def serialize_table(table: CsvTable) -> bytes:
@@ -892,23 +884,40 @@ def _csvy_pieces(
     """A csvy file read as ``parse_csvy`` reads it, and raising what it
     raises: its front matter, dialect and header, its canonical text cut
     after the header and after every ``every``-th data row, and its number
-    of data rows.  A body that passes ``_canonical`` is cut as it is, and
-    any other parsed and rendered.  Front matter equal to ``checked_yaml``
-    is not parsed again.
+    of data rows.  Front matter equal to ``checked_yaml`` is not parsed
+    again.  A quote-free body is folded to LF first, as a parse reads it,
+    and a body that then passes ``_canonical`` is cut as it is.  Any other
+    is rendered a batch at a time as it is parsed, each piece cut as soon
+    as its rows are; the header is checked after the last batch, as a parse does.
     """
     raw_yaml, body = _split_front_matter(_decode(data))
+    del data  # hold at most the text and its pieces, each the size of the file
     if raw_yaml and raw_yaml != checked_yaml:
         _load_front_matter_mapping(raw_yaml)
     dialect = _detect_from_text(body)
-    found = _canonical(body, dialect.delimiter, every)
+    text = _plain_text(body) or body
+    del body
+    found = _canonical(text, dialect.delimiter, every)
     if found is not None:
-        header, rows, cuts = found
-        return raw_yaml, dialect, header, [body[start:end] for start, end in zip([0, *cuts], cuts)], rows
-    table = _table_from_text(body, dialect)
-    pieces = [_header_text(table.header, dialect.delimiter)]
-    for start in range(0, table.height, every):
-        pieces.append(_render_records([column[start : start + every] for column in table.columns], dialect.delimiter))
-    return raw_yaml, dialect, table.header, pieces, table.height
+        header, count, cuts = found
+        return raw_yaml, dialect, header, [text[start:end] for start, end in zip([0, *cuts], cuts)], count
+    header: list[str] = []
+    pieces: list[str] = []
+    rows: list[str] = []  # rendered, not yet cut
+    for batch in _batches(text, dialect.delimiter):
+        lines = _render_rows(batch, dialect.delimiter)
+        if not header:
+            header = [column[0] for column in batch]
+            next(lines)  # the header's own line
+        rows += lines
+        cut = len(rows) - len(rows) % every
+        pieces += (LF.join(rows[start : start + every]) + LF for start in range(0, cut, every))
+        del rows[:cut]
+    header = CsvTable(header).header  # the header rules of every table
+    count = every * len(pieces) + len(rows)
+    if rows:
+        pieces.append(LF.join(rows) + LF)
+    return raw_yaml, dialect, header, [_header_text(header, dialect.delimiter), *pieces], count
 
 
 def read_csvy(path: str | Path) -> tuple[FrontMatter, CsvTable]:

@@ -12,6 +12,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -555,11 +556,11 @@ def _tables(draw) -> bytes:
     return text.encode("utf-8")
 
 
-@given(
-    st.one_of(_tables(), st.text('a1",;\t\r\n-', max_size=30).map(str.encode)),
-    st.integers(min_value=1, max_value=4),
-    st.lists(st.tuples(st.sampled_from(["none", "foreign", *sorted(_EDITS)]), st.integers(0, 200)), max_size=4),
-)
+_SOURCES = st.one_of(_tables(), st.text('a1",;\t\r\n-', max_size=30).map(str.encode))
+_CHUNK_EDITS = st.lists(st.tuples(st.sampled_from(["none", "foreign", *sorted(_EDITS)]), st.integers(0, 200)), max_size=4)
+
+
+@given(_SOURCES, st.integers(min_value=1, max_value=4), _CHUNK_EDITS)
 @example(b"---\n---\n---\n1\n", 1, [])  # a --- header under empty front matter: no block, so it is quoted
 @example(b"---\ntitle: t\n---\n---\n1\n2\n", 1, [])  # a --- header under front matter stays as it is
 @example(b'v\n""\n1\n""\n', 2, [])  # a width-1 table with empty cells
@@ -581,6 +582,26 @@ def _tables(draw) -> bytes:
 @example(b'\n\xef\xbb\xbf---\ntitle: t\n---\n"id"\r\n"1"\r\n', 1, [("none", 0), ("foreign", 0)])
 @settings(deadline=None)
 def test_chunk_and_unchunk_match_the_parse_and_render_path(data, max_rows, chunk_edits):
+    _check_chunk_and_unchunk(data, max_rows, chunk_edits)
+
+
+@given(_SOURCES, st.integers(min_value=1, max_value=4), _CHUNK_EDITS, st.lists(st.integers(1, 3), min_size=3, max_size=3))
+@example(b'id;note\r\n1;"a\r\nb"\r\n2;3\r\n', 1, [], [1, 1, 1])  # a batch edge between CR and LF, in a quoted cell
+@example(b"id,v\r\n1,2\r\n\r\n3,4\r\n5,6\r\n", 2, [], [1, 2, 3])  # a blank line, folded and split by lines
+@example(b'"id","v"\r\n"1","2"\r\n"3"\r\n', 1, [], [3, 3, 1])  # a ragged last record
+@settings(deadline=None)
+def test_chunk_and_unchunk_match_at_every_batch_edge(data, max_rows, chunk_edits, sizes):
+    """The same property with every batch of records one to three lines,
+    records or characters long: a batch edge falls inside the header's
+    batch, inside a quoted cell, between CR and LF and at the last record."""
+    from tidypack import tabular
+
+    block, reader_block, batch = sizes
+    with mock.patch.multiple(tabular, _BLOCK_CHARS=block, _READER_BLOCK_CHARS=reader_block, _READER_BATCH=batch):
+        _check_chunk_and_unchunk(data, max_rows, chunk_edits)
+
+
+def _check_chunk_and_unchunk(data: bytes, max_rows: int, chunk_edits: list[tuple[str, int]]) -> None:
     with tempfile.TemporaryDirectory() as scratch:
         source = Path(scratch) / "t.csvy"
         source.write_bytes(data)
@@ -639,6 +660,91 @@ def test_canonical_tables_chunk_and_unchunk_without_a_parse(tmp_path, monkeypatc
     plan = chunk_table(source, max_rows_per_chunk=1)
     assert len(plan.chunk_paths) == plan.data_rows > 1
     assert unchunk(plan.chunk_paths) == data
+
+
+#: Quote-free tables with other line ends, which fold to canonical LF text.
+_FOLDED = {
+    "crlf": _TABLE.replace(b"\n", b"\r\n"),
+    "cr": _TABLE.replace(b"\n", b"\r"),
+    "crlf-csvy": b"---\r\ntitle: t\r\n---\r\nid;note\r\n1;a b\r\n2;\r\n3;c\r\n",
+    "mixed": b"v\r1\r\n2\n3\r",
+}
+
+
+@pytest.mark.parametrize("data", _FOLDED.values(), ids=_FOLDED.keys())
+def test_quote_free_tables_with_other_line_ends_are_copied_as_lf(tmp_path, monkeypatch, data):
+    from tidypack import tabular
+
+    source = tmp_path / "t.csv"
+    source.write_bytes(data)
+    rows, expected = _reference_chunks(source, 1)
+    merged = _reference_unchunk([source])
+    monkeypatch.setattr(tabular, "_read_quoted", _no_parse)
+    monkeypatch.setattr(tabular, "_line_columns", _no_parse)
+    plan = chunk_table(source, max_rows_per_chunk=1)
+    assert (plan.data_rows, [Path(p).read_bytes() for p in plan.chunk_paths]) == (rows, expected)
+    assert b"\r" not in merged.rsplit(b"---\n", 1)[-1]  # the front matter is kept verbatim
+    assert unchunk(plan.chunk_paths) == merged
+
+
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        (b"id,v\r\n1,2\r\n\r\n3,4\r\n", None),  # a blank line is skipped
+        (b"id,v\r1,2\r\r3,4\r", None),
+        (b"id,v\r\n1,2\r\n3\r\n4,5\r\n", ("CsvError", "row 3: expected 2 cells, found 1", 3)),
+        (b"id,v\r\n1,2\r\n\r\n3,4,5\r\n", ("CsvError", "row 3: expected 2 cells, found 3", 3)),
+    ],
+    ids=["blank-crlf", "blank-cr", "ragged", "ragged-after-blank"],
+)
+def test_folded_text_that_fails_the_canonical_test_reaches_the_parser(tmp_path, monkeypatch, data, error):
+    from tidypack import tabular
+
+    source = tmp_path / "t.csv"
+    source.write_bytes(data)
+    expected = _outcome(_reference_chunks, source, 1)
+    split = []
+    line_columns = tabular._line_columns
+    monkeypatch.setattr(tabular, "_line_columns", lambda text, d: split.append(text) or line_columns(text, d))
+    plan = _outcome(chunk_table, source, 1)
+    assert split and "\r" not in split[0]  # folded once, before the canonical test
+    if error:
+        assert plan == expected == error
+    else:
+        assert (plan.data_rows, [Path(p).read_bytes() for p in plan.chunk_paths]) == expected
+
+
+def _no_table(*args, **kwargs):
+    raise AssertionError("a table was gathered")
+
+
+_FALLBACK = {
+    "quoted-crlf-csvy": b'---\r\ntitle: t\r\n---\r\n"id","note"\r\n"1","a, b"\r\n"2","x\r\ny"\r\n"3",""\r\n',
+    "blank-line": b"id,v\n1,2\n\n3,4\n5,6\n",
+    "bom-header": b"\n\xef\xbb\xbfid,v\n1,2\n3,4\n",
+    "width-1": b'v\r\n""\r\n1\r\n""\r\n',
+    "ragged": b'id,v\n1,"2"\n3\n',
+    "unterminated": b'id,v\n1,2\n3\n4,"5\n',
+    "duplicate-header": b'id,id\n1,"2"\n',
+    "no-record": b"\r\n\r\n",
+}
+
+
+@pytest.mark.parametrize("data", _FALLBACK.values(), ids=_FALLBACK.keys())
+def test_text_that_fails_the_canonical_test_is_rendered_without_gathering_a_table(tmp_path, monkeypatch, data):
+    from tidypack import tabular
+
+    source = tmp_path / "t-1.csvy"  # also a first chunk, for unchunk
+    source.write_bytes(data)
+    expected = _outcome(_reference_chunks, source, 1)
+    merged = _outcome(_reference_unchunk, [source])
+    monkeypatch.setattr(tabular, "_gather", _no_table)
+    plan = _outcome(chunk_table, source, 1)
+    if isinstance(expected, tuple) and isinstance(expected[0], str):  # an error
+        assert plan == expected
+    else:
+        assert (plan.data_rows, [Path(p).read_bytes() for p in plan.chunk_paths]) == expected
+    assert _outcome(unchunk, [source]) == merged
 
 
 def test_unchunk_parses_each_distinct_front_matter_once(tmp_path, monkeypatch):

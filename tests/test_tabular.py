@@ -558,7 +558,7 @@ def _rowwise_table(text: str, delimiter: str, split=_rowwise_split):
 
 def _column_outcome(text: str, delimiter: str):
     try:
-        table = tabular._table_from_text(text, Dialect(delimiter=delimiter))
+        table = tabular._gather(tabular._batches(text, delimiter), Dialect(delimiter=delimiter))
     except CsvError as exc:
         return ("error", str(exc), exc.row)
     assert all(type(column) is tuple for column in table.columns)
@@ -584,9 +584,8 @@ def _tokenized_sample(text: str, delimiter: str, limit: int | None) -> list[list
     return tabular._split_quoted(text, delimiter, limit=limit)[0]
 
 
-def _tokenized_table(text: str, delimiter: str):
-    records = tabular._split_quoted(text, delimiter)[0]
-    return tabular._gather(tabular._record_columns(iter([records])))
+def _tokenized_batches(text: str, delimiter: str):
+    return tabular._record_columns(iter([tabular._split_quoted(text, delimiter)[0]]))
 
 
 def _tokenized_detection(text: str) -> Dialect:
@@ -607,7 +606,7 @@ def test_fast_path_matches_the_state_machine(text):
     data = text.encode()
     dialects = [Dialect(delimiter=delimiter) for delimiter in tabular.DELIMITERS]
     fast = [_parse_outcome(data, d) for d in dialects] + [_detect_outcome(data)]
-    with mock.patch.object(tabular, "_split_table", _tokenized_table), mock.patch.object(
+    with mock.patch.object(tabular, "_batches", _tokenized_batches), mock.patch.object(
         tabular, "_plain_text", lambda text: None
     ):
         forced = [_parse_outcome(data, d) for d in dialects] + [_detect_outcome(data)]
@@ -726,10 +725,10 @@ def test_what_the_reader_refuses_reaches_the_state_machine(monkeypatch, text, ou
 def _tokenized_outcome(text: str, delimiter: str):
     """The tokenizer-only parse of the whole text."""
     try:
-        header, columns = _tokenized_table(text, delimiter)
+        table = tabular._gather(_tokenized_batches(text, delimiter), Dialect(delimiter=delimiter))
     except CsvError as exc:
         return ("error", str(exc), exc.row)
-    return ("table", header, [list(row) for row in zip(*columns)])
+    return ("table", table.header, table.rows)
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
