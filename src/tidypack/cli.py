@@ -120,11 +120,10 @@ def _cmd_lint(args) -> _Result:
 
 def _cmd_schema_infer(args) -> _Result:
     from .schema import infer_schema, schema_to_json
-    from .tabular import read_csvy
+    from .tabular import profile_csvy
 
-    _, table = read_csvy(args.table)
     schema = infer_schema(
-        table, name=Path(args.table).stem, path=str(args.table)
+        profile_csvy(Path(args.table).read_bytes()), name=Path(args.table).stem, path=str(args.table)
     )
     document = schema_to_json(schema)
     return _Result(EXIT_OK, document, document.decode("utf-8"))
@@ -271,16 +270,25 @@ def _cmd_chunk(args) -> _Result:
 def _cmd_unchunk(args) -> _Result:
     if args.format == "json" and not args.output:
         raise _UsageError("--output is required with --format json")
-    from .integrity import publish, unchunk
+    from .integrity import _unchunk_pieces, publish, unchunk
 
-    data = unchunk(args.chunks)
     if not args.output:
-        return _Result(EXIT_OK, None, data)
-    publish({Path(args.output): data}, replace=True)
+        return _Result(EXIT_OK, None, unchunk(args.chunks))
+    from .tabular import _csvy_parts
+
+    parts = _csvy_parts(*_unchunk_pieces(args.chunks))
+    size = 0
+
+    def write(out) -> None:  # a piece at a time: the merged table is never one string
+        nonlocal size
+        for part in parts:
+            size += out.write(part.encode("utf-8"))
+
+    publish({Path(args.output): write}, replace=True)
     return _Result(
         EXIT_OK,
-        {"output": args.output, "bytes": len(data)},
-        _lines(f"wrote {len(data)} bytes to {args.output}"),
+        {"output": args.output, "bytes": size},
+        _lines(f"wrote {size} bytes to {args.output}"),
     )
 
 

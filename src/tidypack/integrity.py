@@ -473,6 +473,14 @@ def unchunk(chunk_paths: Sequence[str | Path]) -> bytes:
     does not parse (``r-2.csv: row 3: unterminated quoted field``).  Returns the
     canonical serialization (LF endings) of the concatenated table.
     """
+    from .tabular import _csvy_bytes
+
+    return _csvy_bytes(*_unchunk_pieces(chunk_paths))
+
+
+def _unchunk_pieces(chunk_paths: Sequence[str | Path]) -> tuple[str, list[str]]:
+    """What ``unchunk`` joins, checked as it says: the first chunk's front
+    matter, and the canonical text of the header and of every chunk's rows."""
     if not chunk_paths:
         raise ChunkError("no chunk files given")
 
@@ -499,7 +507,7 @@ def unchunk(chunk_paths: Sequence[str | Path]) -> bytes:
                 f"got {path.name}"
             )
 
-    from .tabular import _csvy_bytes, _csvy_pieces
+    from .tabular import _csvy_pieces
 
     yaml0 = dialect0 = header0 = None  # the first chunk's
     pieces: list[str] = []
@@ -519,7 +527,7 @@ def unchunk(chunk_paths: Sequence[str | Path]) -> bytes:
         elif dialect != dialect0:
             raise ChunkError(f"{path.name} uses a different delimiter than the first chunk")
         pieces += rows
-    return _csvy_bytes(yaml0, pieces)
+    return yaml0, pieces
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 from collections import namedtuple
+from itertools import chain
 from pathlib import Path, PurePosixPath
 from typing import Any, Callable, Iterable, Iterator
 
@@ -41,10 +42,12 @@ from .schema import (
     count_violations,
     dictionary_from_csv,
     failing_cells,
-    iter_violations,
+    failing_count,
+    first_violation,
+    remaining_shapes,
     schema_from_json,
 )
-from .tabular import MISSING_WATCHLIST, CsvTable, read_csvy
+from .tabular import MISSING_WATCHLIST, ColumnShapes, CsvTable, TableProfile, profile_csvy, read_parts
 
 SEVERITIES = ("error", "warning", "info")
 _SEVERITY_RANK = {name: rank for rank, name in enumerate(SEVERITIES)}
@@ -166,12 +169,6 @@ def load_config(path) -> LintConfig:
 # Evaluation context
 
 
-def _load_table(path: Path) -> CsvTable:
-    # Looks up read_csvy at call time, so a wrapper installed on this
-    # module's global sees every table parse lint makes.
-    return read_csvy(path)[1]
-
-
 def _load_schema(path: Path) -> TableSchema:
     return schema_from_json(path.read_bytes())
 
@@ -184,10 +181,12 @@ class _Context:
     """Memoized file access shared by the rule evaluators.
 
     ``load`` reads each package file at most once per loader, so every
-    rule after the first reuses a parsed table, schema, or dictionary, and
-    the same failure message.  The views trust ``scan_package``: each file
-    sits in exactly one bucket and only plain-text tables are dictionaries.
-    Their order is irrelevant, because ``lint_package`` sorts the findings.
+    rule after the first reuses a table's profile (``tabular.profile_csvy``,
+    watching every missing value the package declares), a parsed schema or
+    dictionary, and the same failure message.  The views trust
+    ``scan_package``: each file sits in exactly one bucket and only
+    plain-text tables are dictionaries.  Their order is irrelevant, because
+    ``lint_package`` sorts the findings.
     """
 
     def __init__(self, pkg: DataPackage):
@@ -233,10 +232,18 @@ class _Context:
                     declared |= entry.missing_codes
         return frozenset(declared)
 
-    def dataset_tables(self, ds: Dataset) -> list[tuple[FileRef, CsvTable]]:
+    def read_table(self, path: Path) -> TableProfile:
+        owners = (*self.pkg.datasets, self.pkg.pool)
+        return profile_csvy(path.read_bytes(), MISSING_WATCHLIST.union(*map(self.declared_missing, owners)))
+
+    def parts(self, rel: str) -> Iterator[tuple[int, CsvTable]]:
+        """The table at ``rel`` read again, for the first cell a count found."""
+        return read_parts(self.pkg.root / rel)
+
+    def dataset_tables(self, ds: Dataset) -> list[tuple[FileRef, TableProfile]]:
         out = []
         for ref in ds.data_files:
-            table, _ = self.load(_load_table, ref.path)
+            table, _ = self.load(self.read_table, ref.path)
             if table is not None:
                 out.append((ref, table))
         return out
@@ -403,13 +410,13 @@ def _eval_r09(ctx: _Context) -> Iterator[Finding]:
             target = min(data.path for data in ds.data_files)
         if target is None:
             continue
-        table, error = ctx.load(_load_table, target)
+        table, error = ctx.load(ctx.read_table, target)
         if table is None:
             yield _f(f"table {target} cannot be parsed: {error}", path=ref.path)
             continue
-        first = next(iter_violations(table, schema), None)
-        if first is not None:
-            total = count_violations(table, schema)
+        total = count_violations(table, schema)
+        if total:
+            first = first_violation(ctx.parts(target), schema)
             yield _f(
                 f"{target} does not match the schema: {total} violation(s); "
                 f"first: {_describe_violation(first)}",
@@ -448,7 +455,7 @@ def _eval_r12(ctx: _Context) -> Iterator[Finding]:
         yield _f("no analysis-ready tables under data/")
     for ds in pkg.datasets:
         for ref in ds.data_files:
-            _, error = ctx.load(_load_table, ref.path)
+            _, error = ctx.load(ctx.read_table, ref.path)
             if error is not None:
                 yield _f(f"table cannot be parsed: {error}", path=ref.path)
     for ref in pkg.pool.data_files:
@@ -502,16 +509,17 @@ def _eval_r14(ctx: _Context) -> Iterator[Finding]:
     for ds in ctx.pkg.datasets:
         excluded = ctx.declared_missing(ds) | {""}
         for ref, table in ctx.dataset_tables(ds):
-            for name, column in zip(table.column_names, table.shapes):
+            for index, (name, column) in enumerate(zip(table.column_names, table.shapes)):
                 # A value looks like a date, or has a date's shape, exactly
                 # when its digit shape does.
-                shapes = column.shapes(excluded)
+                shapes = remaining_shapes(column, excluded)
                 if not shapes or not all(map(_looks_dateish, shapes)):
                     continue
-                cells = failing_cells(column, "date", excluded)
-                _, example = next(cells, (None, None))
-                if example is not None:
-                    total = 1 + sum(1 for _ in cells)
+                total = failing_count(column, "date", excluded)
+                if total:
+                    parts = ctx.parts(ref.path)
+                    failing = (failing_cells(ColumnShapes(part.columns[index]), "date", excluded) for _, part in parts)
+                    _, example = next(chain.from_iterable(failing), (None, None))
                     yield _f(
                         f"column {name!r} holds dates but {total} value(s) "
                         f"are not calendar-valid YYYY-MM-DD (e.g. {example!r})",
@@ -527,9 +535,9 @@ def _eval_r15(ctx: _Context) -> Iterator[Finding]:
         for ref, table in ctx.dataset_tables(ds):
             suspicious: list[str] = []
             for name, column in zip(table.column_names, table.shapes):
-                suspects = column.present(MISSING_WATCHLIST - declared)
+                suspects = [token for token in sorted(MISSING_WATCHLIST - declared) if column.count(token)]
                 if suspects:
-                    tokens = ", ".join(repr(t) for t in sorted(suspects))
+                    tokens = ", ".join(repr(t) for t in suspects)
                     suspicious.append(f"{name}: {tokens}")
             if suspicious:
                 yield _f(

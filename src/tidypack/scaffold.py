@@ -32,7 +32,7 @@ from .schema import (
     infer_schema,
     schema_to_json,
 )
-from .tabular import parse_csvy
+from .tabular import profile_csvy
 
 _SAFE_NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 _ORCID_RE = re.compile(r"[0-9]{4}-[0-9]{4}-[0-9]{4}-[0-9]{3}[0-9X]")
@@ -258,7 +258,7 @@ def scaffold(request: ScaffoldRequest, destination: str | Path) -> DataPackage:
         seed = Path(request.seed_tables[index]) if index < len(request.seed_tables) else None
         raw, suffix = (seed.read_bytes(), seed.suffix) if seed is not None else (b"value\n", ".csv")
         try:
-            _, table = parse_csvy(raw)
+            table = profile_csvy(raw)
         except ToolError as exc:
             raise ScaffoldError(f"seed table {seed} cannot be parsed: {exc}") from None
         filename = f"{name}{suffix}"

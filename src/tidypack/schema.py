@@ -5,26 +5,29 @@ the most specific type every non-missing cell satisfies: ``integer`` is
 inside ``number``; ``boolean`` and ``date`` stand apart; ``string`` accepts
 anything.  A column with no non-missing cells is a ``string`` column.
 
-Inference and validation judge a column by its cells' digit shapes
+Inference and validation judge a column by its profile
 (``tabular.ColumnShapes``): a value passes a type's check exactly when its
-shape does, and a date must also be on the calendar.  Only the cells with a
-failing shape, or an odd date, are looked at one by one.
+digit shape does, and a date must also be on the calendar, so a column's
+verdict and its count of failing cells are sums over its shapes, odd dates
+and missing values.  Only ``validate_table`` looks at cells one by one.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from collections import namedtuple
+from collections import Counter, namedtuple
 from pathlib import PurePath
-from typing import Any, Iterable, Iterator, Mapping
+from typing import AbstractSet, Any, Iterable, Iterator, Mapping
 
 from .errors import DictionaryError, SchemaError, checked_tuple
 from .tabular import (
+    _TO_SHAPE,
     DATE_SHAPE,
     MISSING_WATCHLIST,
     ColumnShapes,
     CsvTable,
+    TableProfile,
     is_boolean_token,
     is_date_token,
     is_integer_token,
@@ -122,11 +125,24 @@ class ValidationReport(namedtuple("ValidationReport", "violations")):
         return not self.violations
 
 
+def remaining_shapes(column: ColumnShapes, missing: AbstractSet[str]) -> AbstractSet[str]:
+    """The shapes of the cells not in ``missing``: ``-99`` shapes like
+    ``-12``, so a shape goes only with its last cell."""
+    counts = column.counts
+    gone: Counter[str] = Counter()
+    for value in missing:
+        shape = value.translate(_TO_SHAPE)
+        if shape in counts:
+            gone[shape] += column.count(value)
+    emptied = {shape for shape, n in gone.items() if n == counts[shape]}
+    return counts.keys() - emptied if emptied else counts.keys()
+
+
 def _infer(column: ColumnShapes, missing: frozenset[str]) -> str:
     """The most specific field type every non-missing cell satisfies."""
     # A type fits when every shape left once the missing values are taken
     # out passes its check, and, for dates, every odd date is missing.
-    shapes = column.shapes(missing)
+    shapes = remaining_shapes(column, missing)
     if not shapes:
         return "string"
     for candidate in _INFERENCE_ORDER:
@@ -137,22 +153,37 @@ def _infer(column: ColumnShapes, missing: frozenset[str]) -> str:
     return "string"
 
 
-def failing_cells(column: ColumnShapes, type_name: str, missing: frozenset[str]) -> Iterator[tuple[int, str]]:
-    """``(row, cell)`` for each non-missing cell of a column that fails the
-    type's check, rows counted from 0, in row order."""
+def _failing(column: ColumnShapes, type_name: str, missing: AbstractSet[str]) -> tuple[set[str], AbstractSet[str]]:
+    """The failing shapes of a column's non-missing cells, and, for a date,
+    its non-missing values off the calendar."""
     check = _SHAPE_CHECKS[type_name]
-    shapes = {shape for shape in column.shapes(missing) if not check(shape)}
-    return column.rows_where(shapes, column.bad_dates if type_name == "date" else frozenset(), missing)
+    shapes = {shape for shape in remaining_shapes(column, missing) if not check(shape)}
+    return shapes, column.bad_dates - missing if type_name == "date" else frozenset()
+
+
+def failing_cells(column: ColumnShapes, type_name: str, missing: AbstractSet[str]) -> Iterator[tuple[int, str]]:
+    """``(row, cell)`` for each non-missing cell of a column that keeps its
+    cells and fails the type's check, rows counted from 0, in row order."""
+    return column.rows_where(*_failing(column, type_name, missing), missing)
+
+
+def failing_count(column: ColumnShapes, type_name: str, missing: AbstractSet[str]) -> int:
+    """How many non-missing cells of a column fail the type's check: those of
+    the failing shapes, less the missing ones, and the odd dates off the calendar."""
+    shapes, odd = _failing(column, type_name, missing)
+    hidden = sum(column.count(value) for value in missing if value.translate(_TO_SHAPE) in shapes)
+    return sum(map(column.counts.__getitem__, shapes)) - hidden + sum(map(column.odd.__getitem__, odd))
 
 
 def infer_schema(
-    table: CsvTable,
+    table: CsvTable | TableProfile,
     *,
     name: str | None = None,
     path: str | None = None,
     missing_values: Iterable[str] = DEFAULT_MISSING_VALUES,
 ) -> TableSchema:
-    """Infer a schema from a table's header and cells.
+    """Infer a schema from a table, or from its profile
+    (``tabular.profile_csvy``) watching ``missing_values``.
 
     Column order follows the table, whose header names every column.
     Raises ``SchemaError`` for a column with an empty name, naming its
@@ -198,14 +229,25 @@ def iter_violations(table: CsvTable, schema: TableSchema) -> Iterator[Violation]
         yield violation
 
 
-def count_violations(table: CsvTable, schema: TableSchema) -> int:
-    """How many violations ``iter_violations`` yields, with no ``Violation`` built per failing cell."""
+def count_violations(table: CsvTable | TableProfile, schema: TableSchema) -> int:
+    """How many violations ``iter_violations`` yields, summed from each
+    column's profile; a table's profile must watch the schema's missing values."""
     structural, typed = _checked_columns(table, schema)
-    cells = (failing_cells(shapes, kind, schema.missing_values) for *_, kind, shapes in typed)
-    return len(structural) + sum(1 for run in cells for _ in run)
+    cells = (failing_count(shapes, kind, schema.missing_values) for *_, kind, shapes in typed)
+    return len(structural) + sum(cells)
 
 
-def _checked_columns(table: CsvTable, schema: TableSchema) -> tuple[list[Violation], list[tuple]]:
+def first_violation(parts: Iterable[tuple[int, CsvTable]], schema: TableSchema) -> Violation | None:
+    """The first violation ``iter_violations`` yields for a table read a part
+    at a time (``tabular.read_parts``), reading no part after the one holding it."""
+    for before, part in parts:
+        found = next(iter_violations(part, schema), None)
+        if found is not None:
+            return found if found.row is None else found._replace(row=found.row + before)
+    return None
+
+
+def _checked_columns(table: CsvTable | TableProfile, schema: TableSchema) -> tuple[list[Violation], list[tuple]]:
     """The structural violations, and ``(index, name, type, shapes)`` per column not typed ``string``."""
     names = table.column_names
     types = {f.name: f.type for f in schema.fields}

@@ -53,12 +53,12 @@ differs from it only in its line ends, once folded to LF.  Any other text is
 rendered a batch at a time as it is parsed, and no table is built.  Only
 text that parses cleanly passes, so every error still comes from the parser.
 
-A parsed ``CsvTable`` builds one ``ColumnShapes`` per column on first use:
-the column's cells, and how many of them have each digit shape, a cell with
-every ASCII digit mapped to ``0``.  The type checks here use
+A column's profile, ``ColumnShapes``, counts its cells' digit shapes (a
+cell with every ASCII digit mapped to ``0``).  The type checks here use
 ``[0-9]`` classes only, so a value passes one exactly when its shape does,
 and ``schema`` and ``lint`` judge a column of a million numbers by its few
-shapes instead of by each value.
+shapes instead of by each value.  ``profile_csvy`` folds the profiles over
+the parser's batches; a ``CsvTable`` profiles its own columns as one batch.
 """
 
 from __future__ import annotations
@@ -68,10 +68,10 @@ import io
 import re
 import sys
 from collections import Counter, deque, namedtuple
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from .errors import CsvError, EncodingError, FrontMatterError, checked_tuple
 
@@ -152,12 +152,11 @@ _SLICE_CELLS = 4096
 
 @cache  # compiled on first use: most runs classify no column
 def _odd_date_re() -> re.Pattern[str]:
-    """Date-shaped lines of LF-joined cells outside the class every
-    calendar has (year not 0000, month 01-12, day 01-28)."""
+    """Date-shaped lines outside the class every calendar has (year not 0000,
+    month 01-12, day 01-28), found between LFs: a literal a search skips to."""
     return re.compile(
-        r"^(?!(?!0000)[0-9]{4}-(?:0[1-9]|1[0-2])-(?:0[1-9]|1[0-9]|2[0-8])$)"
-        r"[0-9]{4}-[0-9]{2}-[0-9]{2}$",
-        re.M,
+        r"\n(?!(?!0000)[0-9]{4}-(?:0[1-9]|1[0-2])-(?:0[1-9]|1[0-9]|2[0-8])\n)"
+        r"([0-9]{4}-[0-9]{2}-[0-9]{2})(?=\n)"
     )
 
 
@@ -178,55 +177,73 @@ def _shapes_of(chunk: Sequence[str], text: str | None) -> list[str]:
 
 
 class ColumnShapes:
-    """The digit shapes of one column's cells, taken on first use a slice
-    at a time: nothing per cell is kept past its slice."""
+    """A column's profile, folded a batch at a time: the count of each digit
+    shape, of each odd date (``_odd_date_re``) and of each watched value that
+    holds a digit (one with none is its own shape).  A batch's cells are read
+    only when its shapes hold the date shape or a watched value's.
+    ``ColumnShapes(cells)`` profiles and keeps ``cells``, to count any value."""
 
-    def __init__(self, cells: Iterable[str]):
-        self.cells = cells if isinstance(cells, (tuple, list)) else tuple(cells)
+    def __init__(self, cells: Iterable[str] | None = None):
+        self.values: dict[str, int] = {}
+        self.cells = cells if cells is None or isinstance(cells, (tuple, list)) else tuple(cells)
+        if self.cells is None:  # folded batch by batch
+            self.counts: Counter[str] = Counter()
+            self.odd: Counter[str] = Counter()
 
     @cached_property
     def counts(self) -> Counter[str]:
-        """How many cells have each shape."""
-        counts: Counter[str] = Counter()
-        for chunk, text in _slices(self.cells):
-            counts.update(_shapes_of(chunk, text))
-        return counts
+        """How many cells have each shape: kept cells are profiled here."""
+        self.counts, self.odd = Counter(), Counter()
+        self.add_column(self.cells)
+        return self.counts
 
     @cached_property
+    def odd(self) -> Counter[str]:
+        """The odd dates, with their counts: set with ``counts``."""
+        self.counts  # noqa: B018 - profiles the kept cells
+        return self.__dict__["odd"]
+
+    def add_column(self, cells: Sequence[str], watch: Sequence[str] = ()) -> None:
+        """Fold in a batch of cells."""
+        counts: Counter[str] = Counter()
+        for chunk, text in _slices(cells):
+            counts.update(_shapes_of(chunk, text))
+        self.add(counts, lambda: cells, watch)
+
+    def add(self, counts: Counter[str], cells: Callable[[], Sequence[str]], watch: Sequence[str]) -> None:
+        """Fold in a batch whose shape counts are ``counts``; ``cells()`` gives
+        its cells, and ``watch`` the values that hold a digit to count."""
+        self.counts.update(counts)
+        wanted = [value for value in watch if value.translate(_TO_SHAPE) in counts]
+        if not wanted and DATE_SHAPE not in counts:
+            return
+        batch = cells()
+        for value in wanted:
+            self.values[value] = self.values.get(value, 0) + batch.count(value)
+        if DATE_SHAPE in counts:
+            for chunk, text in _slices(batch):  # a date holds no LF, so a cell that does is left out
+                text = LF.join(cell for cell in chunk if LF not in cell) if text is None else text
+                self.odd.update(_odd_date_re().findall(f"\n{text}\n"))
+
+    def count(self, value: str) -> int:
+        """How many cells equal ``value``."""
+        shape = value.translate(_TO_SHAPE)
+        if "0" not in shape or shape not in self.counts:
+            return self.counts.get(shape, 0)
+        if value not in self.values:  # unwatched: only a profile that keeps its cells can count it
+            self.values[value] = self.cells.count(value)
+        return self.values[value]
+
+    @property
     def bad_dates(self) -> frozenset[str]:
-        """The date-shaped values that are not on the calendar.  Only those
-        outside the always-valid class, found by one regex over each slice's
-        text, reach ``is_date_token``."""
-        odd: set[str] = set()
-        if DATE_SHAPE in self.counts:
-            for chunk, text in _slices(self.cells):
-                if text is None:
-                    odd.update(c for c in chunk if c.translate(_TO_SHAPE) == DATE_SHAPE)
-                else:
-                    odd.update(_odd_date_re().findall(text))
-        return frozenset(d for d in odd if not is_date_token(d))
-
-    def present(self, values: Iterable[str]) -> set[str]:
-        """Those of ``values`` that are cells of the column; the column is
-        searched only for a value whose shape it has."""
-        counts = self.counts
-        return {v for v in set(values) if v.translate(_TO_SHAPE) in counts and v in self.cells}
-
-    def shapes(self, excluded: Iterable[str]) -> AbstractSet[str]:
-        """The shapes of the cells not in ``excluded``: ``-99`` shapes like
-        ``-12``, so a shape goes only with its last cell."""
-        counts = self.counts
-        gone: Counter[str] = Counter()
-        for value in self.present(excluded):
-            gone[value.translate(_TO_SHAPE)] += self.cells.count(value)
-        emptied = {shape for shape, n in gone.items() if n == counts[shape]}
-        return counts.keys() - emptied if emptied else counts.keys()
+        """The date-shaped values that are not on the calendar."""
+        return frozenset(date for date in self.odd if not is_date_token(date))
 
     def rows_where(
         self, shapes: AbstractSet[str], odd: AbstractSet[str], excluded: AbstractSet[str]
     ) -> Iterator[tuple[int, str]]:
-        """``(row, cell)``, rows counted from 0, for each cell not in ``excluded``
-        whose shape is in ``shapes`` or that is in ``odd``, in row order."""
+        """``(row, cell)``, rows counted from 0, for each kept cell not in
+        ``excluded`` whose shape is in ``shapes`` or that is in ``odd``, in row order."""
         if not shapes and not odd:
             return
         for start, (chunk, text) in zip(count(0, _SLICE_CELLS), _slices(self.cells)):
@@ -234,6 +251,34 @@ class ColumnShapes:
             if odd:
                 hits = map(bool.__or__, hits, map(odd.__contains__, chunk))
             yield from (hit for hit in compress(zip(count(start), chunk), hits) if hit[1] not in excluded)
+
+
+def _add_lines(profiles: Sequence[ColumnShapes], lines: list[str], delimiter: str, watch: Sequence[str]) -> None:
+    """Fold a block of plain lines into the profiles, one per column.  When
+    the lines' shapes repeat, as most tables' rows do, each distinct row
+    shape is split once; the lines are split only for a profile that asks."""
+    width = len(profiles)
+    shapes = LF.join(lines).translate(_TO_SHAPE).split(LF)
+    head = shapes[:1024]  # a block whose head rarely repeats a shape is not counted by rows
+    rows = Counter(shapes) if len(set(head)) * 4 <= len(head) else {}
+    if rows and len(rows) * 4 <= len(shapes):
+        counts = [Counter() for _ in profiles]
+        for row, n in rows.items():
+            for column, shape in zip(counts, row.split(delimiter)):
+                column[shape] += n
+    else:
+        split = delimiter.join(shapes).split(delimiter)
+        counts = [Counter(split[j::width]) for j in range(width)]
+    del shapes, rows
+    cells: list[str] = []
+
+    def column(j: int) -> list[str]:
+        if not cells:
+            cells.extend(delimiter.join(lines).split(delimiter))
+        return cells[j::width]
+
+    for j, (profile, shape_counts) in enumerate(zip(profiles, counts)):
+        profile.add(shape_counts, partial(column, j), watch)
 
 
 class Dialect(checked_tuple("Dialect", "delimiter")):
@@ -423,29 +468,33 @@ def _blocks(text: str, size: int) -> Iterator[str]:
         start = end
 
 
-def _line_columns(text: str, delimiter: str) -> Iterator[Sequence[Sequence[str]]]:
-    """The columns of plain LF text's non-empty lines split on the
-    delimiter, a block of ``_BLOCK_CHARS`` at a time, so only one block's
-    line strings are alive at once.
+def _line_blocks(text: str, delimiter: str) -> Iterator[list[str]]:
+    """The non-empty lines of plain LF text, a block of ``_BLOCK_CHARS`` at
+    a time, so only one block's line strings are alive at once.
 
     Every line of a block must hold one delimiter fewer than the first
-    line's width: a block with a ragged line goes to ``_transpose``, which
-    raises with its record number.  The lines of a block are joined and
-    split in one call, and column ``j`` is every ``width``-th cell from
-    cell ``j``.
+    line's width, which ``_plain_lines`` checks at once for a block of
+    whole, non-blank lines and a count per line for any other: a block with
+    a ragged line goes to ``_transpose``, which raises with its record number.
     """
-    width = before = 0  # before: records in the blocks already split
+    width = before = 0  # before: records in the blocks already read
     for block in _blocks(text, _BLOCK_CHARS):
         lines = list(filter(None, block.split(LF)))
         if not lines:
             continue
         width = width or lines[0].count(delimiter) + 1
-        if not {width - 1}.issuperset(map(str.count, lines, repeat(delimiter))):
+        at_once = block.endswith(LF) and _plain_lines(block, delimiter, width)
+        if not at_once and not {width - 1}.issuperset(map(str.count, lines, repeat(delimiter))):
             _transpose([line.split(delimiter) for line in lines], width, before)  # raises at the ragged line
         before += len(lines)
-        cells = delimiter.join(lines)
-        del lines  # before the cells are made
-        cells = cells.split(delimiter)
+        yield lines
+
+
+def _line_columns(text: str, delimiter: str) -> Iterator[Sequence[Sequence[str]]]:
+    """The columns of ``_line_blocks``: column ``j`` is every ``width``-th cell from ``j``."""
+    for lines in _line_blocks(text, delimiter):
+        width = lines[0].count(delimiter) + 1
+        cells = delimiter.join(lines).split(delimiter)
         yield [cells[j::width] for j in range(width)]
 
 
@@ -709,6 +758,13 @@ def _load_front_matter_mapping(raw: str) -> dict:
     return value
 
 
+def _split_csvy(data: bytes) -> tuple[FrontMatter, str, Dialect]:
+    """A csvy file's front matter, parsed, and its body and the body's dialect."""
+    raw_yaml, body = _split_front_matter(_decode(data))
+    mapping = _load_front_matter_mapping(raw_yaml) if raw_yaml else {}
+    return FrontMatter(raw_yaml=raw_yaml, mapping=mapping), body, _detect_from_text(body)
+
+
 def parse_csvy(data: bytes) -> tuple[FrontMatter, CsvTable]:
     """Parse a table with optional YAML front matter.
 
@@ -722,14 +778,57 @@ def parse_csvy(data: bytes) -> tuple[FrontMatter, CsvTable]:
     Raises ``FrontMatterError`` for an unclosed fence or YAML outside the
     supported subset, and ``CsvError``/``EncodingError`` for a bad body.
     """
-    raw_yaml, body = _split_front_matter(_decode(data))
-    mapping: dict = {}
-    if raw_yaml:
-        mapping = _load_front_matter_mapping(raw_yaml)
-
-    front = FrontMatter(raw_yaml=raw_yaml, mapping=mapping)
-    dialect = _detect_from_text(body)
+    front, body, dialect = _split_csvy(data)
     return front, _gather(_batches(body, dialect.delimiter), dialect)
+
+
+class TableProfile(namedtuple("TableProfile", "header shapes dialect source")):
+    """A table as its header and one ``ColumnShapes`` per column, with no
+    cell kept: all that inference and lint read of a table."""
+
+    __slots__ = ()
+    column_names = CsvTable.column_names
+
+
+def profile_csvy(data: bytes, watch: Iterable[str] = ()) -> TableProfile:
+    """The table of a csvy file as ``parse_csvy`` reads it, raising what it
+    raises in its order, profiled a batch at a time: no cell outlives its
+    batch.  The profiles count the values of ``watch`` that hold a digit."""
+    _, body, dialect = _split_csvy(data)
+    del data
+    watch = [value for value in watch if "0" in value.translate(_TO_SHAPE)]
+    delimiter = dialect.delimiter
+    plain = _plain_text(body)
+    quoted = plain is None  # read as batches of columns, else as blocks of lines
+    batches = _record_columns(_read_quoted(body, delimiter)) if quoted else _line_blocks(plain, delimiter)
+    header: list[str] = []
+    profiles: list[ColumnShapes] = []
+    for batch in batches:
+        if not profiles:  # the first batch starts with the header
+            header = [column[0] for column in batch] if quoted else batch[0].split(delimiter)
+            profiles = [ColumnShapes() for _ in header]
+            batch = [column[1:] for column in batch] if quoted else batch[1:]
+        if quoted:
+            for profile, column in zip(profiles, batch):
+                profile.add_column(column, watch)
+        elif batch:
+            _add_lines(profiles, batch, delimiter, watch)
+    return TableProfile(CsvTable(header).header, tuple(profiles), dialect, None)
+
+
+def read_parts(path: str | Path) -> Iterator[tuple[int, CsvTable]]:
+    """``(rows before, the batch's rows as a table)`` per batch of a table
+    file that profiled cleanly, so its front matter is not parsed again."""
+    body = _split_front_matter(_decode(Path(path).read_bytes()))[1]
+    dialect = _detect_from_text(body)
+    header: list[str] = []
+    before = 0
+    for batch in _batches(body, dialect.delimiter):
+        if not header:
+            header = [column[0] for column in batch]
+            batch = [column[1:] for column in batch]
+        yield before, CsvTable(header, dialect=dialect, columns=batch)
+        before += len(batch[0])
 
 
 #: The quoting rule: a cell is written quoted, its quotes doubled, exactly
@@ -780,7 +879,7 @@ def serialize_table(table: CsvTable) -> bytes:
     return _table_text(table).encode("utf-8")
 
 
-def _csvy_bytes(raw_yaml: str, pieces: Sequence[str]) -> bytes:
+def _csvy_parts(raw_yaml: str, pieces: Sequence[str]) -> list[str]:
     """A front-matter block of ``raw_yaml`` (none when it is empty), then the
     canonical text ``pieces``, the first of which starts with the header."""
     block = ""
@@ -792,7 +891,12 @@ def _csvy_bytes(raw_yaml: str, pieces: Sequence[str]) -> bytes:
         # A first line of exactly --- would reparse as a front-matter
         # fence; quote that lone cell so the table stays a table.
         pieces = ['"---"' + pieces[0][3:], *pieces[1:]]
-    return "".join([block, *pieces]).encode("utf-8")
+    return [block, *pieces]
+
+
+def _csvy_bytes(raw_yaml: str, pieces: Sequence[str]) -> bytes:
+    """The bytes of ``_csvy_parts``."""
+    return "".join(_csvy_parts(raw_yaml, pieces)).encode("utf-8")
 
 
 def serialize_csvy(front: FrontMatter | None, table: CsvTable) -> bytes:
@@ -833,7 +937,7 @@ def _plain_lines(body: str, delimiter: str, width: int) -> bool:
     if body.startswith(LF) or LF + LF in body:
         return False
     keep = (delimiter + LF).encode()
-    skeleton = body.encode("utf-8").translate(None, bytes(b for b in range(256) if b not in keep))
+    skeleton = body.encode("utf-8", "surrogatepass").translate(None, bytes(b for b in range(256) if b not in keep))
     record = (delimiter * (width - 1) + LF).encode()
     return skeleton == record * (len(skeleton) // len(record))
 

@@ -560,16 +560,11 @@ def test_each_table_is_read_once_per_run(tmp_path, monkeypatch):
     _write(tmp_path, "data/u.csv", b"id,day\n1,2020-01-02\n")
     _write(tmp_path, "data/bad.csv", b"id,id\n1,2\n")
     reads: list[str] = []
-    real = lint.read_csvy
-
-    def counting(path):
-        reads.append(path.relative_to(tmp_path).as_posix())
-        return real(path)
-
-    monkeypatch.setattr(lint, "read_csvy", counting)
+    real = lint.profile_csvy
+    monkeypatch.setattr(lint, "profile_csvy", lambda data, watch: reads.append(data) or real(data, watch))
     report = _lint(tmp_path)
     assert _by_rule(report, "R12")  # the unparsable table is reported
-    assert sorted(reads) == ["data/bad.csv", "data/t.csv", "data/u.csv"]
+    assert sorted(reads) == sorted((tmp_path / rel).read_bytes() for rel in ("data/bad.csv", "data/t.csv", "data/u.csv"))
 
 
 def test_r18_conflicting_code_labels(tmp_path):

@@ -7,15 +7,20 @@ file a second time with ``--hypothesis-profile=ci`` (see ``conftest.py``).
 
 from __future__ import annotations
 
+import contextlib
+import tempfile
+from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable
 from unittest import mock
 
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tidypack import (
     CsvTable,
+    ToolError,
     FieldDescriptor,
     TableSchema,
     infer_schema,
@@ -30,6 +35,7 @@ from tidypack.schema import (
     ValidationReport,
     Violation,
     _infer,
+    count_violations,
     _violation_kind,
 )
 from tidypack.tabular import MISSING_WATCHLIST, ColumnShapes, MissingProfile, is_date_token
@@ -165,19 +171,23 @@ def _reference_eval_r15(ctx):
 
 
 class _OneTableContext:
-    """What R14 and R15 read of a lint context: one dataset, one table."""
+    """What R14 and R15 read of a lint context: one dataset, one table,
+    whose second read is the table itself as one part."""
 
     def __init__(self, table: CsvTable, declared: frozenset[str]):
         self.ds = SimpleNamespace(name="d")
         self.pkg = SimpleNamespace(datasets=[self.ds])
-        self.table = table
+        self.csv = table
         self.declared = declared
 
     def declared_missing(self, ds):
         return self.declared
 
     def dataset_tables(self, ds):
-        return [(SimpleNamespace(path="data/d.csv"), self.table)]
+        return [(SimpleNamespace(path="data/d.csv"), self.csv)]
+
+    def parts(self, rel):
+        return iter([(0, self.csv)])
 
 
 class _OneSchemaContext(_OneTableContext):
@@ -194,8 +204,10 @@ class _OneSchemaContext(_OneTableContext):
     def json_metadata_refs(self, owner):
         return [SimpleNamespace(path="metadata/d.json")] if owner is self.ds else []
 
+    read_table = None  # a loader ``load`` is given, and answers with the table
+
     def load(self, loader, rel):
-        return (self.schema if loader is lint._load_schema else self.table), None
+        return (self.schema if loader is lint._load_schema else self.csv), None
 
 
 # ---------------------------------------------------------------------------
@@ -322,3 +334,165 @@ def test_missing_profile_matches_the_cell_walk(cells, declared):
     expected = _reference_detect_missing_tokens(cells, declared)
     assert tabular.detect_missing_tokens(cells, declared) == expected
     assert tabular.detect_missing_tokens(iter(cells), declared) == expected
+
+
+# ---------------------------------------------------------------------------
+# Profiles folded over the parser's batches
+
+
+def _odd(cell: str) -> bool:
+    """Date-shaped, and outside the class every calendar has: the per-cell
+    reading of the odd dates a profile counts."""
+    if len(cell) != 10 or cell.translate(tabular._TO_SHAPE) != tabular.DATE_SHAPE:
+        return False
+    year, month, day = cell[:4], int(cell[5:7]), int(cell[8:])
+    return year == "0000" or not 1 <= month <= 12 or not 1 <= day <= 28
+
+
+_PLAIN_CELLS = st.one_of(
+    st.text(alphabet=st.sampled_from(list("0123456789+-./ a٣")), max_size=6),
+    st.sampled_from(_TOKENS),
+    _dates(),
+    st.sampled_from(["2019-02-29", "2020-02-29", "2019-04-31", "0000-01-01", "2019-13-01", "2019-01-02", "1"]),
+)
+_QUOTED_CELLS = st.one_of(_PLAIN_CELLS, st.text(alphabet=st.sampled_from(list('09a-,"\r\n')), max_size=5))
+
+
+def _quoted(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"'
+
+
+@st.composite
+def _texts(draw):
+    """The bytes of a table: quote-free with any line ends, or quoted, its
+    rows drawn from a few repeated rows or all new, now and then a row one
+    cell short, a blank line, front matter or no line end at the end."""
+    quoted = draw(st.booleans())
+    cells = _QUOTED_CELLS if quoted else _PLAIN_CELLS
+    width = draw(st.integers(1, 3))
+    row = st.lists(cells, min_size=width, max_size=width)
+    pool = draw(st.lists(row, min_size=1, max_size=3))
+    if draw(st.booleans()):  # a few rows, repeated, so blocks count their row shapes
+        rows = draw(st.lists(st.sampled_from(pool), min_size=8, max_size=40))
+    else:
+        rows = draw(st.lists(st.one_of(st.sampled_from(pool), row), min_size=1, max_size=20))
+    lines = [",".join(f"c{j}" for j in range(width))]
+    for cells in rows:
+        if quoted:
+            cells = [_quoted(c) if draw(st.integers(0, 3)) == 0 or set(c) & set(',"\r\n') else c for c in cells]
+        if not draw(st.integers(0, 30)):
+            cells = cells[:-1]
+        lines.append(",".join(cells))
+        if not draw(st.integers(0, 30)):
+            lines.append("")
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    front = draw(st.sampled_from(["", "---\ntitle: t\n---\n"]))
+    return (front + end.join(lines) + draw(st.sampled_from([end, ""]))).encode()
+
+
+#: Batch sizes: characters per block of lines and per block fed to the
+#: ``csv`` reader, and records per reader batch.  Sizes of 1 to 3 put a
+#: batch edge after every record; the others leave several records, with
+#: their repeated row shapes, in one block.
+_BATCHES = st.sampled_from([None, None, (1, 1, 1), (2, 3, 1), (3, 2, 2), (64, 16, 3)])
+
+
+def _batched(sizes):
+    stack = contextlib.ExitStack()
+    if sizes is not None:
+        for name, size in zip(("_BLOCK_CHARS", "_READER_BLOCK_CHARS", "_READER_BATCH"), sizes):
+            stack.enter_context(mock.patch.object(tabular, name, size))
+    return stack
+
+
+def _outcome(read):
+    try:
+        return read()
+    except ToolError as exc:
+        return ("error", type(exc).__name__, str(exc))
+
+
+class _ProfileContext(_OneSchemaContext):
+    """A lint context on a profile, whose second read is of the file."""
+
+    def __init__(self, profile, path, schema, declared):
+        super().__init__(profile, schema)
+        self.declared = declared
+        self.path = path
+
+    def parts(self, rel):
+        return tabular.read_parts(self.path)
+
+
+@given(_texts(), _MISSING, _TYPES, _BATCHES)
+@example(b"c0\n-99\n-12\n-99\n", {"-99"}, ["boolean"] * 3, None)  # a missing value shares a failing shape
+@example(b"c0\n2019-02-30\n2019-02-31\n2019-02-30\n", {"2019-02-30"}, ["date"] * 3, None)  # and an odd date
+@example(b"c0,c1\n1,2\n3", set(), ["string"] * 3, None)  # a short last line with no line end
+@example(b"c0,c1\n" + b"1,a\n" * 8 + b"22,-99\n", {"-99"}, ["integer"] * 3, None)  # counted by row shapes
+@settings(deadline=None)
+def test_a_profile_folded_over_batches_matches_the_whole_table(data, missing, types, sizes):
+    missing = frozenset(missing)
+    whole = _outcome(lambda: tabular.parse_csvy(data)[1])
+    with _batched(sizes):
+        profile = _outcome(lambda: tabular.profile_csvy(data, MISSING_WATCHLIST | missing))
+    if type(whole) is tuple:  # an error: the same one, from the same record
+        assert profile == whole
+        return
+    table = whole
+    assert (profile.header, profile.dialect) == (table.header, table.dialect)
+    for column, cells in zip(profile.shapes, _columns(table)):
+        assert column.counts == Counter(cell.translate(tabular._TO_SHAPE) for cell in cells)
+        assert +column.odd == Counter(filter(_odd, cells))
+        for value in MISSING_WATCHLIST | missing:
+            assert column.count(value) == cells.count(value)
+    inferred = infer_schema(profile, missing_values=missing)
+    assert inferred == infer_schema(table, missing_values=missing)
+    assert [f.type for f in inferred.fields] == [
+        _reference_infer_field_type(cells, missing) for cells in _columns(table)
+    ]
+
+    schema = TableSchema(
+        name="t",
+        fields=[FieldDescriptor(name, type_name) for name, type_name in zip(table.column_names, types)],
+        missing_values=missing,
+    )
+    violations = _reference_validate_table(table, schema).violations
+    expected = [
+        _f(
+            f"data/d.csv does not match the schema: {len(violations)} violation(s); "
+            f"first: {lint._describe_violation(violations[0])}",
+            path="metadata/d.json",
+            violations=str(len(violations)),
+        )
+    ] if violations else []
+    with tempfile.TemporaryDirectory() as scratch, _batched(sizes):
+        path = Path(scratch) / "d.csv"
+        path.write_bytes(data)
+        assert count_violations(profile, schema) == len(violations)
+        assert list(lint._eval_r09(_ProfileContext(profile, path, schema, missing))) == expected
+        for rule, reference in ((lint._eval_r14, _reference_eval_r14), (lint._eval_r15, _reference_eval_r15)):
+            folded = _ProfileContext(profile, path, schema, missing)
+            assert list(rule(folded)) == list(reference(_OneTableContext(table, missing)))
+
+
+def test_the_table_commands_gather_no_table(tmp_path, monkeypatch, capsys):
+    from tidypack.cli import main
+
+    def gathered(*args, **kwargs):
+        raise AssertionError("a table was gathered")
+
+    seeds = {
+        "plain.csv": b"id,day,v\n1,2019-02-30,-99\n2,2020-01-02,x\n",
+        "quoted.csvy": b'---\r\ntitle: t\r\n---\r\n"id","note"\r\n"1","a, b"\r\n"2","-99"\r\n',
+    }
+    for name, data in seeds.items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.setattr(tabular, "_gather", gathered)
+    for name in seeds:
+        package = tmp_path / f"pkg-{name}"
+        assert main(["init", str(package), "--dataset", "d", "--seed", str(tmp_path / name)]) == 0
+        schema = package / "metadata" / "d.json"
+        schema.write_text(schema.read_text().replace('"string"', '"integer"'))
+        assert main(["lint", str(package)]) == 1  # R09 counts, and reads the first violation again
+        assert main(["schema", "infer", str(tmp_path / name)]) == 0
+    assert "R09" in capsys.readouterr().out

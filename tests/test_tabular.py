@@ -40,6 +40,7 @@ from tidypack import (
     serialize_table,
     tabular,
 )
+from tidypack.schema import remaining_shapes
 
 # ---------------------------------------------------------------------------
 # Token predicates
@@ -1019,7 +1020,7 @@ def test_column_shapes_are_summarized_once():
     assert n.counts == {"0": 1, "-00": 1}
     assert d.counts == {tabular.DATE_SHAPE: 2}
     assert d.bad_dates == {"2019-02-30"}
-    assert n.shapes(["-12", "-99"]) == {"0"}
+    assert remaining_shapes(n, {"-12", "-99"}) == {"0"}
     assert list(n.rows_where({"-00"}, set(), set())) == [(1, "-12")]
     assert list(n.rows_where({"0", "-00"}, set(), {"1"})) == [(1, "-12")]
     assert list(d.rows_where(set(), d.bad_dates, set())) == [(0, "2019-02-30")]
