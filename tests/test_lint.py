@@ -559,7 +559,7 @@ def test_each_table_is_read_once_per_run(tmp_path, monkeypatch):
     _clean_package(tmp_path)
     _write(tmp_path, "data/u.csv", b"id,day\n1,2020-01-02\n")
     _write(tmp_path, "data/bad.csv", b"id,id\n1,2\n")
-    reads: list[str] = []
+    reads: list[bytes] = []
     real = lint.profile_csvy
     monkeypatch.setattr(lint, "profile_csvy", lambda data, watch: reads.append(data) or real(data, watch))
     report = _lint(tmp_path)
