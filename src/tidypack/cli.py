@@ -130,22 +130,26 @@ def _cmd_schema_infer(args) -> _Result:
 
 
 def _cmd_schema_validate(args) -> _Result:
-    from .schema import iter_violations, schema_from_json
-    from .tabular import read_csvy
+    from .schema import count_violations, schema_from_json, violations
+    from .tabular import profile_csvy, read_parts
 
     schema = schema_from_json(Path(args.schema).read_bytes())
-    _, table = read_csvy(args.table)
-    violations = iter_violations(table, schema)
+    profile = profile_csvy(Path(args.table).read_bytes(), schema.missing_values)
+    found = violations(profile, read_parts(args.table), schema)
     if args.format == "json":
-        listed = [v._asdict() for v in violations]
+        listed = [v._asdict() for v in found]
+    else:
+        listed = [
+            f"  {'table' if v.row is None else f'row {v.row}'}, field {v.field!r}: {v.kind}"
+            + (f" (value {v.value!r})" if v.value else "")
+            for v in found
+        ]
+    if len(listed) != count_violations(profile, schema):  # the second read found other cells
+        raise OSError(f"{args.table} changed while it was read")
+    if args.format == "json":
         return _Result(EXIT_FINDINGS if listed else EXIT_OK, {"ok": not listed, "violations": listed})
-    lines = [
-        f"  {'table' if v.row is None else f'row {v.row}'}, field {v.field!r}: {v.kind}"
-        + (f" (value {v.value!r})" if v.value else "")
-        for v in violations
-    ]
-    head = f"{args.table} violates {args.schema}:" if lines else f"{args.table} matches {args.schema}"
-    return _Result(EXIT_FINDINGS if lines else EXIT_OK, None, _lines(head, *lines))
+    head = f"{args.table} violates {args.schema}:" if listed else f"{args.table} matches {args.schema}"
+    return _Result(EXIT_FINDINGS if listed else EXIT_OK, None, _lines(head, *listed))
 
 
 def _cmd_dict(args) -> _Result:

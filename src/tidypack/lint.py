@@ -20,7 +20,7 @@ import re
 from collections import namedtuple
 from itertools import chain
 from pathlib import Path, PurePosixPath
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import ConfigError, ManifestError, ToolError, checked_tuple
 from .integrity import parse_manifest, unnamable, verify_manifest
@@ -41,13 +41,13 @@ from .schema import (
     TableSchema,
     count_violations,
     dictionary_from_csv,
-    failing_cells,
     failing_count,
-    first_violation,
+    failing_shapes,
     remaining_shapes,
     schema_from_json,
+    violations,
 )
-from .tabular import MISSING_WATCHLIST, ColumnShapes, CsvTable, TableProfile, profile_csvy, read_parts
+from .tabular import MISSING_WATCHLIST, TableProfile, profile_csvy, read_parts, rows_where
 
 SEVERITIES = ("error", "warning", "info")
 _SEVERITY_RANK = {name: rank for rank, name in enumerate(SEVERITIES)}
@@ -236,7 +236,7 @@ class _Context:
         owners = (*self.pkg.datasets, self.pkg.pool)
         return profile_csvy(path.read_bytes(), MISSING_WATCHLIST.union(*map(self.declared_missing, owners)))
 
-    def parts(self, rel: str) -> Iterator[tuple[int, CsvTable]]:
+    def parts(self, rel: str) -> Iterator[tuple[int, Sequence[Sequence[str]]]]:
         """The table at ``rel`` read again, for the first cell a count found."""
         return read_parts(self.pkg.root / rel)
 
@@ -416,7 +416,9 @@ def _eval_r09(ctx: _Context) -> Iterator[Finding]:
             continue
         total = count_violations(table, schema)
         if total:
-            first = first_violation(ctx.parts(target), schema)
+            first = next(violations(table, ctx.parts(target), schema), None)
+            if first is None:
+                raise OSError(f"{target} changed while it was read")
             yield _f(
                 f"{target} does not match the schema: {total} violation(s); "
                 f"first: {_describe_violation(first)}",
@@ -517,9 +519,11 @@ def _eval_r14(ctx: _Context) -> Iterator[Finding]:
                     continue
                 total = failing_count(column, "date", excluded)
                 if total:
-                    parts = ctx.parts(ref.path)
-                    failing = (failing_cells(ColumnShapes(part.columns[index]), "date", excluded) for _, part in parts)
+                    shapes, odd = failing_shapes(column, "date", excluded)
+                    failing = (rows_where(columns[index], shapes, odd, excluded) for _, columns in ctx.parts(ref.path))
                     _, example = next(chain.from_iterable(failing), (None, None))
+                    if example is None:
+                        raise OSError(f"{ref.path} changed while it was read")
                     yield _f(
                         f"column {name!r} holds dates but {total} value(s) "
                         f"are not calendar-valid YYYY-MM-DD (e.g. {example!r})",

@@ -9,7 +9,7 @@ Inference and validation judge a column by its profile
 (``tabular.ColumnShapes``): a value passes a type's check exactly when its
 digit shape does, and a date must also be on the calendar, so a column's
 verdict and its count of failing cells are sums over its shapes, odd dates
-and missing values.  Only ``validate_table`` looks at cells one by one.
+and missing values.  Only ``violations`` looks at cells one by one.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import heapq
 import json
 from collections import Counter, namedtuple
 from pathlib import PurePath
-from typing import AbstractSet, Any, Iterable, Iterator, Mapping
+from typing import AbstractSet, Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DictionaryError, SchemaError, checked_tuple
 from .tabular import (
@@ -33,6 +33,8 @@ from .tabular import (
     is_integer_token,
     is_number_token,
     parse_csvy,
+    profile_table,
+    rows_where,
     serialize_table,
 )
 
@@ -153,7 +155,7 @@ def _infer(column: ColumnShapes, missing: frozenset[str]) -> str:
     return "string"
 
 
-def _failing(column: ColumnShapes, type_name: str, missing: AbstractSet[str]) -> tuple[set[str], AbstractSet[str]]:
+def failing_shapes(column: ColumnShapes, type_name: str, missing: AbstractSet[str]) -> tuple[set[str], AbstractSet[str]]:
     """The failing shapes of a column's non-missing cells, and, for a date,
     its non-missing values off the calendar."""
     check = _SHAPE_CHECKS[type_name]
@@ -161,16 +163,10 @@ def _failing(column: ColumnShapes, type_name: str, missing: AbstractSet[str]) ->
     return shapes, column.bad_dates - missing if type_name == "date" else frozenset()
 
 
-def failing_cells(column: ColumnShapes, type_name: str, missing: AbstractSet[str]) -> Iterator[tuple[int, str]]:
-    """``(row, cell)`` for each non-missing cell of a column that keeps its
-    cells and fails the type's check, rows counted from 0, in row order."""
-    return column.rows_where(*_failing(column, type_name, missing), missing)
-
-
 def failing_count(column: ColumnShapes, type_name: str, missing: AbstractSet[str]) -> int:
     """How many non-missing cells of a column fail the type's check: those of
     the failing shapes, less the missing ones, and the odd dates off the calendar."""
-    shapes, odd = _failing(column, type_name, missing)
+    shapes, odd = failing_shapes(column, type_name, missing)
     hidden = sum(column.count(value) for value in missing if value.translate(_TO_SHAPE) in shapes)
     return sum(map(column.counts.__getitem__, shapes)) - hidden + sum(map(column.odd.__getitem__, odd))
 
@@ -198,6 +194,8 @@ def infer_schema(
         else:
             name = "table"
     missing = frozenset(missing_values)
+    if isinstance(table, CsvTable):
+        table = profile_table(table, missing)
     fields = [
         FieldDescriptor(name=column_name, type=_infer(column, missing))
         for column_name, column in zip(names, table.shapes)
@@ -206,7 +204,7 @@ def infer_schema(
 
 
 def validate_table(table: CsvTable, schema: TableSchema) -> ValidationReport:
-    """Check a table against a schema; the report lists what ``iter_violations`` yields.
+    """Check a table against a schema: the ``violations`` of the table as one part.
 
     Structural violations (schema columns absent from the table, table
     columns unknown to the schema) come first, then cell violations ordered
@@ -216,38 +214,35 @@ def validate_table(table: CsvTable, schema: TableSchema) -> ValidationReport:
     a ``date`` field is ``bad_date_format``; anything else is
     ``type_mismatch``.
     """
-    return ValidationReport(violations=list(iter_violations(table, schema)))
+    found = violations(profile_table(table, schema.missing_values), [(0, table.columns)], schema)
+    return ValidationReport(violations=list(found))
 
 
-def iter_violations(table: CsvTable, schema: TableSchema) -> Iterator[Violation]:
-    """The violations ``validate_table`` lists, in its order, one at a time:
-    one row scan per column finds its failing cells, merged by row, then column."""
-    structural, typed = _checked_columns(table, schema)
-    yield from structural
-    runs = [_column_violations(*checked, schema.missing_values) for checked in typed]
-    for _, _, violation in heapq.merge(*runs):
-        yield violation
-
-
-def count_violations(table: CsvTable | TableProfile, schema: TableSchema) -> int:
-    """How many violations ``iter_violations`` yields, summed from each
-    column's profile; a table's profile must watch the schema's missing values."""
+def count_violations(table: TableProfile, schema: TableSchema) -> int:
+    """How many violations ``violations`` yields, summed from each column's
+    profile, which must watch the schema's missing values."""
     structural, typed = _checked_columns(table, schema)
     cells = (failing_count(shapes, kind, schema.missing_values) for *_, kind, shapes in typed)
     return len(structural) + sum(cells)
 
 
-def first_violation(parts: Iterable[tuple[int, CsvTable]], schema: TableSchema) -> Violation | None:
-    """The first violation ``iter_violations`` yields for a table read a part
-    at a time (``tabular.read_parts``), reading no part after the one holding it."""
-    for before, part in parts:
-        found = next(iter_violations(part, schema), None)
-        if found is not None:
-            return found if found.row is None else found._replace(row=found.row + before)
-    return None
+def violations(table: TableProfile, parts: Iterable[tuple[int, Sequence]], schema: TableSchema) -> Iterator[Violation]:
+    """A table's violations: the structural ones, then its failing cells by row
+    and column.  ``table`` is its profile, watching the schema's missing values;
+    ``parts`` gives its data columns a part at a time, after the rows before each
+    (``tabular.read_parts``), and is read only as far as the violations taken."""
+    structural, typed = _checked_columns(table, schema)
+    yield from structural
+    missing = schema.missing_values
+    failing = [(index, name, kind, *failing_shapes(column, kind, missing)) for index, name, kind, column in typed]
+    failing = [checked for checked in failing if checked[3] or checked[4]]
+    for before, columns in parts if failing else ():
+        runs = [_column_violations(before, columns, *checked, missing) for checked in failing]
+        for *_, violation in heapq.merge(*runs):
+            yield violation
 
 
-def _checked_columns(table: CsvTable | TableProfile, schema: TableSchema) -> tuple[list[Violation], list[tuple]]:
+def _checked_columns(table: TableProfile, schema: TableSchema) -> tuple[list[Violation], list[tuple]]:
     """The structural violations, and ``(index, name, type, shapes)`` per column not typed ``string``."""
     names = table.column_names
     types = {f.name: f.type for f in schema.fields}
@@ -262,10 +257,11 @@ def _checked_columns(table: CsvTable | TableProfile, schema: TableSchema) -> tup
     return structural, typed
 
 
-def _column_violations(index: int, name: str, type_name: str, column: ColumnShapes, missing: frozenset[str]):
-    """``(row, index, Violation)`` for each failing cell of one column, in row order."""
-    for row, cell in failing_cells(column, type_name, missing):
-        yield row, index, Violation(_violation_kind(cell, type_name), name, row + 1, cell)
+def _column_violations(before: int, columns, index: int, name: str, type_name: str, shapes, odd, missing):
+    """``(row, index, Violation)`` for each failing cell of one column of a
+    part, rows counted from the part's first, in row order."""
+    for row, cell in rows_where(columns[index], shapes, odd, missing):
+        yield row, index, Violation(_violation_kind(cell, type_name), name, before + row + 1, cell)
 
 
 def _violation_kind(cell: str, type_name: str) -> str:

@@ -58,7 +58,7 @@ cell with every ASCII digit mapped to ``0``).  The type checks here use
 ``[0-9]`` classes only, so a value passes one exactly when its shape does,
 and ``schema`` and ``lint`` judge a column of a million numbers by its few
 shapes instead of by each value.  ``profile_csvy`` folds the profiles over
-the parser's batches; a ``CsvTable`` profiles its own columns as one batch.
+the parser's batches, and ``profile_table`` a ``CsvTable``'s columns as one batch.
 """
 
 from __future__ import annotations
@@ -68,10 +68,10 @@ import io
 import re
 import sys
 from collections import Counter, deque, namedtuple
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
-from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
+from typing import AbstractSet, Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import CsvError, EncodingError, FrontMatterError, checked_tuple
 
@@ -181,40 +181,26 @@ class ColumnShapes:
     shape, of each odd date (``_odd_date_re``) and of each watched value that
     holds a digit (one with none is its own shape).  A batch's cells are read
     only when its shapes hold the date shape or a watched value's.
-    ``ColumnShapes(cells)`` profiles and keeps ``cells``, to count any value."""
+    ``ColumnShapes(cells, watch)`` folds in a first batch."""
 
-    def __init__(self, cells: Iterable[str] | None = None):
+    def __init__(self, cells: Sequence[str] = (), watch: Collection[str] = ()):
+        self.counts: Counter[str] = Counter()
+        self.odd: Counter[str] = Counter()
         self.values: dict[str, int] = {}
-        self.cells = cells if cells is None or isinstance(cells, (tuple, list)) else tuple(cells)
-        if self.cells is None:  # folded batch by batch
-            self.counts: Counter[str] = Counter()
-            self.odd: Counter[str] = Counter()
+        self.add_column(cells, watch)
 
-    @cached_property
-    def counts(self) -> Counter[str]:
-        """How many cells have each shape: kept cells are profiled here."""
-        self.counts, self.odd = Counter(), Counter()
-        self.add_column(self.cells)
-        return self.counts
-
-    @cached_property
-    def odd(self) -> Counter[str]:
-        """The odd dates, with their counts: set with ``counts``."""
-        self.counts  # noqa: B018 - profiles the kept cells
-        return self.__dict__["odd"]
-
-    def add_column(self, cells: Sequence[str], watch: Sequence[str] = ()) -> None:
+    def add_column(self, cells: Sequence[str], watch: Collection[str] = ()) -> None:
         """Fold in a batch of cells."""
         counts: Counter[str] = Counter()
         for chunk, text in _slices(cells):
             counts.update(_shapes_of(chunk, text))
         self.add(counts, lambda: cells, watch)
 
-    def add(self, counts: Counter[str], cells: Callable[[], Sequence[str]], watch: Sequence[str]) -> None:
+    def add(self, counts: Counter[str], cells: Callable[[], Sequence[str]], watch: Collection[str]) -> None:
         """Fold in a batch whose shape counts are ``counts``; ``cells()`` gives
-        its cells, and ``watch`` the values that hold a digit to count."""
+        its cells, and ``watch`` the values to count (one with no digit is its shape)."""
         self.counts.update(counts)
-        wanted = [value for value in watch if value.translate(_TO_SHAPE) in counts]
+        wanted = [value for value in watch if "0" in (shape := value.translate(_TO_SHAPE)) and shape in counts]
         if not wanted and DATE_SHAPE not in counts:
             return
         batch = cells()
@@ -226,12 +212,10 @@ class ColumnShapes:
                 self.odd.update(_odd_date_re().findall(f"\n{text}\n"))
 
     def count(self, value: str) -> int:
-        """How many cells equal ``value``."""
+        """How many cells equal ``value``, which is watched if it holds a digit."""
         shape = value.translate(_TO_SHAPE)
         if "0" not in shape or shape not in self.counts:
             return self.counts.get(shape, 0)
-        if value not in self.values:  # unwatched: only a profile that keeps its cells can count it
-            self.values[value] = self.cells.count(value)
         return self.values[value]
 
     @property
@@ -239,21 +223,22 @@ class ColumnShapes:
         """The date-shaped values that are not on the calendar."""
         return frozenset(date for date in self.odd if not is_date_token(date))
 
-    def rows_where(
-        self, shapes: AbstractSet[str], odd: AbstractSet[str], excluded: AbstractSet[str]
-    ) -> Iterator[tuple[int, str]]:
-        """``(row, cell)``, rows counted from 0, for each kept cell not in
-        ``excluded`` whose shape is in ``shapes`` or that is in ``odd``, in row order."""
-        if not shapes and not odd:
-            return
-        for start, (chunk, text) in zip(count(0, _SLICE_CELLS), _slices(self.cells)):
-            hits = map(shapes.__contains__, _shapes_of(chunk, text))
-            if odd:
-                hits = map(bool.__or__, hits, map(odd.__contains__, chunk))
-            yield from (hit for hit in compress(zip(count(start), chunk), hits) if hit[1] not in excluded)
+
+def rows_where(
+    cells: Sequence[str], shapes: AbstractSet[str], odd: AbstractSet[str], excluded: AbstractSet[str]
+) -> Iterator[tuple[int, str]]:
+    """``(row, cell)``, rows counted from 0, for each of ``cells`` not in
+    ``excluded`` whose shape is in ``shapes`` or that is in ``odd``, in row order."""
+    if not shapes and not odd:
+        return
+    for start, (chunk, text) in zip(count(0, _SLICE_CELLS), _slices(cells)):
+        hits = map(shapes.__contains__, _shapes_of(chunk, text))
+        if odd:
+            hits = map(bool.__or__, hits, map(odd.__contains__, chunk))
+        yield from (hit for hit in compress(zip(count(start), chunk), hits) if hit[1] not in excluded)
 
 
-def _add_lines(profiles: Sequence[ColumnShapes], lines: list[str], delimiter: str, watch: Sequence[str]) -> None:
+def _add_lines(profiles: Sequence[ColumnShapes], lines: list[str], delimiter: str, watch: Collection[str]) -> None:
     """Fold a block of plain lines into the profiles, one per column.  When
     the lines' shapes repeat, as most tables' rows do, each distinct row
     shape is split once; the lines are split only for a profile that asks."""
@@ -308,8 +293,7 @@ class CsvTable(checked_tuple("CsvTable", "header columns dialect source")):
     The header names every column, and every table has one: a table with
     no header has no columns, and is refused in every form (``rows=``,
     ``columns=`` or neither) with the error a text with no record gives.
-    The fields are ``header``, ``columns``, ``dialect`` and ``source``; a
-    table keeps its ``shapes`` in its ``__dict__``, and a copy builds them again.
+    The fields are ``header``, ``columns``, ``dialect`` and ``source``.
     """
 
     def __new__(
@@ -354,12 +338,6 @@ class CsvTable(checked_tuple("CsvTable", "header columns dialect source")):
     def rows(self) -> list[list[str]]:
         """The data rows, built from the columns on each access."""
         return [list(row) for row in zip(*self.columns)]
-
-    @cached_property
-    def shapes(self) -> tuple[ColumnShapes, ...]:
-        """One ``ColumnShapes`` per column.  Built on first use and then
-        kept, so inference, validation and lint classify a column once."""
-        return tuple(map(ColumnShapes, self.columns))
 
     def column(self, name: str) -> list[str]:
         """All cells under the named column, in row order."""
@@ -790,13 +768,18 @@ class TableProfile(namedtuple("TableProfile", "header shapes dialect source")):
     column_names = CsvTable.column_names
 
 
-def profile_csvy(data: bytes, watch: Iterable[str] = ()) -> TableProfile:
+def profile_table(table: CsvTable, watch: Collection[str] = ()) -> TableProfile:
+    """A table's profile, its columns folded as one batch, counting the values of ``watch``."""
+    shapes = tuple(ColumnShapes(column, watch) for column in table.columns)
+    return TableProfile(table.header, shapes, table.dialect, table.source)
+
+
+def profile_csvy(data: bytes, watch: Collection[str] = ()) -> TableProfile:
     """The table of a csvy file as ``parse_csvy`` reads it, raising what it
     raises in its order, profiled a batch at a time: no cell outlives its
-    batch.  The profiles count the values of ``watch`` that hold a digit."""
+    batch.  The profiles count the values of ``watch``."""
     _, body, dialect = _split_csvy(data)
     del data
-    watch = [value for value in watch if "0" in value.translate(_TO_SHAPE)]
     delimiter = dialect.delimiter
     plain = _plain_text(body)
     quoted = plain is None  # read as batches of columns, else as blocks of lines
@@ -816,18 +799,15 @@ def profile_csvy(data: bytes, watch: Iterable[str] = ()) -> TableProfile:
     return TableProfile(CsvTable(header).header, tuple(profiles), dialect, None)
 
 
-def read_parts(path: str | Path) -> Iterator[tuple[int, CsvTable]]:
-    """``(rows before, the batch's rows as a table)`` per batch of a table
-    file that profiled cleanly, so its front matter is not parsed again."""
+def read_parts(path: str | Path) -> Iterator[tuple[int, Sequence[Sequence[str]]]]:
+    """``(rows before, the batch's data columns)`` per batch of a table file
+    that profiled cleanly, so its front matter is not parsed again."""
     body = _split_front_matter(_decode(Path(path).read_bytes()))[1]
-    dialect = _detect_from_text(body)
-    header: list[str] = []
     before = 0
-    for batch in _batches(body, dialect.delimiter):
-        if not header:
-            header = [column[0] for column in batch]
+    for index, batch in enumerate(_batches(body, _detect_from_text(body).delimiter)):
+        if not index:  # the first batch starts with the header
             batch = [column[1:] for column in batch]
-        yield before, CsvTable(header, dialect=dialect, columns=batch)
+        yield before, batch
         before += len(batch[0])
 
 

@@ -269,6 +269,28 @@ def test_schema_validate_error_codes(tmp_path, capsys):
     assert code == EXIT_IO
 
 
+@pytest.mark.parametrize("rewritten", [b"id\n1\n2\n", b"id\nx\nx\n"], ids=["fewer", "more"])
+def test_schema_validate_names_a_table_that_changed_between_its_two_reads(tmp_path, capsys, monkeypatch, rewritten):
+    from tidypack import tabular
+
+    table = tmp_path / "t.csv"
+    table.write_bytes(b"id\n1\nx\n")
+    schema = tmp_path / "t.json"
+    schema.write_bytes(b'{"name": "t", "schema": {"fields": [{"name": "id", "type": "integer"}]}}')
+    real = tabular.read_parts
+
+    def rewrite_then_read(path):
+        table.write_bytes(rewritten)
+        return real(path)
+
+    monkeypatch.setattr(tabular, "read_parts", rewrite_then_read)
+    message = f"{table} changed while it was read"
+    assert run(capsys, "schema", "validate", str(table), str(schema)) == (EXIT_IO, "", f"error: {message}\n")
+    table.write_bytes(b"id\n1\nx\n")
+    code, out, err = run(capsys, "schema", "validate", str(table), str(schema), "--format", "json")
+    assert (code, one_json(out), err) == (EXIT_IO, {"error": {"code": EXIT_IO, "message": message}}, "")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("command", ["schema", "init"])
 def test_an_empty_column_name_is_named(tmp_path, capsys, command, fmt):

@@ -450,6 +450,39 @@ def test_r14_names_dates_off_the_calendar_below_day_29(tmp_path):
     assert finding.machine_data["example"] == "2019-00-10"
 
 
+def _rewrite_before_the_second_read(monkeypatch, path, data: bytes) -> None:
+    """Make lint's second read of a table rewrite ``path`` with ``data`` first."""
+    real = lint.read_parts
+
+    def rewrite_then_read(target):
+        path.write_bytes(data)
+        return real(target)
+
+    monkeypatch.setattr(lint, "read_parts", rewrite_then_read)
+
+
+def test_r09_names_a_table_that_changed_between_its_two_reads(tmp_path, monkeypatch):
+    _clean_package(tmp_path)
+    _write(tmp_path, "metadata/t.json", _SCHEMA_JSON.replace(b'"type": "number"', b'"type": "integer"'))
+    _rewrite_before_the_second_read(monkeypatch, tmp_path / "data/t.csv", b"id,score\n1,3\n2,NA\n")
+    report = _lint(tmp_path)
+    assert _by_rule(report, "R09") == []
+    (crash,) = _by_rule(report, "R00")
+    assert crash.severity == "error"
+    assert crash.detail == f"R09 ({RULES_BY_ID['R09'].title}) could not be evaluated: data/t.csv changed while it was read"
+
+
+def test_r14_names_a_table_that_changed_between_its_two_reads(tmp_path, monkeypatch):
+    _clean_package(tmp_path)
+    _write(tmp_path, "data/d.csv", b"when\n2019-01-22\n2019-02-30\n")
+    _rewrite_before_the_second_read(monkeypatch, tmp_path / "data/d.csv", b"when\n2019-01-22\n2019-02-28\n")
+    report = _lint(tmp_path)
+    assert _by_rule(report, "R14") == []
+    (crash,) = _by_rule(report, "R00")
+    assert crash.severity == "warning"
+    assert crash.detail == f"R14 ({RULES_BY_ID['R14'].title}) could not be evaluated: data/d.csv changed while it was read"
+
+
 def test_r15_undeclared_missing_tokens(tmp_path):
     _clean_package(tmp_path)
     _write(tmp_path, "data/m.csv", b"v\n-99\n1\n")

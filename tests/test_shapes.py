@@ -38,12 +38,13 @@ from tidypack.schema import (
     count_violations,
     _violation_kind,
 )
+from tidypack.schema import violations as listed_violations
 from tidypack.tabular import MISSING_WATCHLIST, ColumnShapes, MissingProfile, is_date_token
 
 
 def infer_field_type(cells: Iterable[str], missing_values: Iterable[str] = DEFAULT_MISSING_VALUES) -> str:
     """The shape verdict on one column of cells, as ``infer_schema`` gives it."""
-    return _infer(ColumnShapes(cells), frozenset(missing_values))
+    return _infer(ColumnShapes(tuple(cells), list(missing_values)), frozenset(missing_values))
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +171,21 @@ def _reference_eval_r15(ctx):
                 )
 
 
-class _OneTableContext:
-    """What R14 and R15 read of a lint context: one dataset, one table,
-    whose second read is the table itself as one part."""
+class _Profiled(tabular.TableProfile):
+    """A table's profile that also holds the table's rows and width, which
+    the references read."""
 
-    def __init__(self, table: CsvTable, declared: frozenset[str]):
+
+class _OneTableContext:
+    """What R14 and R15 read of a lint context: one dataset, one table's
+    profile, watching the watchlist, ``declared`` and ``watch``, whose second
+    read is the table's columns as one part."""
+
+    def __init__(self, table: CsvTable, declared: frozenset[str], watch: Iterable[str] = ()):
         self.ds = SimpleNamespace(name="d")
         self.pkg = SimpleNamespace(datasets=[self.ds])
-        self.csv = table
+        self.csv = _Profiled._make(tabular.profile_table(table, MISSING_WATCHLIST | declared | set(watch)))
+        self.csv.rows, self.csv.width, self.columns = table.rows, table.width, table.columns
         self.declared = declared
 
     def declared_missing(self, ds):
@@ -187,7 +195,7 @@ class _OneTableContext:
         return [(SimpleNamespace(path="data/d.csv"), self.csv)]
 
     def parts(self, rel):
-        return iter([(0, self.csv)])
+        return iter([(0, self.columns)])
 
 
 class _OneSchemaContext(_OneTableContext):
@@ -195,7 +203,7 @@ class _OneSchemaContext(_OneTableContext):
     with no ``path``, types its one table."""
 
     def __init__(self, table: CsvTable, schema: TableSchema):
-        super().__init__(table, frozenset())
+        super().__init__(table, frozenset(), schema.missing_values)
         self.schema = schema
         self.ds.data_files = [SimpleNamespace(path="data/d.csv")]
         self.pkg.pool = SimpleNamespace()
@@ -413,10 +421,11 @@ def _outcome(read):
 
 
 class _ProfileContext(_OneSchemaContext):
-    """A lint context on a profile, whose second read is of the file."""
+    """A lint context on a table's folded profile, whose second read is of the file."""
 
-    def __init__(self, profile, path, schema, declared):
-        super().__init__(profile, schema)
+    def __init__(self, table, profile, path, schema, declared):
+        super().__init__(table, schema)
+        self.csv = profile
         self.declared = declared
         self.path = path
 
@@ -435,7 +444,7 @@ def test_a_profile_folded_over_batches_matches_the_whole_table(data, missing, ty
     whole = _outcome(lambda: tabular.parse_csvy(data)[1])
     with _batched(sizes):
         profile = _outcome(lambda: tabular.profile_csvy(data, MISSING_WATCHLIST | missing))
-    if type(whole) is tuple:  # an error: the same one, from the same record
+    if type(whole) is tuple:  # an error: the same one, from the same record, before any listing
         assert profile == whole
         return
     table = whole
@@ -469,9 +478,13 @@ def test_a_profile_folded_over_batches_matches_the_whole_table(data, missing, ty
         path = Path(scratch) / "d.csv"
         path.write_bytes(data)
         assert count_violations(profile, schema) == len(violations)
-        assert list(lint._eval_r09(_ProfileContext(profile, path, schema, missing))) == expected
+        # The whole list, the folded profile's failing shapes picking each
+        # part's cells, as schema validate lists it, and the library's.
+        assert list(listed_violations(profile, tabular.read_parts(path), schema)) == violations
+        assert validate_table(table, schema).violations == violations
+        assert list(lint._eval_r09(_ProfileContext(table, profile, path, schema, missing))) == expected
         for rule, reference in ((lint._eval_r14, _reference_eval_r14), (lint._eval_r15, _reference_eval_r15)):
-            folded = _ProfileContext(profile, path, schema, missing)
+            folded = _ProfileContext(table, profile, path, schema, missing)
             assert list(rule(folded)) == list(reference(_OneTableContext(table, missing)))
 
 
@@ -492,7 +505,10 @@ def test_the_table_commands_gather_no_table(tmp_path, monkeypatch, capsys):
         package = tmp_path / f"pkg-{name}"
         assert main(["init", str(package), "--dataset", "d", "--seed", str(tmp_path / name)]) == 0
         schema = package / "metadata" / "d.json"
+        validate = ["schema", "validate", str(tmp_path / name), str(schema)]
+        assert [main(validate), main([*validate, "--format", "json"])] == [0, 0]
         schema.write_text(schema.read_text().replace('"string"', '"integer"'))
+        assert [main(validate), main([*validate, "--format", "json"])] == [1, 1]  # the violations read again
         assert main(["lint", str(package)]) == 1  # R09 counts, and reads the first violation again
         assert main(["schema", "infer", str(tmp_path / name)]) == 0
     assert "R09" in capsys.readouterr().out

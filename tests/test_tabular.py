@@ -766,9 +766,7 @@ def test_the_tokenizer_resumes_where_the_reader_stopped(monkeypatch, where, batc
 def test_columns_are_built_once():
     table = parse_table(b"a,b\n1,2\n3,4\n", Dialect())
     assert table.columns == (("1", "3"), ("2", "4"))
-    assert table.shapes is table.shapes
-    assert [column.cells for column in table.shapes] == [("1", "3"), ("2", "4")]
-    assert all(shapes.cells is column for shapes, column in zip(table.shapes, table.columns))
+    assert [column.counts for column in tabular.profile_table(table).shapes] == [{"0": 2}, {"0": 2}]
     assert table.column("b") == ["2", "4"]
     assert table.column(" a ") == ["1", "3"]
     with pytest.raises(CsvError, match="no column named 'c'"):
@@ -778,7 +776,7 @@ def test_columns_are_built_once():
     assert table.rows is not table.rows
     assert CsvTable(header=table.header, rows=table.rows) == table
     empty = CsvTable(header=["a", "b"], rows=[])
-    assert [column.cells for column in empty.shapes] == [(), ()]
+    assert [column.counts for column in tabular.profile_table(empty).shapes] == [{}, {}]
     assert empty.column("a") == []
     assert (empty.height, empty.rows) == (0, [])
 
@@ -1015,15 +1013,15 @@ def test_a_text_has_one_reading(text):
 
 def test_column_shapes_are_summarized_once():
     table = parse_table(b"n,d\n1,2019-02-30\n-12,2020-02-29\n", Dialect())
-    assert table.shapes is table.shapes
-    n, d = table.shapes
+    n, d = tabular.profile_table(table, {"-12", "-99"}).shapes
     assert n.counts == {"0": 1, "-00": 1}
     assert d.counts == {tabular.DATE_SHAPE: 2}
     assert d.bad_dates == {"2019-02-30"}
     assert remaining_shapes(n, {"-12", "-99"}) == {"0"}
-    assert list(n.rows_where({"-00"}, set(), set())) == [(1, "-12")]
-    assert list(n.rows_where({"0", "-00"}, set(), {"1"})) == [(1, "-12")]
-    assert list(d.rows_where(set(), d.bad_dates, set())) == [(0, "2019-02-30")]
+    cells, dates = table.columns
+    assert list(tabular.rows_where(cells, {"-00"}, set(), set())) == [(1, "-12")]
+    assert list(tabular.rows_where(cells, {"0", "-00"}, set(), {"1"})) == [(1, "-12")]
+    assert list(tabular.rows_where(dates, set(), d.bad_dates, set())) == [(0, "2019-02-30")]
 
 
 _SAFE_KEY = st.text(alphabet=st.sampled_from(string.ascii_lowercase), min_size=1, max_size=8).filter(

@@ -120,7 +120,7 @@ def test_a_value_is_a_tuple_of_its_fields():
     assert len(table) == 4 and table == (["id", "v"], table.columns, Dialect(","), "t.csv")
     assert list(_REF) == ["data/t.csv", 10, FileKind.PLAIN_TEXT_TABLE]
     assert isinstance(_LICENSE, FileRef) and isinstance(_DATASET, PackagePool)
-    assert copy.deepcopy(table).shapes[1].cells == ("a", "b", "c")
+    assert copy.deepcopy(table).columns[1] == ("a", "b", "c")
 
 
 #: One field each that the type's constructor refuses, with its error.
